@@ -1,291 +1,16 @@
-"""Hot numeric kernels, JIT-compiled when numba is available.
+"""Census kernel: the per-graph configuration scan, vectorized with numpy.
 
-Every kernel is written in nopython-compatible style and decorated
-conditionally: when numba imports and the environment variable
-LADGET_NUMBA is not set to one of {0, false, no, off}, the functions are
-compiled with ``@njit(cache=True)``; otherwise the same source runs as
-plain Python, and the one genuinely hot batch operation (the per-graph
-configuration scan) is swapped for a vectorized NumPy twin.  ``BACKEND``
-reports which path is active so callers and benchmarks can tell.
-
-Both backends implement identical algorithms and identical orderings, so
-their outputs are interchangeable; the test suite pins that equivalence.
+``scan_configs`` applies the structural filter and the two ladget laws to
+every role assignment of one graph against its materialized colorings.
 """
-
-import os
 
 import numpy as np
 
-
-def _numba_wanted() -> bool:
-    flag = os.environ.get("LADGET_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "no", "off")
-
-
-BACKEND = "plain"
-if _numba_wanted():
-    try:
-        from numba import njit as _njit
-
-        BACKEND = "numba"
-    except ImportError:
-        pass
-
-if BACKEND == "numba":
-
-    def _jit(func):
-        return _njit(cache=True)(func)
-
-else:
-
-    def _jit(func):
-        return func
-
-
-@_jit
-def _popcount32(x):
-    # SWAR popcount; masks here never exceed 32 bits.
-    x = x - ((x >> 1) & 0x55555555)
-    x = (x & 0x33333333) + ((x >> 2) & 0x33333333)
-    x = (x + (x >> 4)) & 0x0F0F0F0F
-    return (x * 0x01010101) >> 24
-
-
-@_jit
-def _select_vertex(color, satmask, n):
-    # Most saturated uncolored vertex; ties broken by lowest id.
-    best = -1
-    best_sat = -1
-    for v in range(n):
-        if color[v] < 0:
-            sat = _popcount32(satmask[v])
-            if sat > best_sat:
-                best_sat = sat
-                best = v
-    return best
-
-
-@_jit
-def _assign(adj, satcnt, satmask, color, v, c, n):
-    color[v] = c
-    for u in range(n):
-        if (adj[v] >> u) & 1:
-            if satcnt[u, c] == 0:
-                satmask[u] |= 1 << c
-            satcnt[u, c] += 1
-
-
-@_jit
-def _unassign(adj, satcnt, satmask, color, v, n):
-    c = color[v]
-    color[v] = -1
-    for u in range(n):
-        if (adj[v] >> u) & 1:
-            satcnt[u, c] -= 1
-            if satcnt[u, c] == 0:
-                satmask[u] &= ~(1 << c)
-
-
-@_jit
-def colorings_into(adj, k, pre, out, stop_after):
-    """Enumerate proper k-colorings of the graph given by bitmask rows `adj`.
-
-    pre[v] is a fixed color for vertex v, or -1 when v is free.  Rows are
-    written into `out` (uint8, shape cap x n) until its capacity is hit;
-    counting always continues until `stop_after` solutions have been seen.
-    Returns the number of solutions found (capped at stop_after).
-
-    Order is deterministic: vertices are chosen by descending saturation
-    degree with lowest-id ties, colors tried in ascending order.
-    """
-    n = adj.shape[0]
-    cap = out.shape[0]
-    color = np.full(n, -1, np.int64)
-    satcnt = np.zeros((n, k), np.int64)
-    satmask = np.zeros(n, np.int64)
-    for v in range(n):
-        c = pre[v]
-        if c >= 0:
-            if (satmask[v] >> c) & 1:
-                return 0
-            _assign(adj, satcnt, satmask, color, v, c, n)
-    m = 0
-    for v in range(n):
-        if color[v] < 0:
-            m += 1
-    if m == 0:
-        if cap > 0:
-            for u in range(n):
-                out[0, u] = color[u]
-        return 1
-    chosen = np.empty(m, np.int64)
-    tried = np.full(m, -1, np.int64)
-    count = 0
-    d = 0
-    chosen[0] = _select_vertex(color, satmask, n)
-    while d >= 0:
-        v = chosen[d]
-        c = tried[d] + 1
-        while c < k and ((satmask[v] >> c) & 1):
-            c += 1
-        if c >= k:
-            tried[d] = -1
-            d -= 1
-            if d >= 0:
-                _unassign(adj, satcnt, satmask, color, chosen[d], n)
-            continue
-        tried[d] = c
-        _assign(adj, satcnt, satmask, color, v, c, n)
-        if d == m - 1:
-            if count < cap:
-                for u in range(n):
-                    out[count, u] = color[u]
-            count += 1
-            if count >= stop_after:
-                return count
-            _unassign(adj, satcnt, satmask, color, v, n)
-        else:
-            d += 1
-            chosen[d] = _select_vertex(color, satmask, n)
-            tried[d] = -1
-    return count
-
-
-@_jit
-def canon_columns(adj, classes):
-    """Canonical adjacency columns under class-preserving relabelings.
-
-    Positions 0..n-1 are owned by class ids in ascending order; vertices may
-    only occupy positions of their own class.  The column code of position t
-    is sum(bit(i, t) << i for i < t) against already placed vertices, and the
-    canonical form is the lexicographically least column vector, found by
-    depth-first search with prefix pruning.
-    """
-    n = adj.shape[0]
-    big = np.int64(1) << 62
-    cls_sorted = np.sort(classes)
-    best = np.full(n, big, np.int64)
-    perm = np.zeros(n, np.int64)
-    used = np.zeros(n, np.int64)
-    cand = np.full(n, -1, np.int64)
-    t = 0
-    while t >= 0:
-        req = cls_sorted[t]
-        v = cand[t] + 1
-        advanced = False
-        while v < n:
-            if used[v] == 0 and classes[v] == req:
-                col = np.int64(0)
-                for i in range(t):
-                    if (adj[v] >> perm[i]) & 1:
-                        col |= np.int64(1) << i
-                if col <= best[t]:
-                    if col < best[t]:
-                        best[t] = col
-                        for s in range(t + 1, n):
-                            best[s] = big
-                    cand[t] = v
-                    perm[t] = v
-                    used[v] = 1
-                    advanced = True
-                    break
-            v += 1
-        if not advanced:
-            cand[t] = -1
-            t -= 1
-            if t >= 0:
-                used[perm[t]] = 0
-            continue
-        if t == n - 1:
-            used[perm[t]] = 0
-            continue
-        t += 1
-    return best
-
-
-@_jit
-def _scan_configs_loop(C, adj, deg, cfgs, arity, use_filter, minimal_mode):
-    # Result per config: -1 rejected by the structural filter, -2 not a
-    # ladget (universality or consistency fails), otherwise the truth table
-    # code with input pattern p = b1 * 2 + b2 indexing bit p.
-    m = C.shape[0]
-    n = adj.shape[0]
-    q = cfgs.shape[0]
-    res = np.empty(q, np.int64)
-    ntup = 3 if arity == 1 else 9
-    full = (1 << ntup) - 1
-    ngrp = 2 if arity == 1 else 4
-    grp_seen = np.zeros(4, np.int64)
-    for j in range(q):
-        a0 = cfgs[j, 0]
-        th = cfgs[j, 1]
-        i1 = cfgs[j, 2]
-        i2 = cfgs[j, 3]
-        if use_filter:
-            rejected = False
-            if arity == 2 and ((adj[i1] >> i2) & 1):
-                rejected = True
-            elif (adj[a0] >> i1) & 1:
-                rejected = True
-            elif arity == 2 and ((adj[a0] >> i2) & 1):
-                rejected = True
-            elif arity == 2 and (
-                (adj[a0] & adj[i1] & adj[i2]) & ~(np.int64(1) << th)
-            ) != 0:
-                rejected = True
-            elif (adj[a0] >> th) & 1:
-                rejected = True
-            elif deg[th] < 2:
-                rejected = True
-            if not rejected and minimal_mode:
-                rolemask = (np.int64(1) << a0) | (np.int64(1) << th)
-                rolemask |= np.int64(1) << i1
-                if arity == 2:
-                    rolemask |= np.int64(1) << i2
-                for v in range(n):
-                    if ((rolemask >> v) & 1) == 0 and deg[v] < 3:
-                        rejected = True
-                        break
-            if not rejected:
-                if deg[i1] < 2 or (arity == 2 and deg[i2] < 2):
-                    rejected = True
-            if rejected:
-                res[j] = -1
-                continue
-        seen_tup = 0
-        for g in range(ngrp):
-            grp_seen[g] = 0
-        ok = True
-        for r in range(m):
-            if C[r, a0] != 0:
-                continue
-            c1 = C[r, i1]
-            if arity == 2:
-                c2 = C[r, i2]
-                tup = c1 * 3 + c2
-                g = (2 if c1 != 0 else 0) + (1 if c2 != 0 else 0)
-            else:
-                tup = c1
-                g = 1 if c1 != 0 else 0
-            seen_tup |= 1 << tup
-            ob = 1 if C[r, th] != 0 else 0
-            grp_seen[g] |= 1 << ob
-            if grp_seen[g] == 3:
-                ok = False
-                break
-        if not ok or seen_tup != full:
-            res[j] = -2
-            continue
-        tt = 0
-        for g in range(ngrp):
-            if grp_seen[g] == 2:
-                tt |= 1 << g
-        res[j] = tt
-    return res
+BACKEND = "numpy"
 
 
 def _filter_mask_vec(adj, deg, cfgs, arity, minimal_mode):
-    # Vectorized structural filter for the plain backend: True means keep.
+    # Vectorized structural filter: True means keep.
     a0 = cfgs[:, 0]
     th = cfgs[:, 1]
     i1 = cfgs[:, 2]
@@ -314,7 +39,13 @@ def _filter_mask_vec(adj, deg, cfgs, arity, minimal_mode):
     return keep
 
 
-def _scan_configs_vec(C, adj, deg, cfgs, arity, use_filter, minimal_mode):
+def scan_configs(C, adj, deg, cfgs, arity, use_filter, minimal_mode):
+    """Verdict per configuration row of `cfgs` against the colorings `C`.
+
+    -1: rejected by the structural filter; -2: not a ladget (universality
+    or consistency fails); otherwise the truth table code, with input
+    pattern p = b1 * 2 + b2 indexing bit p.
+    """
     q = cfgs.shape[0]
     res = np.full(q, -2, np.int64)
     if use_filter:
@@ -348,9 +79,3 @@ def _scan_configs_vec(C, adj, deg, cfgs, arity, use_filter, minimal_mode):
             continue
         res[j] = int(((seen == 2).astype(np.int64) << np.arange(ngrp)).sum())
     return res
-
-
-if BACKEND == "numba":
-    scan_configs = _scan_configs_loop
-else:
-    scan_configs = _scan_configs_vec

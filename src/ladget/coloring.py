@@ -1,22 +1,20 @@
-"""Proper k-coloring enumeration: lazy reference path, fast kernels, oracle.
+"""Proper k-coloring enumeration, and the exhaustive oracle that checks it.
 
-Three routes to the same answer, kept deliberately separate:
-
-* ``enumerate_colorings`` is the readable reference generator (backtracking
-  with a most-saturated-vertex heuristic), lazy so callers can stop early.
-* ``all_colorings`` / ``exists_coloring`` go through the compiled kernels
-  and must reproduce the reference output row for row, in the same order.
+* ``enumerate_colorings`` is the enumerator (backtracking with a
+  most-saturated-vertex heuristic), lazy so callers can stop early.
+* ``all_colorings`` materializes its rows, in the same order, as a uint8
+  matrix; ``exists_coloring`` stops at the first one.
 * ``oracle_colorings`` checks every one of the k**n assignments with no
-  pruning at all and is used to validate the other two in tests.
+  pruning at all and is used to validate the enumerator in tests.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator, Mapping
 
 import numpy as np
 
-from . import _kernels
 from .errors import TooLarge
 from .graphcore import Graph
 
@@ -29,10 +27,10 @@ ORACLE_CAP = 100_000_000
 MAX_MATERIALIZED = 10_000_000
 
 
-def _fixed_array(g: Graph, fixed: Mapping[int, int] | None, k: int) -> np.ndarray:
+def _fixed_colors(g: Graph, fixed: Mapping[int, int] | None, k: int) -> list[int]:
     if k < 2:
         raise ValueError("k must be at least 2")
-    pre = np.full(g.n, -1, dtype=np.int64)
+    pre = [-1] * g.n
     for v, c in (fixed or {}).items():
         if not 0 <= v < g.n:
             raise ValueError(f"fixed vertex {v} outside 0..{g.n - 1}")
@@ -49,9 +47,9 @@ def enumerate_colorings(
 
     Deterministic order: the next vertex is always the uncolored one with
     the most distinct neighbor colors (lowest id on ties), and its colors
-    are tried ascending.  The kernels implement the same order.
+    are tried ascending.
     """
-    pre = _fixed_array(g, fixed, k)
+    pre = _fixed_colors(g, fixed, k)
     n = g.n
     color = [-1] * n
     satcnt = [[0] * k for _ in range(n)]
@@ -78,7 +76,7 @@ def enumerate_colorings(
         if pre[v] >= 0:
             if (satmask[v] >> pre[v]) & 1:
                 return
-            assign(v, int(pre[v]))
+            assign(v, pre[v])
         else:
             todo += 1
 
@@ -109,9 +107,7 @@ def exists_coloring(
     g: Graph, fixed: Mapping[int, int] | None = None, k: int = 3
 ) -> bool:
     """True when at least one proper k-coloring honors `fixed` (short-circuits)."""
-    pre = _fixed_array(g, fixed, k)
-    out = np.empty((1, g.n), dtype=np.uint8)
-    return _kernels.colorings_into(g.adj_array(), k, pre, out, 1) > 0
+    return next(enumerate_colorings(g, fixed, k), None) is not None
 
 
 def all_colorings(
@@ -122,21 +118,15 @@ def all_colorings(
     Same row order as enumerate_colorings.  Raises TooLarge beyond the
     materialization bound.
     """
-    pre = _fixed_array(g, fixed, k)
-    adj = g.adj_array()
-    cap = 1024
-    while True:
-        out = np.empty((cap, g.n), dtype=np.uint8)
-        count = int(
-            _kernels.colorings_into(adj, k, pre, out, MAX_MATERIALIZED + 1)
+    rows = itertools.islice(
+        enumerate_colorings(g, fixed, k), MAX_MATERIALIZED + 1
+    )
+    C = np.fromiter(rows, dtype=np.dtype((np.uint8, g.n)))
+    if C.shape[0] > MAX_MATERIALIZED:
+        raise TooLarge(
+            f"more than {MAX_MATERIALIZED} colorings; refusing to materialize"
         )
-        if count > MAX_MATERIALIZED:
-            raise TooLarge(
-                f"more than {MAX_MATERIALIZED} colorings; refusing to materialize"
-            )
-        if count <= cap:
-            return out[:count].copy()
-        cap = count
+    return C
 
 
 def oracle_colorings(
@@ -147,7 +137,7 @@ def oracle_colorings(
     Vectorized but unpruned; guarded by ORACLE_CAP.  Output is sorted in
     lexicographic assignment order (vertex 0 most significant).
     """
-    pre = _fixed_array(g, fixed, k)
+    pre = _fixed_colors(g, fixed, k)
     total = k**g.n
     if total > ORACLE_CAP:
         raise TooLarge(f"k**n = {total} exceeds the oracle cap {ORACLE_CAP}")

@@ -3,8 +3,8 @@
 Every rule except INTERNAL_DEGREE is a consequence of universality or of
 implementing a non-constant function, so rejecting on them never loses a
 ladget.  INTERNAL_DEGREE additionally assumes minimality and is applied only
-in minimal mode.  This module is the readable twin of the filter embedded in
-the search kernels; the two must agree configuration by configuration, and
+in minimal mode.  This module is the readable twin of the census kernel's
+vectorized filter; the two must agree configuration by configuration, and
 the tests hold them to that.
 """
 
@@ -101,7 +101,7 @@ def structural_filter(
 
     By default every violated rule is collected for reporting; with
     short_circuit the first violation settles the verdict, matching the
-    behavior of the search kernels.
+    census kernel.
     """
     gen = _violations(config.graph, config.roles, minimal_mode)
     found = list(itertools.islice(gen, 1) if short_circuit else gen)

@@ -84,10 +84,17 @@ class ColorMapping:
         }
 
 
+def _anchored_colorings(config: GadgetConfig):
+    return all_colorings(config.graph, {config.roles.anchor: 0}, config.k)
+
+
 def compute_mapping(config: GadgetConfig) -> ColorMapping:
     """Exact mapping from input color tuples to achievable output colors,
     over all proper k-colorings with the anchor at color 0."""
-    C = all_colorings(config.graph, {config.roles.anchor: 0}, config.k)
+    return _mapping_from(config, _anchored_colorings(config))
+
+
+def _mapping_from(config: GadgetConfig, C) -> ColorMapping:
     table = {
         t: set()
         for t in itertools.product(range(config.k), repeat=config.arity)
@@ -219,7 +226,10 @@ def check_consistency(
         raise PreconditionViolated(
             "consistency is only defined after universality has passed"
         )
-    C = all_colorings(config.graph, {config.roles.anchor: 0}, config.k)
+    return _consistency_from(config, _anchored_colorings(config))
+
+
+def _consistency_from(config: GadgetConfig, C) -> ConsistencyResult:
     ins = config.roles.inputs
     out = config.roles.output
     first_seen: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
@@ -359,14 +369,15 @@ def verify_ladget(
     from .filters import structural_filter
 
     structural = structural_filter(config, minimal_mode=minimal_mode)
-    mapping = compute_mapping(config)
+    C = _anchored_colorings(config)
+    mapping = _mapping_from(config, C)
     universality = check_universality(config, mapping)
     consistency = None
     tt = None
     classification = None
     target_matched = None
     if universality.passed:
-        consistency = check_consistency(config, universality)
+        consistency = _consistency_from(config, C)
         if consistency.passed:
             tt = truth_table_from_mapping(mapping)
             classification = classify(tt)

@@ -2,7 +2,7 @@
 
 Vertices are 0-based ints.  A graph stores one int per vertex whose bit u
 is set when the vertex is adjacent to u; the cap of 32 vertices keeps every
-row inside a machine word for the kernels.  The module also carries the
+row inside a machine word for the census kernel.  The module also carries the
 graph6 codec (bare records only, no header), exhaustive generation of small
 connected graphs, and role-respecting isomorphism via canonical labelings.
 """
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     ArityMismatch,
     GraphTooSmall,
@@ -225,6 +224,57 @@ def _refine_classes(g: Graph, base: list[int]) -> list[int]:
         cls = new
 
 
+def _canon_columns(adj: tuple[int, ...], classes: list[int]) -> list[int]:
+    """Canonical adjacency columns under class-preserving relabelings.
+
+    Positions 0..n-1 are owned by class ids in ascending order; vertices may
+    only occupy positions of their own class.  The column code of position t
+    is sum(bit(i, t) << i for i < t) against already placed vertices, and the
+    canonical form is the lexicographically least column vector, found by
+    depth-first search with prefix pruning.
+    """
+    n = len(adj)
+    big = 1 << 62
+    cls_sorted = sorted(classes)
+    best = [big] * n
+    perm = [0] * n
+    used = [False] * n
+    cand = [-1] * n
+    t = 0
+    while t >= 0:
+        req = cls_sorted[t]
+        v = cand[t] + 1
+        advanced = False
+        while v < n:
+            if not used[v] and classes[v] == req:
+                row = adj[v]
+                col = 0
+                for i in range(t):
+                    if (row >> perm[i]) & 1:
+                        col |= 1 << i
+                if col <= best[t]:
+                    if col < best[t]:
+                        best[t] = col
+                        best[t + 1 :] = [big] * (n - t - 1)
+                    cand[t] = v
+                    perm[t] = v
+                    used[v] = True
+                    advanced = True
+                    break
+            v += 1
+        if not advanced:
+            cand[t] = -1
+            t -= 1
+            if t >= 0:
+                used[perm[t]] = False
+            continue
+        if t == n - 1:
+            used[perm[t]] = False
+            continue
+        t += 1
+    return best
+
+
 def canonical_key(g: Graph, base_classes=None) -> tuple:
     """Hashable key equal across (class-respecting) isomorphic graphs.
 
@@ -234,12 +284,10 @@ def canonical_key(g: Graph, base_classes=None) -> tuple:
     """
     base = list(base_classes) if base_classes is not None else [0] * g.n
     cls = _refine_classes(g, base)
-    cols = _kernels.canon_columns(
-        g.adj_array(), np.array(cls, dtype=np.int64)
-    )
+    cols = _canon_columns(g.adj, cls)
     code = 0
     for t in range(1, g.n):
-        code = (code << t) | int(cols[t])
+        code = (code << t) | cols[t]
     return (g.n, tuple(sorted(cls)), code)
 
 

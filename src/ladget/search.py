@@ -1,10 +1,10 @@
 """Census machinery over graph6 streams.
 
 For each graph the proper 3-colorings are enumerated once, then every role
-assignment (configuration) is scanned against them by the kernels: filter
-verdict, universality, consistency, truth table.  Graphs up to 7 vertices
-can come from the built-in generator; anything larger arrives as an
-external one-record-per-line graph6 stream.
+assignment (configuration) is scanned against them by the census kernel:
+filter verdict, universality, consistency, truth table.  Graphs up to 7
+vertices can come from the built-in generator; anything larger arrives as
+an external one-record-per-line graph6 stream.
 
 Hits are collected in the input labeling, then normalized: sorted, grouped
 by role-respecting isomorphism, and reduced to a least representative, so
@@ -31,13 +31,7 @@ from . import _kernels
 from .coloring import all_colorings
 from .errors import InvalidGraph6
 from .gadget import TARGET_CODES, TruthTable, classify
-from .graphcore import (
-    Graph,
-    RoleLabeling,
-    config_canonical_key,
-    decode_graph6,
-    encode_graph6,
-)
+from .graphcore import Graph, RoleLabeling, config_canonical_key, decode_graph6
 
 CHUNK_RECORDS = 512
 
@@ -162,7 +156,7 @@ def _allowed_codes(targets: tuple[str, ...], arity: int) -> dict:
     return out
 
 
-def _scan_graph(g: Graph, options: SearchOptions, lineno: int):
+def _scan_graph(g: Graph, g6: str, options: SearchOptions, lineno: int):
     cfgs = enumerate_configs(g.n, options.arity, options.ordered_inputs)
     if options.sample_rate is not None and options.sample_rate < 1.0:
         rng = np.random.default_rng((options.seed or 0, lineno))
@@ -182,7 +176,6 @@ def _scan_graph(g: Graph, options: SearchOptions, lineno: int):
     after = int((res != -1).sum())
     allowed = _allowed_codes(options.targets, options.arity)
     hits = []
-    g6 = encode_graph6(g)
     for j in np.nonzero(res >= 0)[0]:
         label = allowed.get(int(res[j]))
         if label is None:
@@ -236,7 +229,9 @@ def _scan_chunk(records: list, options: SearchOptions) -> _Tally:
             tally.bad.append((lineno, str(exc)))
             continue
         tally.graphs_seen += 1
-        enum, after, hits = _scan_graph(g, options, lineno)
+        # A record that decodes is the only graph6 of its graph, so the
+        # stripped text doubles as the hits' graph6.
+        enum, after, hits = _scan_graph(g, text, options, lineno)
         slot = tally.order_slot(g.n)
         slot["graphs"] += 1
         slot["configs_enumerated"] += enum

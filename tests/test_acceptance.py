@@ -40,7 +40,7 @@ pytestmark = pytest.mark.acceptance
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # First kernel use may compile; keep that out of the timed criteria.
+    # Keep imports and the census's cached tables out of the timed criteria.
     search_stream(["CN"], SearchOptions(targets=("NOT",), arity=1))
 
 
@@ -263,12 +263,12 @@ def test_c09_coloring_oracle_equivalence():
         k = int(rng.integers(2, 5))
         g = random_graph(rng, n, float(rng.uniform(0.2, 0.7)))
         fixed = {int(rng.integers(0, n)): 0} if rng.random() < 0.5 else None
-        fast = {
+        fast = sorted(
             tuple(int(c) for c in row) for row in all_colorings(g, fixed, k)
-        }
-        assert fast == set(oracle_colorings(g, fixed, k)), (n, k, g.edges())
+        )
+        assert fast == oracle_colorings(g, fixed, k), (n, k, g.edges())
         cases += 1
-    _ok("C09", f"kernel enumeration equals the exhaustive oracle on {cases} cases")
+    _ok("C09", f"enumeration equals the exhaustive oracle row for row on {cases} cases")
 
 
 def test_c10_true_colors_interchangeable():

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ladget import appendix
 from ladget._kernels import scan_configs
 from ladget.coloring import all_colorings
 from ladget.filters import RULES, structural_filter
-from ladget.gadget import GadgetConfig, TruthTable, builtin, classify
+from ladget.gadget import GadgetConfig, TruthTable, builtin, classify, verify_ladget
 from ladget.graphcore import Graph, RoleLabeling, generate_connected
 from ladget.search import enumerate_configs
 
@@ -115,7 +117,53 @@ def _roles_of(row, arity):
     return RoleLabeling(a0, inputs, th)
 
 
+@st.composite
+def connected_graphs(draw):
+    n = draw(st.integers(min_value=4, max_value=8))
+    # A random tree keeps every draw connected; extra edges come on top.
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    edges += draw(st.sets(st.sampled_from(pairs)))
+    return Graph.from_edges(n, edges)
+
+
+# Fixture graphs that hold ladgets, so filtered and minimal-mode census
+# verdicts other than -1 and -2 come up too.
+GATE_GRAPHS = [builtin(name).graph for name in ("NOT", "ROTS", "NAND7", "OR8", "AND8")]
+FILTER_MODES = [(False, False), (False, True), (True, False), (True, True)]
+
+
 class TestKernelAgreement:
+    @pytest.mark.parametrize("arity", [1, 2])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_scan_matches_verify_ladget(self, arity, data):
+        # The census verdict under every (use_filter, minimal_mode), checked
+        # one configuration at a time against the staged single check: every
+        # configuration the unfiltered scan calls a ladget, plus a sample.
+        g = data.draw(st.one_of(connected_graphs(), st.sampled_from(GATE_GRAPHS)))
+        C = all_colorings(g, None, 3)
+        cfgs = enumerate_configs(g.n, arity)
+        res = {
+            mode: scan_configs(
+                C, g.adj_array(), g.deg_array(), cfgs, arity, *mode
+            )
+            for mode in FILTER_MODES
+        }
+        picks = data.draw(st.sets(st.integers(0, len(cfgs) - 1), max_size=6))
+        picks |= set(np.nonzero(res[(False, False)] >= 0)[0].tolist())
+        for j in sorted(picks):
+            cfg = GadgetConfig(g, _roles_of(cfgs[j], arity))
+            report = verify_ladget(cfg)
+            semantic = report.truth_table.code() if report.is_ladget else -2
+            for use_filter, minimal_mode in FILTER_MODES:
+                verdict = structural_filter(
+                    cfg, minimal_mode=minimal_mode, short_circuit=True
+                )
+                want = -1 if use_filter and not verdict.passed else semantic
+                got = int(res[(use_filter, minimal_mode)][j])
+                assert got == want, (g.edges(), cfgs[j], use_filter, minimal_mode)
+
     @pytest.mark.parametrize("n,arity", [(5, 1), (5, 2), (6, 2)])
     @pytest.mark.parametrize("minimal_mode", [False, True])
     def test_kernel_filter_matches_python(self, n, arity, minimal_mode):

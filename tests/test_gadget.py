@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ladget import gadget
 from ladget.errors import PreconditionViolated, UnknownFixture
 from ladget.gadget import (
     FIXTURE_NAMES,
@@ -230,6 +231,51 @@ class TestVerifyReport:
             d = verify_ladget(builtin(name), target="NAND").to_json_dict()
             text = json.dumps(d)
             assert json.loads(text)["is_ladget"] is True
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            builtin("NAND7"),
+            GadgetConfig(
+                Graph.from_edges(3, [(0, 1), (1, 2)]), RoleLabeling(0, (1,), 2)
+            ),
+        ],
+        ids=["universal", "not-universal"],
+    )
+    def test_enumerates_colorings_once(self, cfg, monkeypatch):
+        calls = []
+        real = gadget.all_colorings
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gadget, "all_colorings", counting)
+        verify_ladget(cfg)
+        assert len(calls) == 1
+
+    def test_stages_match_public_checks(self, rng):
+        # The report's stages come from one enumeration; each must equal
+        # what the standalone checks compute, witness included.
+        witnesses = 0
+        for _ in range(60):
+            n = int(rng.integers(4, 8))
+            g = random_connected(n, rng, 0.3)
+            arity = int(rng.integers(1, 3))
+            picks = [int(v) for v in rng.choice(n, size=arity + 2, replace=False)]
+            cfg = GadgetConfig(
+                g, RoleLabeling(picks[0], tuple(picks[1:-1]), picks[-1])
+            )
+            report = verify_ladget(cfg)
+            assert report.mapping == compute_mapping(cfg)
+            assert report.universality == check_universality(cfg)
+            if report.universality.passed:
+                consistency = check_consistency(cfg, report.universality)
+                assert report.consistency == consistency
+                witnesses += consistency.witness is not None
+            else:
+                assert report.consistency is None
+        assert witnesses > 5
 
     def test_degenerate_never_matches_target(self):
         # A one-edge gadget wired input->output through nothing computes MOV
