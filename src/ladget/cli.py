@@ -161,6 +161,8 @@ def cmd_search(args) -> int:
     except LadgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # checkpoint refused: source, options, prefix
+        raise UsageError(str(exc))
     d = report.to_json_dict()
     if args.json:
         print(json.dumps(d, indent=2, sort_keys=True))
@@ -407,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="fail on the first undecodable record",
     )
-    p.add_argument("--checkpoint", help="JSON checkpoint path (jobs=1)")
+    p.add_argument("--checkpoint", help="JSON checkpoint path (file source)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_search)
 

@@ -6,22 +6,27 @@ filter verdict, universality, consistency, truth table.  Graphs up to 7
 vertices can come from the built-in generator; anything larger arrives as
 an external one-record-per-line graph6 stream.
 
-Hits are collected in the input labeling, then normalized: sorted, grouped
-by role-respecting isomorphism, and reduced to a least representative, so
-reports do not depend on worker scheduling.  Rarity statistics report both
-the raw and the deduplicated numerator since either reading of "one hit in
-N" is defensible.
+The stream is scanned in blocks of CHUNK_RECORDS records, inline or on a
+process pool, and the blocks' tallies are merged in stream order.  A tally
+keeps raw hit counts and, per role-respecting isomorphism class, the least
+hit in the input labeling, so memory grows with distinct hits and reports
+do not depend on worker scheduling or chunking.  Checkpoints are written
+after a merged block and so always cover a contiguous prefix of the stream.
+Rarity statistics report both the raw and the deduplicated numerator since
+either reading of "one hit in N" is defensible.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import Counter, deque
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Iterator
 
@@ -183,11 +188,9 @@ def _scan_graph(g: Graph, g6: str, options: SearchOptions, lineno: int):
         a0, th, i1, i2 = (int(x) for x in cfgs[j])
         inputs = (i1,) if options.arity == 1 else (i1, i2)
         hits.append(
-            (
+            Hit(
                 g6,
-                a0,
-                th,
-                inputs,
+                RoleLabeling(a0, inputs, th),
                 label,
                 TruthTable.from_code(options.arity, int(res[j])).bitstring(),
             )
@@ -195,12 +198,21 @@ def _scan_graph(g: Graph, g6: str, options: SearchOptions, lineno: int):
     return len(cfgs), after, hits
 
 
+def _keep_least(least: dict, key, hit: Hit) -> None:
+    old = least.get(key)
+    if old is None or hit.sort_key() < old.sort_key():
+        least[key] = hit
+
+
 @dataclass
 class _Tally:
     graphs_seen: int = 0
     bad: list = field(default_factory=list)
     per_order: dict = field(default_factory=dict)
-    raw_hits: list = field(default_factory=list)
+    # Raw hit count per (function, order), and the least Hit per
+    # (function, config_canonical_key): the state grows with distinct hits.
+    raw: Counter = field(default_factory=Counter)
+    least: dict = field(default_factory=dict)
 
     def order_slot(self, n: int) -> dict:
         return self.per_order.setdefault(
@@ -214,12 +226,14 @@ class _Tally:
             mine = self.order_slot(n)
             for key, val in slot.items():
                 mine[key] += val
-        self.raw_hits.extend(other.raw_hits)
+        self.raw.update(other.raw)
+        for key, hit in other.least.items():
+            _keep_least(self.least, key, hit)
 
 
 def _scan_chunk(records: list, options: SearchOptions) -> _Tally:
     tally = _Tally()
-    for lineno, line in records:
+    for lineno, line, _ in records:
         text = line.strip()
         if not text:
             continue
@@ -236,28 +250,23 @@ def _scan_chunk(records: list, options: SearchOptions) -> _Tally:
         slot["graphs"] += 1
         slot["configs_enumerated"] += enum
         slot["configs_after_filter"] += after
-        tally.raw_hits.extend(hits)
+        for hit in hits:
+            tally.raw[hit.function, g.n] += 1
+            key = config_canonical_key(g, hit.roles, options.ordered_inputs)
+            _keep_least(tally.least, (hit.function, key), hit)
     return tally
-
-
-def _hit_from_raw(raw) -> Hit:
-    g6, a0, th, inputs, label, bits = raw
-    return Hit(g6, RoleLabeling(a0, tuple(inputs), th), label, bits)
 
 
 def dedupe_hits(hits: list[Hit], ordered_inputs: bool = False) -> list[Hit]:
     """One representative per role-respecting isomorphism class, the
     lexicographically least (graph6, roles) member.  Output order is
     normalized, independent of input order."""
-    chosen: dict = {}
-    for hit in sorted(hits, key=lambda h: (h.function, h.sort_key())):
+    least: dict = {}
+    for hit in hits:
         g = decode_graph6(hit.graph6)
-        key = (
-            hit.function,
-            config_canonical_key(g, hit.roles, ordered_inputs),
-        )
-        chosen.setdefault(key, hit)
-    return sorted(chosen.values(), key=lambda h: (h.function, h.sort_key()))
+        key = config_canonical_key(g, hit.roles, ordered_inputs)
+        _keep_least(least, (hit.function, key), hit)
+    return sorted(least.values(), key=lambda h: (h.function, h.sort_key()))
 
 
 @dataclass
@@ -382,16 +391,19 @@ def rarity_stats(report: SearchReport) -> list[dict]:
 
 
 def _record_iter(
-    source, start_offset: int = 0, start_lineno: int = 0
+    source, start_offset: int = 0, start_lineno: int = 0, prefix=None
 ) -> Iterator[tuple[int, str, int | None]]:
     # Yields (lineno, line, offset_after_line or None).  Offsets are only
-    # available for path sources, where they make resuming possible.
+    # available for path sources, where they make resuming possible; a
+    # prefix hasher is fed every byte read.
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
             fh.seek(start_offset)
             offset = start_offset
             lineno = start_lineno
             for raw in fh:
+                if prefix is not None:
+                    prefix.update(raw)
                 offset += len(raw)
                 lineno += 1
                 yield lineno, raw.decode("ascii", "replace"), offset
@@ -402,29 +414,34 @@ def _record_iter(
             yield lineno, line, None
 
 
+def _tuples(x):
+    return tuple(map(_tuples, x)) if isinstance(x, list) else x
+
+
 class _Checkpoint:
-    """Resumable progress for single-process path-based runs."""
+    """Resumable progress of a path-source run: the tally of a contiguous
+    prefix of the stream, and the (lineno, offset, sha256) that prefix
+    ends at."""
 
     def __init__(self, path: str, options: SearchOptions, source):
         self.path = path
-        # Round-tripped through JSON so the comparison with a loaded file
-        # is type-stable (tuples arrive back as lists).
+        self.source = source
+        # Reports never depend on the worker count, so a run may resume
+        # under another one.  Round-tripped through JSON so the comparison
+        # with a loaded file is type-stable (tuples arrive back as lists).
+        opts = asdict(options)
+        del opts["jobs"]
         self.fingerprint = json.loads(
-            json.dumps(
-                {
-                    "source": str(source),
-                    "options": asdict(options),
-                    "version": 1,
-                }
-            )
+            json.dumps({"source": str(source), "options": opts, "version": 2})
         )
-        self.offset = 0
-        self.lineno = 0
+        self.prefix = hashlib.sha256()
+        self.end = (0, 0, self.prefix.hexdigest())
+        self.saved_at = 0
         self.tally = _Tally()
 
-    def load(self) -> bool:
+    def load(self) -> None:
         if not os.path.exists(self.path):
-            return False
+            return
         with open(self.path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if data.get("fingerprint") != self.fingerprint:
@@ -432,38 +449,52 @@ class _Checkpoint:
                 "checkpoint was written by a different run "
                 "(source or options differ); refusing to resume"
             )
-        self.offset = data["offset"]
-        self.lineno = data["lineno"]
+        self.end = (data["lineno"], data["offset"], data["prefix_sha256"])
+        self.saved_at = data["lineno"]
+        left = data["offset"]
+        with open(self.source, "rb") as fh:
+            while left > 0 and (piece := fh.read(min(left, 1 << 20))):
+                self.prefix.update(piece)
+                left -= len(piece)
+        if self.prefix.hexdigest() != data["prefix_sha256"]:
+            raise ValueError(
+                f"the first {data['offset']} bytes of {self.source} changed "
+                "since the checkpoint was written; refusing to resume"
+            )
         t = self.tally
         t.graphs_seen = data["graphs_seen"]
         t.bad = [tuple(b) for b in data["bad"]]
-        t.per_order = {int(n): dict(s) for n, s in data["per_order"].items()}
-        t.raw_hits = [
-            (g6, a0, th, tuple(ins), label, bits)
-            for g6, a0, th, ins, label, bits in data["raw_hits"]
-        ]
-        return True
+        t.per_order = {int(n): s for n, s in data["per_order"].items()}
+        t.raw = Counter({(fn, n): c for fn, n, c in data["hits_raw"]})
+        for key, g6, a0, ins, out, bits in data["hits"]:
+            key = _tuples(key)
+            hit = Hit(g6, RoleLabeling(a0, tuple(ins), out), key[0], bits)
+            t.least[key] = hit
 
     def save(self, done: bool = False) -> None:
+        t = self.tally
+        lineno, offset, digest = self.end
         data = {
             "fingerprint": self.fingerprint,
-            "offset": self.offset,
-            "lineno": self.lineno,
-            "graphs_seen": self.tally.graphs_seen,
-            "bad": [list(b) for b in self.tally.bad],
-            "per_order": {
-                str(n): dict(s) for n, s in self.tally.per_order.items()
-            },
-            "raw_hits": [
-                [g6, a0, th, list(ins), label, bits]
-                for g6, a0, th, ins, label, bits in self.tally.raw_hits
+            "lineno": lineno,
+            "offset": offset,
+            "prefix_sha256": digest,
+            "graphs_seen": t.graphs_seen,
+            "bad": t.bad,
+            "per_order": t.per_order,
+            "hits_raw": [[fn, n, c] for (fn, n), c in t.raw.items()],
+            "hits": [
+                [key, h.graph6, h.roles.anchor, h.roles.inputs, h.roles.output,
+                 h.truth_table]
+                for key, h in t.least.items()
             ],
             "done": done,
         }
         tmp = self.path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(data, fh)
+            fh.write(json.dumps(data))  # json.dump encodes in pure Python
         os.replace(tmp, self.path)
+        self.saved_at = lineno
 
 
 def search_stream(source, options: SearchOptions) -> SearchReport:
@@ -471,96 +502,72 @@ def search_stream(source, options: SearchOptions) -> SearchReport:
 
     The report is normalized: identical for any worker count and chunking.
     Strict mode turns undecodable records into an InvalidGraph6 naming the
-    first offending line; otherwise they are counted and skipped.
+    first offending line, raised once the block holding it is merged;
+    otherwise they are counted and skipped.
     """
     start = time.perf_counter()
     ckpt = None
     if options.checkpoint:
-        if options.jobs != 1:
-            raise ValueError("checkpointing requires jobs=1")
         if not isinstance(source, (str, Path)):
             raise ValueError("checkpointing requires a path source")
         ckpt = _Checkpoint(options.checkpoint, options, source)
         ckpt.load()
-
     tally = ckpt.tally if ckpt else _Tally()
-    if ckpt and ckpt.offset:
-        records = _record_iter(source, ckpt.offset, ckpt.lineno)
-    else:
-        records = _record_iter(source)
+    prefix = ckpt.prefix if ckpt else None
+    lineno, offset, _ = ckpt.end if ckpt else (0, 0, None)
+    records = _record_iter(source, offset, lineno, prefix)
+    blocks = iter(lambda: list(itertools.islice(records, CHUNK_RECORDS)), [])
 
-    if options.jobs == 1:
-        since_ckpt = 0
-        for lineno, line, offset in records:
-            part = _scan_chunk([(lineno, line)], options)
-            tally.merge(part)
-            if ckpt is not None:
-                ckpt.lineno = lineno
-                if offset is not None:
-                    ckpt.offset = offset
-                since_ckpt += 1
-                if since_ckpt >= options.checkpoint_every:
-                    ckpt.save()
-                    since_ckpt = 0
+    def merge(scan, end) -> None:
+        part = scan()
+        tally.merge(part)
+        if options.strict and part.bad:
+            raise InvalidGraph6("line {}: {}".format(*min(part.bad)))
         if ckpt is not None:
-            ckpt.save(done=True)
-    else:
-        _parallel_scan(records, options, tally)
+            ckpt.end = end
+            if end[0] - ckpt.saved_at >= options.checkpoint_every:
+                ckpt.save()
 
-    if options.strict and tally.bad:
-        lineno, msg = min(tally.bad)
-        raise InvalidGraph6(f"line {lineno}: {msg}")
-
+    # Blocks are scanned inline or by the pool with at most 2*jobs + 1 in
+    # flight, and merged in stream order.
+    pool = ProcessPoolExecutor(options.jobs) if options.jobs > 1 else None
+    depth = 2 * options.jobs + 1 if pool else 1
+    pending: deque = deque()
+    try:
+        for block in blocks:
+            lineno, _, offset = block[-1]
+            end = (lineno, offset, prefix.hexdigest() if prefix else None)
+            scan = (pool.submit(_scan_chunk, block, options).result if pool
+                    else partial(_scan_chunk, block, options))
+            pending.append((scan, end))
+            if len(pending) == depth:
+                merge(*pending.popleft())
+        while pending:
+            merge(*pending.popleft())
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    if ckpt is not None:
+        ckpt.save(done=True)
     return _build_report(tally, options, time.perf_counter() - start)
-
-
-def _parallel_scan(records, options: SearchOptions, tally: _Tally) -> None:
-    def chunks() -> Iterator[list]:
-        block = []
-        for lineno, line, _ in records:
-            block.append((lineno, line))
-            if len(block) >= CHUNK_RECORDS:
-                yield block
-                block = []
-        if block:
-            yield block
-
-    max_inflight = options.jobs * 2
-    with ProcessPoolExecutor(max_workers=options.jobs) as pool:
-        inflight = set()
-        for block in chunks():
-            inflight.add(pool.submit(_scan_chunk, block, options))
-            if len(inflight) >= max_inflight:
-                done, inflight = wait(inflight, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    tally.merge(fut.result())
-        for fut in inflight:
-            tally.merge(fut.result())
 
 
 def _build_report(
     tally: _Tally, options: SearchOptions, elapsed: float
 ) -> SearchReport:
-    hits_all = [_hit_from_raw(raw) for raw in tally.raw_hits]
-    by_fn: dict[str, list[Hit]] = {}
-    for h in hits_all:
-        by_fn.setdefault(h.function, []).append(h)
-    hits_raw = {fn: len(hs) for fn, hs in by_fn.items()}
-    deduped = {
-        fn: dedupe_hits(hs, options.ordered_inputs)
-        for fn, hs in sorted(by_fn.items())
-    }
+    hits: dict[str, list[Hit]] = {}
+    for h in sorted(tally.least.values(), key=lambda h: (h.function, h.sort_key())):
+        hits.setdefault(h.function, []).append(h)
     raw_by_order: dict[str, dict[int, int]] = {}
-    for h in hits_all:
-        fn_orders = raw_by_order.setdefault(h.function, {})
-        fn_orders[h.n] = fn_orders.get(h.n, 0) + 1
+    for (fn, n), count in sorted(tally.raw.items()):
+        raw_by_order.setdefault(fn, {})[n] = count
     return SearchReport(
         options=options,
         graphs_seen=tally.graphs_seen,
         bad_lines=len(tally.bad),
         per_order={n: dict(s) for n, s in sorted(tally.per_order.items())},
-        hits_raw=hits_raw,
-        hits=deduped,
+        hits_raw={fn: sum(c.values()) for fn, c in raw_by_order.items()},
+        hits=hits,
         elapsed_s=elapsed,
         hits_raw_per_order=raw_by_order,
     )

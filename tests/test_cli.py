@@ -160,6 +160,22 @@ class TestSearch:
         )
         assert code == 2
 
+    def test_checkpoint_needs_a_file_source(self, capsys, tmp_path):
+        ck = tmp_path / "c.json"
+        code, _, err = run(capsys, "search", "--gen", "4", "--checkpoint", str(ck))
+        assert code == 2
+        assert err.startswith("error:") and "path source" in err
+
+    def test_checkpoint_of_another_run_is_usage_error(self, capsys, tmp_path):
+        stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
+        stream.write_text("CN\n")
+        assert run(capsys, "search", str(stream), "--checkpoint", str(ck))[0] == 0
+        code, _, err = run(
+            capsys, "search", str(stream), "--checkpoint", str(ck), "--target", "OR"
+        )
+        assert code == 2
+        assert err.startswith("error:") and "different run" in err
+
 
 class TestMap:
     def test_fixture_mapping(self, capsys):

@@ -1,9 +1,11 @@
+import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ladget import _kernels
+from ladget import _kernels, search
 from ladget.errors import InvalidGraph6
 from ladget.graphcore import RoleLabeling, decode_graph6, encode_graph6, generate_connected
 from ladget.search import (
@@ -155,6 +157,21 @@ class TestBadLines:
                 SearchOptions(targets=("NAND",), strict=True),
             )
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_strict_stops_at_first_bad_chunk(self, jobs):
+        pulled = 0
+
+        def source():
+            nonlocal pulled
+            head = ["CN", "!!!"]
+            for rec in itertools.chain(head, itertools.repeat("CN", 20000)):
+                pulled += 1
+                yield rec
+
+        with pytest.raises(InvalidGraph6, match="line 2"):
+            search_stream(source(), SearchOptions(strict=True, jobs=jobs))
+        assert pulled <= search.CHUNK_RECORDS * (2 * jobs + 2)
+
     def test_oversize_record_is_a_bad_line(self):
         big = "`" + "?" * 88  # well-formed graph6, 33 vertices
         rep = search_stream([big, "CN"], SearchOptions(targets=("NOT",), arity=1))
@@ -232,6 +249,29 @@ class TestParallel:
             d["options"].pop("jobs")
         assert da == db
 
+    @pytest.mark.parametrize("chunk", [1, 7, 512])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_chunking_same_report(self, monkeypatch, chunk, jobs):
+        stream = [encode_graph6(g) for g in generate_connected(6)]
+        opt = SearchOptions(targets=(), arity=1)
+        want = _report(search_stream(stream, opt))
+        monkeypatch.setattr(search, "CHUNK_RECORDS", chunk)
+        got = search_stream(stream, replace(opt, jobs=jobs))
+        assert want["hits_raw"] and _report(got) == want
+
+
+def _report(rep) -> dict:
+    # The report minus timing and the options that must not change it.
+    d = rep.to_json_dict()
+    d.pop("elapsed_s")
+    for key in ("jobs", "checkpoint", "checkpoint_every"):
+        d["options"].pop(key)
+    return d
+
+
+class Interrupted(Exception):
+    pass
+
 
 class TestCheckpoint:
     def _opts(self, path):
@@ -239,15 +279,45 @@ class TestCheckpoint:
             targets=("NAND",), checkpoint=str(path), checkpoint_every=1
         )
 
-    def test_requires_single_job_and_path(self, tmp_path):
+    def test_requires_path_source(self, tmp_path):
         ck = tmp_path / "c.json"
-        with pytest.raises(ValueError):
-            search_stream(
-                ["CN"],
-                SearchOptions(targets=("NAND",), checkpoint=str(ck), jobs=2),
-            )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="path source"):
             search_stream(["CN"], SearchOptions(targets=("NAND",), checkpoint=str(ck)))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interrupted_resume_under_other_jobs(self, tmp_path, monkeypatch, jobs):
+        stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
+        stream.write_text(
+            "\n".join(encode_graph6(g) for g in generate_connected(6)) + "\n"
+        )
+        monkeypatch.setattr(search, "CHUNK_RECORDS", 7)
+        opts = SearchOptions(
+            targets=(), arity=1, checkpoint=str(ck), checkpoint_every=1
+        )
+        real_save = search._Checkpoint.save
+
+        def save_once_then_die(self, done=False):
+            real_save(self, done)
+            raise Interrupted
+
+        monkeypatch.setattr(search._Checkpoint, "save", save_once_then_die)
+        with pytest.raises(Interrupted):
+            search_stream(str(stream), replace(opts, jobs=jobs))
+        saved = json.loads(ck.read_text())
+        assert saved["lineno"] == 7 and saved["done"] is False
+
+        monkeypatch.setattr(search._Checkpoint, "save", real_save)
+        resumed = search_stream(str(stream), replace(opts, jobs=3 - jobs))
+        fresh = search_stream(str(stream), SearchOptions(targets=(), arity=1))
+        assert resumed.hits_raw and _report(resumed) == _report(fresh)
+
+    def test_refuses_rewritten_prefix(self, tmp_path):
+        stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
+        stream.write_text("CN\nFCZeO\n")
+        search_stream(str(stream), self._opts(ck))
+        stream.write_text("FCZUO\nFCZeO\nFCZUO\n")
+        with pytest.raises(ValueError, match="changed"):
+            search_stream(str(stream), self._opts(ck))
 
     def test_resume_after_growth(self, tmp_path):
         stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
