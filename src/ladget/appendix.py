@@ -71,10 +71,14 @@ def load_table(path: str | Path | None = None) -> tuple[list[AppendixEntry], dic
                 f"table line {lineno}: expected 6 tab-separated fields, "
                 f"got {len(parts)}"
             )
-        fn, g6, a0, th, i1, i2 = parts
-        entries.append(
-            AppendixEntry(fn, g6, int(a0), int(th), (int(i1), int(i2)))
-        )
+        fn, g6, *ids = parts
+        try:
+            a0, th, i1, i2 = map(int, ids)
+        except ValueError:
+            raise ValueError(
+                f"table line {lineno}: vertex ids must be integers"
+            ) from None
+        entries.append(AppendixEntry(fn, g6, a0, th, (i1, i2)))
     return entries, meta
 
 

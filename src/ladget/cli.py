@@ -56,16 +56,15 @@ def _parse_roles(args, one_based: bool = False) -> RoleLabeling:
 def _config_from_args(args, k: int = 3) -> GadgetConfig:
     if getattr(args, "fixture", None):
         cfg = builtin(args.fixture)
-        if k != cfg.k:
-            cfg = GadgetConfig(cfg.graph, cfg.roles, k=k)
-        return cfg
-    if not args.graph6:
+        g, roles = cfg.graph, cfg.roles
+    elif not args.graph6:
         raise UsageError("provide a graph6 record or --fixture NAME")
-    g = decode_graph6(args.graph6)
-    roles = _parse_roles(args, one_based=getattr(args, "one_based", False))
+    else:
+        g = decode_graph6(args.graph6)
+        roles = _parse_roles(args, one_based=getattr(args, "one_based", False))
     try:
         return GadgetConfig(g, roles, k=k)
-    except LadgetError as exc:
+    except (LadgetError, ValueError) as exc:  # roles do not fit, or k < 3
         raise UsageError(str(exc))
 
 
@@ -121,9 +120,12 @@ def _search_options(args) -> SearchOptions:
         targets: tuple[str, ...] = ()
     else:
         targets = tuple(t.strip() for t in args.target.split(",") if t.strip())
-    seed = args.seed
-    if seed is None and os.environ.get("LADGET_SEED"):
-        seed = int(os.environ["LADGET_SEED"])
+    seed, env = args.seed, os.environ.get("LADGET_SEED")
+    if seed is None and env:
+        try:
+            seed = int(env)
+        except ValueError:
+            raise UsageError(f"LADGET_SEED must be an integer, got {env!r}")
     try:
         return SearchOptions(
             targets=targets,
@@ -186,9 +188,6 @@ def cmd_search(args) -> int:
                     f"inputs={list(h.roles.inputs)} output={h.roles.output}"
                 )
         for row in report.rarity_rows():
-            if row.get("note") == "no hits":
-                print(f"rarity {row['function']}: no hits")
-                continue
             print(
                 f"rarity {row['function']} n={row['n']}: "
                 f"raw 1 in {_fmt(row['graphs_per_hit_raw'])} graphs / "
@@ -262,7 +261,10 @@ def cmd_embed(args) -> int:
 
 
 def cmd_appendix_check(args) -> int:
-    entries, meta = appendix.load_table(args.table)
+    try:
+        entries, meta = appendix.load_table(args.table)
+    except (OSError, ValueError) as exc:  # unreadable or malformed table
+        raise UsageError(f"cannot load table {args.table}: {exc}")
     results = appendix.check_table(
         entries, function=args.function, one_based=args.one_based
     )

@@ -1,9 +1,10 @@
 """Proper k-coloring enumeration, and the exhaustive oracle that checks it.
 
-* ``enumerate_colorings`` is the enumerator (backtracking with a
-  most-saturated-vertex heuristic), lazy so callers can stop early.
-* ``all_colorings`` materializes its rows, in the same order, as a uint8
-  matrix; ``exists_coloring`` stops at the first one.
+* ``enumerate_colorings`` is the enumerator (backtracking over a static
+  vertex order), lazy so callers can stop early; it yields in search order.
+* ``all_colorings`` materializes its rows as a uint8 matrix sorted into
+  lexicographic order, the oracle's order; ``exists_coloring`` stops at
+  the first one.
 * ``oracle_colorings`` checks every one of the k**n assignments with no
   pruning at all and is used to validate the enumerator in tests.
 """
@@ -43,62 +44,37 @@ def _fixed_colors(g: Graph, fixed: Mapping[int, int] | None, k: int) -> list[int
 def enumerate_colorings(
     g: Graph, fixed: Mapping[int, int] | None = None, k: int = 3
 ) -> Iterator[Coloring]:
-    """Yield every proper k-coloring honoring `fixed`, lazily.
+    """Yield every proper k-coloring honoring `fixed`, lazily, each once.
 
-    Deterministic order: the next vertex is always the uncolored one with
-    the most distinct neighbor colors (lowest id on ties), and its colors
-    are tried ascending.
+    Search order: backtracking over a static vertex order (fixed vertices
+    first, then the vertex with the most already-ordered neighbors, lowest
+    id on ties), trying colors ascending.  This is not lexicographic order.
     """
     pre = _fixed_colors(g, fixed, k)
     n = g.n
+    order = [v for v in range(n) if pre[v] >= 0]
+    placed = sum(1 << v for v in order)
+    rest = [v for v in range(n) if pre[v] < 0]
+    while rest:
+        v = max(rest, key=lambda u: ((g.adj[u] & placed).bit_count(), -u))
+        rest.remove(v)
+        order.append(v)
+        placed |= 1 << v
+    choices = [[c] if c >= 0 else range(k) for c in pre]
     color = [-1] * n
-    satcnt = [[0] * k for _ in range(n)]
-    satmask = [0] * n
-    nbrs = [g.neighbors(v) for v in range(n)]
+    masks = [0] * k  # masks[c]: the vertices currently colored c
 
-    def assign(v: int, c: int) -> None:
-        color[v] = c
-        for u in nbrs[v]:
-            if satcnt[u][c] == 0:
-                satmask[u] |= 1 << c
-            satcnt[u][c] += 1
-
-    def unassign(v: int) -> None:
-        c = color[v]
-        color[v] = -1
-        for u in nbrs[v]:
-            satcnt[u][c] -= 1
-            if satcnt[u][c] == 0:
-                satmask[u] &= ~(1 << c)
-
-    todo = 0
-    for v in range(n):
-        if pre[v] >= 0:
-            if (satmask[v] >> pre[v]) & 1:
-                return
-            assign(v, pre[v])
-        else:
-            todo += 1
-
-    def best_vertex() -> int:
-        best, best_sat = -1, -1
-        for v in range(n):
-            if color[v] < 0:
-                sat = satmask[v].bit_count()
-                if sat > best_sat:
-                    best, best_sat = v, sat
-        return best
-
-    def walk(depth: int) -> Iterator[Coloring]:
-        if depth == todo:
+    def walk(i: int) -> Iterator[Coloring]:
+        if i == n:
             yield tuple(color)
             return
-        v = best_vertex()
-        for c in range(k):
-            if not (satmask[v] >> c) & 1:
-                assign(v, c)
-                yield from walk(depth + 1)
-                unassign(v)
+        v = order[i]
+        for c in choices[v]:
+            if not masks[c] & g.adj[v]:
+                color[v] = c
+                masks[c] |= 1 << v
+                yield from walk(i + 1)
+                masks[c] ^= 1 << v
 
     yield from walk(0)
 
@@ -115,8 +91,9 @@ def all_colorings(
 ) -> np.ndarray:
     """All proper k-colorings as a uint8 matrix, one row per coloring.
 
-    Same row order as enumerate_colorings.  Raises TooLarge beyond the
-    materialization bound.
+    Rows are in lexicographic order (vertex 0 most significant), the same
+    order as oracle_colorings.  Raises TooLarge beyond the materialization
+    bound.
     """
     rows = itertools.islice(
         enumerate_colorings(g, fixed, k), MAX_MATERIALIZED + 1
@@ -126,7 +103,7 @@ def all_colorings(
         raise TooLarge(
             f"more than {MAX_MATERIALIZED} colorings; refusing to materialize"
         )
-    return C
+    return C[np.lexsort(C.T[::-1])]
 
 
 def oracle_colorings(

@@ -335,7 +335,7 @@ def _ratio(denom: int, numer: int) -> float | None:
 def rarity_stats(report: SearchReport) -> list[dict]:
     """Per function and order: how many graphs / configurations / filtered
     configurations one hit corresponds to.  Raw and deduplicated numerators
-    are both reported; zero hits yields an explicit "no hits" row."""
+    are both reported; a function without hits gets no row."""
     raw_by = report.hits_raw_per_order
     rows = []
     labels = sorted(set(report.hits_raw) | set(report.hits))
@@ -344,17 +344,6 @@ def rarity_stats(report: SearchReport) -> list[dict]:
             {h.n for h in report.hits.get(fn, ())}
             | set(raw_by.get(fn, {}))
         )
-        if not orders:
-            rows.append(
-                {
-                    "function": fn,
-                    "n": None,
-                    "hits_raw": 0,
-                    "hits_deduped": 0,
-                    "note": "no hits",
-                }
-            )
-            continue
         for n in orders:
             slot = report.per_order.get(
                 n, {"graphs": 0, "configs_enumerated": 0, "configs_after_filter": 0}

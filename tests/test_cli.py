@@ -76,6 +76,15 @@ class TestVerify:
         )
         assert code == 2
 
+    def test_too_few_colors_is_usage_error(self, capsys):
+        code, _, err = run(
+            capsys,
+            "verify", "FCZeO", "--anchor", "3", "--out", "4", "--in", "2,6",
+            "--k", "2",
+        )
+        assert code == 2
+        assert err.startswith("error:") and "k must be at least 3" in err
+
     def test_json_output(self, capsys):
         code, out, _ = run(
             capsys,
@@ -160,6 +169,12 @@ class TestSearch:
         )
         assert code == 2
 
+    def test_bad_seed_env_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("LADGET_SEED", "abc")
+        code, _, err = run(capsys, "search", "--gen", "4")
+        assert code == 2
+        assert err.startswith("error:") and "LADGET_SEED" in err
+
     def test_checkpoint_needs_a_file_source(self, capsys, tmp_path):
         ck = tmp_path / "c.json"
         code, _, err = run(capsys, "search", "--gen", "4", "--checkpoint", str(ck))
@@ -197,6 +212,11 @@ class TestMap:
     def test_roles_required_without_fixture(self, capsys):
         code, _, err = run(capsys, "map")
         assert code == 2
+
+    def test_fixture_too_few_colors_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "map", "--fixture", "NOT", "--k", "2")
+        assert code == 2
+        assert err.startswith("error:") and "k must be at least 3" in err
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "map", "--fixture", "NOT", "--json")
@@ -276,6 +296,27 @@ class TestAppendixCheck:
         code, out, _ = run(capsys, "appendix-check", "--table", str(table))
         assert code == 1
         assert "FAIL" in out
+
+    def test_missing_table_is_usage_error(self, capsys, tmp_path):
+        missing = tmp_path / "missing.tsv"
+        code, _, err = run(capsys, "appendix-check", "--table", str(missing))
+        assert code == 2
+        assert err.startswith("error:") and "missing.tsv" in err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("NAND\tFCZeO\t3\t4\t2", "expected 6 tab-separated fields"),
+            ("NAND\tFCZeO\t3\tfour\t2\t6", "vertex ids must be integers"),
+        ],
+        ids=["too-few-fields", "non-integer-id"],
+    )
+    def test_malformed_table_is_usage_error(self, capsys, tmp_path, line, message):
+        table = tmp_path / "bad.tsv"
+        table.write_text("# index-base: 0\n" + line + "\n")
+        code, _, err = run(capsys, "appendix-check", "--table", str(table))
+        assert code == 2
+        assert err.startswith("error:") and f"line 2: {message}" in err
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "appendix-check", "--json")

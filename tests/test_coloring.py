@@ -72,14 +72,21 @@ class TestLaziness:
 
 class TestKernelAgainstReference:
     def test_same_rows_same_order(self, rng):
+        # all_colorings returns the oracle's rows in the oracle's
+        # (lexicographic) order; the lazy generator yields each row once.
+        cases = []
         for _ in range(40):
-            n = int(rng.integers(2, 9))
-            g = random_graph(rng, n, 0.4)
+            g = random_graph(rng, int(rng.integers(2, 9)), 0.4)
             k = int(rng.integers(2, 5))
-            fixed = {0: 0} if rng.random() < 0.5 else None
-            ref = list(enumerate_colorings(g, fixed, k))
+            cases.append((g, k, {0: 0} if rng.random() < 0.5 else None))
+        # Non-zero fixed colors at k=4, on vertices other than 0.
+        c5_chord = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+        cases.append((c5_chord, 4, {3: 2, 1: 3}))
+        for g, k, fixed in cases:
+            ref = oracle_colorings(g, fixed, k)
             got = all_colorings(g, fixed, k)
             assert [tuple(int(c) for c in row) for row in got] == ref
+            assert sorted(enumerate_colorings(g, fixed, k)) == ref
 
     def test_cap_growth_path(self):
         # Thousands of rows: the matrix holds every coloring, not a prefix.

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladget import appendix
+from ladget import _kernels, appendix
 from ladget._kernels import scan_configs
 from ladget.coloring import all_colorings
 from ladget.filters import RULES, structural_filter
@@ -163,6 +163,29 @@ class TestKernelAgreement:
                 want = -1 if use_filter and not verdict.passed else semantic
                 got = int(res[(use_filter, minimal_mode)][j])
                 assert got == want, (g.edges(), cfgs[j], use_filter, minimal_mode)
+
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_one_configuration_per_pass(self, arity, monkeypatch):
+        # Where the scan cuts configurations into passes changes no verdict.
+        graphs = generate_connected(6)
+        want = {
+            (g, mode): _scan(g, arity, *mode)[1]
+            for g in graphs
+            for mode in FILTER_MODES
+        }
+        monkeypatch.setattr(_kernels, "SCAN_CELLS", 1)
+        for (g, mode), res in want.items():
+            assert np.array_equal(_scan(g, arity, *mode)[1], res), (g.edges(), mode)
+
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_no_coloring_no_ladget(self, arity):
+        # K4 plus a pendant vertex has no proper 3-coloring at all.
+        k4 = [(u, v) for v in range(4) for u in range(v)]
+        g = Graph.from_edges(5, k4 + [(3, 4)])
+        assert all_colorings(g, None, 3).shape == (0, 5)
+        for minimal_mode in (False, True):
+            _, res = _scan(g, arity, False, minimal_mode)
+            assert len(res) > 0 and (res == -2).all()
 
     @pytest.mark.parametrize("n,arity", [(5, 1), (5, 2), (6, 2)])
     @pytest.mark.parametrize("minimal_mode", [False, True])
