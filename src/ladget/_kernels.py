@@ -35,10 +35,9 @@ def _filter_mask_vec(adj, deg, cfgs, arity, minimal_mode):
         keep &= (common & ~(np.int64(1) << th)) == 0
         keep &= deg[i2] >= 2
     if minimal_mode:
-        lowdeg = np.int64(0)
-        for v in range(adj.shape[0]):
-            if deg[v] < 3:
-                lowdeg |= np.int64(1) << v
+        lowdeg = np.bitwise_or.reduce(
+            (deg < 3).astype(np.int64) << np.arange(len(deg))
+        )
         rolemask = (
             (np.int64(1) << a0) | (np.int64(1) << th) | (np.int64(1) << i1)
         )

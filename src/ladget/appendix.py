@@ -63,7 +63,13 @@ def load_table(path: str | Path | None = None) -> tuple[list[AppendixEntry], dic
         if line.startswith("#"):
             body = line.lstrip("#").strip()
             if body.lower().startswith("index-base:"):
-                meta["index_base"] = int(body.split(":", 1)[1])
+                base = body.split(":", 1)[1].strip()
+                if base not in ("0", "1"):
+                    raise ValueError(
+                        f"table line {lineno}: index-base must be 0 or 1, "
+                        f"got {base!r}"
+                    )
+                meta["index_base"] = int(base)
             continue
         parts = line.split("\t")
         if len(parts) != 6:

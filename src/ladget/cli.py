@@ -265,8 +265,9 @@ def cmd_appendix_check(args) -> int:
         entries, meta = appendix.load_table(args.table)
     except (OSError, ValueError) as exc:  # unreadable or malformed table
         raise UsageError(f"cannot load table {args.table}: {exc}")
+    base = 1 if args.one_based else meta["index_base"]
     results = appendix.check_table(
-        entries, function=args.function, one_based=args.one_based
+        entries, function=args.function, one_based=base == 1
     )
     if not results:
         raise UsageError(
@@ -274,7 +275,7 @@ def cmd_appendix_check(args) -> int:
         )
     ok = sum(1 for r in results if r.ok)
     payload = {
-        "index_base": meta["index_base"],
+        "index_base": base,
         "rows": [
             {
                 "function": r.entry.function,
@@ -437,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--one-based",
         action="store_true",
-        help="read table vertex ids as 1-based",
+        help="read table vertex ids as 1-based (default: the header's "
+        "index-base)",
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_appendix_check)
@@ -455,11 +457,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LadgetError as exc:
-        # Anything not caught closer to its source came from a request
+    except (UsageError, LadgetError) as exc:
+        # A LadgetError not caught closer to its source came from a request
         # argument (graph6 operand, role ids, table path).
         print(f"error: {exc}", file=sys.stderr)
         return 2

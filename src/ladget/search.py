@@ -8,10 +8,11 @@ an external one-record-per-line graph6 stream.
 
 The stream is scanned in blocks of CHUNK_RECORDS records, inline or on a
 process pool, and the blocks' tallies are merged in stream order.  A tally
-keeps raw hit counts and, per role-respecting isomorphism class, the least
-hit in the input labeling, so memory grows with distinct hits and reports
-do not depend on worker scheduling or chunking.  Checkpoints are written
-after a merged block and so always cover a contiguous prefix of the stream.
+is one additive Counter (graphs, configurations, raw hits and bad lines)
+plus, per role-respecting isomorphism class, the least hit in the input
+labeling, so memory grows with distinct hits and reports do not depend on
+worker scheduling or chunking.  Checkpoints save that same state after a
+merged block and so always cover a contiguous prefix of the stream.
 Rarity statistics report both the raw and the deduplicated numerator since
 either reading of "one hit in N" is defensible.
 """
@@ -42,39 +43,26 @@ CHUNK_RECORDS = 512
 
 
 @lru_cache(maxsize=128)
-def _config_table(n: int, arity: int, ordered: bool) -> np.ndarray:
-    rows = []
-    for a0 in range(n):
-        for th in range(n):
-            if th == a0:
-                continue
-            rest = [v for v in range(n) if v != a0 and v != th]
-            if arity == 1:
-                rows.extend((a0, th, i1, -1) for i1 in rest)
-            elif ordered:
-                rows.extend(
-                    (a0, th, i1, i2)
-                    for i1, i2 in itertools.permutations(rest, 2)
-                )
-            else:
-                rows.extend(
-                    (a0, th, i1, i2)
-                    for i1, i2 in itertools.combinations(rest, 2)
-                )
-    arr = np.array(rows, dtype=np.int64).reshape(-1, 4)
-    arr.setflags(write=False)
-    return arr
-
-
 def enumerate_configs(
     n: int, arity: int = 2, ordered_inputs: bool = False
 ) -> np.ndarray:
     """All (anchor, output, input...) role assignments for an n-vertex graph,
     in lexicographic order.  Column layout: anchor, output, i1, i2 (i2 is -1
-    at arity 1).  Inputs are an unordered pair (i1 < i2) unless ordered."""
+    at arity 1).  Inputs are an unordered pair (i1 < i2) unless ordered.
+    The table is cached and write-protected."""
     if arity not in (1, 2):
         raise ValueError(f"arity must be 1 or 2, got {arity}")
-    return _config_table(n, arity, bool(ordered_inputs))
+    pairs = itertools.permutations if ordered_inputs else itertools.combinations
+    rows = []
+    for a0, th in itertools.permutations(range(n), 2):
+        rest = [v for v in range(n) if v != a0 and v != th]
+        if arity == 1:
+            rows.extend((a0, th, i1, -1) for i1 in rest)
+        else:
+            rows.extend((a0, th, i1, i2) for i1, i2 in pairs(rest, 2))
+    arr = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -145,19 +133,16 @@ class Hit:
 
 @lru_cache(maxsize=32)
 def _allowed_codes(targets: tuple[str, ...], arity: int) -> dict:
-    # Map truth-table code -> function label for codes worth reporting.
-    # Degenerate tables are never reported: a configuration only implements
-    # a function that depends on every input.
+    # Map truth-table code -> (function label, bitstring) for codes worth
+    # reporting.  Degenerate tables are never reported: a configuration only
+    # implements a function that depends on every input.
     out = {}
     for code in range(1 << (1 << arity)):
         fn = classify(TruthTable.from_code(arity, code))
-        if fn.degenerate:
+        if fn.degenerate or (targets and fn.name not in targets):
             continue
-        label = (
-            fn.name if fn.name != "other" else f"tt_{fn.truth_table.bitstring()}"
-        )
-        if not targets or fn.name in targets:
-            out[code] = label
+        bits = fn.truth_table.bitstring()
+        out[code] = (fn.name if fn.name != "other" else f"tt_{bits}", bits)
     return out
 
 
@@ -182,19 +167,12 @@ def _scan_graph(g: Graph, g6: str, options: SearchOptions, lineno: int):
     allowed = _allowed_codes(options.targets, options.arity)
     hits = []
     for j in np.nonzero(res >= 0)[0]:
-        label = allowed.get(int(res[j]))
-        if label is None:
+        found = allowed.get(int(res[j]))
+        if found is None:
             continue
         a0, th, i1, i2 = (int(x) for x in cfgs[j])
         inputs = (i1,) if options.arity == 1 else (i1, i2)
-        hits.append(
-            Hit(
-                g6,
-                RoleLabeling(a0, inputs, th),
-                label,
-                TruthTable.from_code(options.arity, int(res[j])).bitstring(),
-            )
-        )
+        hits.append(Hit(g6, RoleLabeling(a0, inputs, th), *found))
     return len(cfgs), after, hits
 
 
@@ -204,29 +182,22 @@ def _keep_least(least: dict, key, hit: Hit) -> None:
         least[key] = hit
 
 
+_ORDER_KEYS = ("graphs", "configs_enumerated", "configs_after_filter")
+
+
 @dataclass
 class _Tally:
-    graphs_seen: int = 0
-    bad: list = field(default_factory=list)
-    per_order: dict = field(default_factory=dict)
-    # Raw hit count per (function, order), and the least Hit per
-    # (function, config_canonical_key): the state grows with distinct hits.
-    raw: Counter = field(default_factory=Counter)
+    # Additive counts keyed (name, order) for the _ORDER_KEYS, ("hits",
+    # function, order) and ("bad",); the least Hit per (function,
+    # config_canonical_key); and the block's first undecodable (lineno,
+    # message), which only strict mode reads.  The state grows with orders
+    # and distinct hits, not with lines read.
+    counts: Counter = field(default_factory=Counter)
     least: dict = field(default_factory=dict)
-
-    def order_slot(self, n: int) -> dict:
-        return self.per_order.setdefault(
-            n, {"graphs": 0, "configs_enumerated": 0, "configs_after_filter": 0}
-        )
+    first_bad: tuple | None = None
 
     def merge(self, other: "_Tally") -> None:
-        self.graphs_seen += other.graphs_seen
-        self.bad.extend(other.bad)
-        for n, slot in other.per_order.items():
-            mine = self.order_slot(n)
-            for key, val in slot.items():
-                mine[key] += val
-        self.raw.update(other.raw)
+        self.counts.update(other.counts)
         for key, hit in other.least.items():
             _keep_least(self.least, key, hit)
 
@@ -240,18 +211,16 @@ def _scan_chunk(records: list, options: SearchOptions) -> _Tally:
         try:
             g = decode_graph6(text)
         except InvalidGraph6 as exc:
-            tally.bad.append((lineno, str(exc)))
+            tally.counts["bad",] += 1
+            tally.first_bad = tally.first_bad or (lineno, str(exc))
             continue
-        tally.graphs_seen += 1
         # A record that decodes is the only graph6 of its graph, so the
         # stripped text doubles as the hits' graph6.
         enum, after, hits = _scan_graph(g, text, options, lineno)
-        slot = tally.order_slot(g.n)
-        slot["graphs"] += 1
-        slot["configs_enumerated"] += enum
-        slot["configs_after_filter"] += after
+        for name, count in zip(_ORDER_KEYS, (1, enum, after)):
+            tally.counts[name, g.n] += count
         for hit in hits:
-            tally.raw[hit.function, g.n] += 1
+            tally.counts["hits", hit.function, g.n] += 1
             key = config_canonical_key(g, hit.roles, options.ordered_inputs)
             _keep_least(tally.least, (hit.function, key), hit)
     return tally
@@ -336,46 +305,30 @@ def rarity_stats(report: SearchReport) -> list[dict]:
     """Per function and order: how many graphs / configurations / filtered
     configurations one hit corresponds to.  Raw and deduplicated numerators
     are both reported; a function without hits gets no row."""
-    raw_by = report.hits_raw_per_order
+    raw = Counter(
+        {(fn, n): c for fn, by in report.hits_raw_per_order.items()
+         for n, c in by.items()}
+    )
+    deduped = Counter((h.function, h.n) for h in report.all_hits())
     rows = []
-    labels = sorted(set(report.hits_raw) | set(report.hits))
-    for fn in labels:
-        orders = sorted(
-            {h.n for h in report.hits.get(fn, ())}
-            | set(raw_by.get(fn, {}))
-        )
-        for n in orders:
-            slot = report.per_order.get(
-                n, {"graphs": 0, "configs_enumerated": 0, "configs_after_filter": 0}
-            )
-            raw = raw_by.get(fn, {}).get(n, 0)
-            dedup = sum(1 for h in report.hits.get(fn, ()) if h.n == n)
-            rows.append(
-                {
-                    "function": fn,
-                    "n": n,
-                    "hits_raw": raw,
-                    "hits_deduped": dedup,
-                    "graphs": slot["graphs"],
-                    "configs": slot["configs_enumerated"],
-                    "configs_after_filter": slot["configs_after_filter"],
-                    "graphs_per_hit_raw": _ratio(slot["graphs"], raw),
-                    "configs_per_hit_raw": _ratio(
-                        slot["configs_enumerated"], raw
-                    ),
-                    "filtered_per_hit_raw": _ratio(
-                        slot["configs_after_filter"], raw
-                    ),
-                    "graphs_per_hit_deduped": _ratio(slot["graphs"], dedup),
-                    "configs_per_hit_deduped": _ratio(
-                        slot["configs_enumerated"], dedup
-                    ),
-                    "filtered_per_hit_deduped": _ratio(
-                        slot["configs_after_filter"], dedup
-                    ),
-                    "note": None,
-                }
-            )
+    for fn, n in sorted(raw.keys() | deduped.keys()):
+        slot = report.per_order[n]
+        row = {
+            "function": fn,
+            "n": n,
+            "hits_raw": raw[fn, n],
+            "hits_deduped": deduped[fn, n],
+            "graphs": slot["graphs"],
+            "configs": slot["configs_enumerated"],
+            "configs_after_filter": slot["configs_after_filter"],
+        }
+        for kind in ("raw", "deduped"):
+            for name, key in zip(("graphs", "configs", "filtered"), _ORDER_KEYS):
+                row[f"{name}_per_hit_{kind}"] = _ratio(
+                    slot[key], row[f"hits_{kind}"]
+                )
+        row["note"] = None
+        rows.append(row)
     return rows
 
 
@@ -421,7 +374,7 @@ class _Checkpoint:
         opts = asdict(options)
         del opts["jobs"]
         self.fingerprint = json.loads(
-            json.dumps({"source": str(source), "options": opts, "version": 2})
+            json.dumps({"source": str(source), "options": opts, "version": 3})
         )
         self.prefix = hashlib.sha256()
         self.end = (0, 0, self.prefix.hexdigest())
@@ -451,10 +404,7 @@ class _Checkpoint:
                 "since the checkpoint was written; refusing to resume"
             )
         t = self.tally
-        t.graphs_seen = data["graphs_seen"]
-        t.bad = [tuple(b) for b in data["bad"]]
-        t.per_order = {int(n): s for n, s in data["per_order"].items()}
-        t.raw = Counter({(fn, n): c for fn, n, c in data["hits_raw"]})
+        t.counts = Counter({tuple(row[:-1]): row[-1] for row in data["counts"]})
         for key, g6, a0, ins, out, bits in data["hits"]:
             key = _tuples(key)
             hit = Hit(g6, RoleLabeling(a0, tuple(ins), out), key[0], bits)
@@ -468,10 +418,7 @@ class _Checkpoint:
             "lineno": lineno,
             "offset": offset,
             "prefix_sha256": digest,
-            "graphs_seen": t.graphs_seen,
-            "bad": t.bad,
-            "per_order": t.per_order,
-            "hits_raw": [[fn, n, c] for (fn, n), c in t.raw.items()],
+            "counts": [[*key, c] for key, c in t.counts.items()],
             "hits": [
                 [key, h.graph6, h.roles.anchor, h.roles.inputs, h.roles.output,
                  h.truth_table]
@@ -510,8 +457,8 @@ def search_stream(source, options: SearchOptions) -> SearchReport:
     def merge(scan, end) -> None:
         part = scan()
         tally.merge(part)
-        if options.strict and part.bad:
-            raise InvalidGraph6("line {}: {}".format(*min(part.bad)))
+        if options.strict and part.first_bad:
+            raise InvalidGraph6("line {}: {}".format(*part.first_bad))
         if ckpt is not None:
             ckpt.end = end
             if end[0] - ckpt.saved_at >= options.checkpoint_every:
@@ -547,14 +494,19 @@ def _build_report(
     hits: dict[str, list[Hit]] = {}
     for h in sorted(tally.least.values(), key=lambda h: (h.function, h.sort_key())):
         hits.setdefault(h.function, []).append(h)
+    per_order: dict[int, dict] = {}
     raw_by_order: dict[str, dict[int, int]] = {}
-    for (fn, n), count in sorted(tally.raw.items()):
-        raw_by_order.setdefault(fn, {})[n] = count
+    for (name, *key), count in sorted(tally.counts.items()):
+        if name == "hits":
+            fn, n = key
+            raw_by_order.setdefault(fn, {})[n] = count
+        elif name in _ORDER_KEYS:
+            per_order.setdefault(key[0], dict.fromkeys(_ORDER_KEYS, 0))[name] = count
     return SearchReport(
         options=options,
-        graphs_seen=tally.graphs_seen,
-        bad_lines=len(tally.bad),
-        per_order={n: dict(s) for n, s in sorted(tally.per_order.items())},
+        graphs_seen=sum(s["graphs"] for s in per_order.values()),
+        bad_lines=tally.counts["bad",],
+        per_order=per_order,
         hits_raw={fn: sum(c.values()) for fn, c in raw_by_order.items()},
         hits=hits,
         elapsed_s=elapsed,

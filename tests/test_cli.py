@@ -318,6 +318,27 @@ class TestAppendixCheck:
         assert code == 2
         assert err.startswith("error:") and f"line 2: {message}" in err
 
+    def test_header_index_base_is_used(self, capsys, tmp_path):
+        # The bundled table shifted to 1-based ids, declared in its header.
+        lines = ["# index-base: 1"]
+        for e in appendix.load_table()[0]:
+            ids = [str(v + 1) for v in (e.anchor, e.output, *e.inputs)]
+            lines.append("\t".join([e.function, e.graph6, *ids]))
+        table = tmp_path / "one_based.tsv"
+        table.write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, "appendix-check", "--table", str(table), "--json")
+        d = json.loads(out)
+        assert code == 0 and d["passed"] == d["total"] == 33
+        assert d["index_base"] == 1
+
+    @pytest.mark.parametrize("value", ["2", "one"])
+    def test_bad_header_index_base_is_usage_error(self, capsys, tmp_path, value):
+        table = tmp_path / "bad_base.tsv"
+        table.write_text(f"# ids\n# index-base: {value}\nNAND\tFCZeO\t3\t4\t2\t6\n")
+        code, _, err = run(capsys, "appendix-check", "--table", str(table))
+        assert code == 2
+        assert err.startswith("error:") and "line 2: index-base must be 0 or 1" in err
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "appendix-check", "--json")
         d = json.loads(out)

@@ -252,12 +252,21 @@ class TestParallel:
     @pytest.mark.parametrize("chunk", [1, 7, 512])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_chunking_same_report(self, monkeypatch, chunk, jobs):
-        stream = [encode_graph6(g) for g in generate_connected(6)]
+        connected6 = [encode_graph6(g) for g in generate_connected(6)]
+        # Bad and blank lines between records of two orders, across blocks.
+        mixed = []
+        records = connected6[:60] + [encode_graph6(g) for g in generate_connected(5)]
+        for i, rec in enumerate(records):
+            mixed += [rec, "" if i % 5 else "!!!"]
+        streams = (connected6, mixed)
         opt = SearchOptions(targets=(), arity=1)
-        want = _report(search_stream(stream, opt))
+        wants = [_report(search_stream(s, opt)) for s in streams]
+        assert wants[1]["bad_lines"] == 17
+        assert set(wants[1]["per_order"]) == {"5", "6"}
         monkeypatch.setattr(search, "CHUNK_RECORDS", chunk)
-        got = search_stream(stream, replace(opt, jobs=jobs))
-        assert want["hits_raw"] and _report(got) == want
+        for stream, want in zip(streams, wants):
+            got = search_stream(stream, replace(opt, jobs=jobs))
+            assert want["hits_raw"] and _report(got) == want
 
 
 def _report(rep) -> dict:
@@ -338,6 +347,43 @@ class TestCheckpoint:
             d["options"].pop("checkpoint")
             d["options"].pop("checkpoint_every")
         assert dr == df
+
+    def test_bad_lines_are_counted_not_listed(self, tmp_path):
+        # A checkpoint holds a count of bad lines, so 2000 of them take no
+        # more room than 10 apart from the digits of the line number, the
+        # offset and the count.
+        sizes = []
+        for name, bad in (("a", 10), ("b", 2000)):
+            run = tmp_path / name  # same length: the paths are in the file
+            run.mkdir()
+            stream, ck = run / "s.g6", run / "c.json"
+            stream.write_text("CN\n" + "!!!\n" * bad + "FCZeO\n")
+            rep = search_stream(str(stream), self._opts(ck))
+            assert rep.bad_lines == bad
+            sizes.append(len(ck.read_text()))
+        assert sizes[1] <= sizes[0] + 3 * 2
+
+    def test_refuses_version_2_checkpoint(self, tmp_path):
+        stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
+        stream.write_text("CN\n!!!\nFCZeO\n")
+        rep = search_stream(str(stream), self._opts(ck))
+        data = json.loads(ck.read_text())
+        # The same progress in the version-2 layout.
+        data["fingerprint"]["version"] = 2
+        data.pop("counts", None)
+        data.update(
+            graphs_seen=rep.graphs_seen,
+            bad=[[2, "bad record"]],
+            per_order=rep.per_order,
+            hits_raw=[
+                [fn, n, c]
+                for fn, by in rep.hits_raw_per_order.items()
+                for n, c in by.items()
+            ],
+        )
+        ck.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="different run"):
+            search_stream(str(stream), self._opts(ck))
 
     def test_fingerprint_mismatch(self, tmp_path):
         stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
