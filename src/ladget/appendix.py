@@ -28,12 +28,9 @@ class AppendixEntry:
     inputs: tuple[int, ...]
 
     def config(self, one_based: bool = False) -> GadgetConfig:
-        shift = 1 if one_based else 0
         g = decode_graph6(self.graph6)
-        roles = RoleLabeling(
-            self.anchor - shift,
-            tuple(v - shift for v in self.inputs),
-            self.output - shift,
+        roles = RoleLabeling.from_ids(
+            self.anchor, self.inputs, self.output, base=int(one_based)
         )
         return GadgetConfig(g, roles)
 

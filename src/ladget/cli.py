@@ -42,12 +42,9 @@ def _parse_roles(args, one_based: bool = False) -> RoleLabeling:
         inputs = tuple(int(v) for v in args.inputs.split(","))
     except ValueError:
         raise UsageError(f"cannot parse --in {args.inputs!r} as integers")
-    shift = 1 if one_based else 0
     try:
-        return RoleLabeling(
-            args.anchor - shift,
-            tuple(v - shift for v in inputs),
-            args.out - shift,
+        return RoleLabeling.from_ids(
+            args.anchor, inputs, args.out, base=int(one_based)
         )
     except LadgetError as exc:
         raise UsageError(str(exc))
@@ -166,38 +163,36 @@ def cmd_search(args) -> int:
     except ValueError as exc:  # checkpoint refused: source, options, prefix
         raise UsageError(str(exc))
     d = report.to_json_dict()
-    if args.json:
-        print(json.dumps(d, indent=2, sort_keys=True))
-    else:
-        print(
-            f"graphs {report.graphs_seen}  configs {report.configs_enumerated}"
-            f"  after filter {report.configs_after_filter}"
-            + (
-                f"  (pass ratio {d['filter_pass_ratio']})"
-                if d["filter_pass_ratio"] is not None
-                else ""
-            )
-            + f"  bad lines {report.bad_lines}  [{report.backend}]"
+    lines = [
+        f"graphs {report.graphs_seen}  configs {report.configs_enumerated}"
+        f"  after filter {report.configs_after_filter}"
+        + (
+            f"  (pass ratio {d['filter_pass_ratio']})"
+            if d["filter_pass_ratio"] is not None
+            else ""
         )
-        for fn in sorted(report.hits):
-            hs = report.hits[fn]
-            print(f"{fn}: {report.hits_raw.get(fn, 0)} raw, {len(hs)} distinct")
-            for h in hs:
-                print(
-                    f"  {h.graph6}  anchor={h.roles.anchor} "
-                    f"inputs={list(h.roles.inputs)} output={h.roles.output}"
-                )
-        for row in report.rarity_rows():
-            print(
-                f"rarity {row['function']} n={row['n']}: "
-                f"raw 1 in {_fmt(row['graphs_per_hit_raw'])} graphs / "
-                f"{_fmt(row['configs_per_hit_raw'])} configs / "
-                f"{_fmt(row['filtered_per_hit_raw'])} filtered; "
-                f"deduped 1 in {_fmt(row['graphs_per_hit_deduped'])} graphs / "
-                f"{_fmt(row['configs_per_hit_deduped'])} configs / "
-                f"{_fmt(row['filtered_per_hit_deduped'])} filtered"
-            )
-        print(f"elapsed {report.elapsed_s:.2f}s")
+        + f"  bad lines {report.bad_lines}  [{report.backend}]"
+    ]
+    for fn in sorted(report.hits):
+        hs = report.hits[fn]
+        lines.append(f"{fn}: {report.hits_raw.get(fn, 0)} raw, {len(hs)} distinct")
+        lines += [
+            f"  {h.graph6}  anchor={h.roles.anchor} "
+            f"inputs={list(h.roles.inputs)} output={h.roles.output}"
+            for h in hs
+        ]
+    for row in d["rarity"]:
+        lines.append(
+            f"rarity {row['function']} n={row['n']}: "
+            f"raw 1 in {_fmt(row['graphs_per_hit_raw'])} graphs / "
+            f"{_fmt(row['configs_per_hit_raw'])} configs / "
+            f"{_fmt(row['filtered_per_hit_raw'])} filtered; "
+            f"deduped 1 in {_fmt(row['graphs_per_hit_deduped'])} graphs / "
+            f"{_fmt(row['configs_per_hit_deduped'])} configs / "
+            f"{_fmt(row['filtered_per_hit_deduped'])} filtered"
+        )
+    lines.append(f"elapsed {report.elapsed_s:.2f}s")
+    _emit(args, d, "\n".join(lines))
     return 0
 
 
@@ -240,11 +235,7 @@ def cmd_embed(args) -> int:
         "graph6": encode_graph6(emb.config.graph),
         "k": emb.config.k,
         "package": list(emb.package),
-        "roles": {
-            "anchor": emb.config.roles.anchor,
-            "inputs": list(emb.config.roles.inputs),
-            "output": emb.config.roles.output,
-        },
+        "roles": emb.config.roles.to_json_dict(),
         "preserved": report.ok,
         "truth_table": (
             report.truth_table.bitstring() if report.truth_table else None
@@ -323,9 +314,8 @@ def cmd_diff(args) -> int:
     return 0
 
 
-def _add_roles(p: argparse.ArgumentParser, positional_graph: bool = True):
-    if positional_graph:
-        p.add_argument("graph6", nargs="?", help="graph6 record (bare, no header)")
+def _add_roles(p: argparse.ArgumentParser):
+    p.add_argument("graph6", nargs="?", help="graph6 record (bare, no header)")
     p.add_argument("--anchor", type=int, help="anchor vertex id")
     p.add_argument("--out", type=int, help="output vertex id")
     p.add_argument(

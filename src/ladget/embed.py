@@ -21,7 +21,6 @@ class EmbeddedLadget:
 
     config: GadgetConfig
     package: tuple[int, ...]
-    source_k: int = 3
 
 
 def embed_to_k(config: GadgetConfig, k_target: int) -> EmbeddedLadget:
@@ -78,12 +77,10 @@ def package_color_profile(embedded: EmbeddedLadget) -> dict:
     holds k-3 distinct colors, never color 0, never an input's color, and
     the original vertices never use more than 3 distinct colors.
     """
-    from .coloring import all_colorings
-
     cfg = embedded.config
     pkg = embedded.package
     n0 = cfg.graph.n - len(pkg)
-    C = all_colorings(cfg.graph, {cfg.roles.anchor: 0}, cfg.k)
+    C = cfg.colorings()
     profile = {
         "colorings": int(C.shape[0]),
         "package_distinct_ok": True,

@@ -10,12 +10,13 @@ the tests hold them to that.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .gadget import GadgetConfig
 from .graphcore import Graph, RoleLabeling
+
+if TYPE_CHECKING:
+    from .gadget import GadgetConfig
 
 RULES = (
     "IN_ADJ",
@@ -93,18 +94,12 @@ def _violations(
 
 
 def structural_filter(
-    config: GadgetConfig,
-    minimal_mode: bool = False,
-    short_circuit: bool = False,
+    config: GadgetConfig, minimal_mode: bool = False
 ) -> FilterVerdict:
-    """Evaluate the structural rules in their fixed order.
-
-    By default every violated rule is collected for reporting; with
-    short_circuit the first violation settles the verdict, matching the
-    census kernel.
-    """
-    gen = _violations(config.graph, config.roles, minimal_mode)
-    found = list(itertools.islice(gen, 1) if short_circuit else gen)
+    """Evaluate the structural rules in their fixed order, collecting every
+    violated rule for reporting.  The census kernel stops at the first one;
+    the verdict is the same."""
+    found = list(_violations(config.graph, config.roles, minimal_mode))
     return FilterVerdict(
         passed=not found,
         violations=tuple(rule for rule, _ in found),

@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 
 from .coloring import all_colorings
 from .errors import PreconditionViolated, UnknownFixture
-from .graphcore import Graph, RoleLabeling
+from .filters import FilterVerdict, structural_filter
+from .graphcore import Graph, RoleLabeling, encode_graph6
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,12 @@ class GadgetConfig:
 
     def with_output(self, output: int) -> "GadgetConfig":
         return replace(self, roles=replace(self.roles, output=output))
+
+    def colorings(self):
+        """Every proper k-coloring with the anchor pinned to color 0, the
+        Boolean false, as all_colorings' uint8 matrix.  All gadget
+        semantics read this one enumeration."""
+        return all_colorings(self.graph, {self.roles.anchor: 0}, self.k)
 
 
 class ColorMapping:
@@ -84,14 +91,10 @@ class ColorMapping:
         }
 
 
-def _anchored_colorings(config: GadgetConfig):
-    return all_colorings(config.graph, {config.roles.anchor: 0}, config.k)
-
-
 def compute_mapping(config: GadgetConfig) -> ColorMapping:
     """Exact mapping from input color tuples to achievable output colors,
     over all proper k-colorings with the anchor at color 0."""
-    return _mapping_from(config, _anchored_colorings(config))
+    return _mapping_from(config, config.colorings())
 
 
 def _mapping_from(config: GadgetConfig, C) -> ColorMapping:
@@ -226,7 +229,7 @@ def check_consistency(
         raise PreconditionViolated(
             "consistency is only defined after universality has passed"
         )
-    return _consistency_from(config, _anchored_colorings(config))
+    return _consistency_from(config, config.colorings())
 
 
 def _consistency_from(config: GadgetConfig, C) -> ConsistencyResult:
@@ -268,7 +271,7 @@ class VerificationReport:
     """
 
     config: GadgetConfig
-    structural: "FilterVerdict"
+    structural: FilterVerdict
     universality: UniversalityResult
     consistency: ConsistencyResult | None
     mapping: ColorMapping
@@ -295,18 +298,11 @@ class VerificationReport:
         return True
 
     def to_json_dict(self) -> dict:
-        from .graphcore import encode_graph6
-
-        r = self.config.roles
         d = {
             "graph6": encode_graph6(self.config.graph),
             "n": self.config.graph.n,
             "k": self.config.k,
-            "roles": {
-                "anchor": r.anchor,
-                "inputs": list(r.inputs),
-                "output": r.output,
-            },
+            "roles": self.config.roles.to_json_dict(),
             "structural": {
                 "passed": self.structural.passed,
                 "violations": list(self.structural.violations),
@@ -366,10 +362,8 @@ def verify_ladget(
     against a named target function.  Degenerate functions never match a
     named target.
     """
-    from .filters import structural_filter
-
     structural = structural_filter(config, minimal_mode=minimal_mode)
-    C = _anchored_colorings(config)
+    C = config.colorings()
     mapping = _mapping_from(config, C)
     universality = check_universality(config, mapping)
     consistency = None

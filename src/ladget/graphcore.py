@@ -189,6 +189,20 @@ class RoleLabeling:
         if not self.inputs:
             raise InvalidRoles("at least one input is required")
 
+    @classmethod
+    def from_ids(
+        cls, anchor: int, inputs, output: int, base: int = 0
+    ) -> "RoleLabeling":
+        """Roles from vertex ids counted from `base` (1 for 1-based ids)."""
+        return cls(anchor - base, tuple(v - base for v in inputs), output - base)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "anchor": self.anchor,
+            "inputs": list(self.inputs),
+            "output": self.output,
+        }
+
     @property
     def arity(self) -> int:
         return len(self.inputs)

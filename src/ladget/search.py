@@ -88,6 +88,8 @@ class SearchOptions:
             raise ValueError("sample_rate must be in (0, 1]")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.minimal_mode and not self.use_filter:
+            raise ValueError("minimal mode needs the structural filter")
         bad = [t for t in self.targets if t not in TARGET_CODES]
         if bad:
             raise ValueError(
@@ -121,11 +123,7 @@ class Hit:
         return {
             "graph6": self.graph6,
             "n": self.n,
-            "roles": {
-                "anchor": self.roles.anchor,
-                "inputs": list(self.roles.inputs),
-                "output": self.roles.output,
-            },
+            "roles": self.roles.to_json_dict(),
             "function": self.function,
             "truth_table": self.truth_table,
         }
@@ -350,8 +348,6 @@ def _record_iter(
                 lineno += 1
                 yield lineno, raw.decode("ascii", "replace"), offset
     else:
-        if start_offset or start_lineno:
-            raise ValueError("resume is only possible for path sources")
         for lineno, line in enumerate(source, start=1):
             yield lineno, line, None
 
@@ -368,13 +364,17 @@ class _Checkpoint:
     def __init__(self, path: str, options: SearchOptions, source):
         self.path = path
         self.source = source
-        # Reports never depend on the worker count, so a run may resume
-        # under another one.  Round-tripped through JSON so the comparison
-        # with a loaded file is type-stable (tuples arrive back as lists).
+        # A run is its source and the options that shape its report.  The
+        # worker count, the checkpoint's own path and its save interval do
+        # not, so a run may resume under other ones.  strict stays in: a
+        # prefix scanned leniently may hold bad lines a strict run stops at.
+        # Round-tripped through JSON so the comparison with a loaded file is
+        # type-stable (tuples arrive back as lists).
         opts = asdict(options)
-        del opts["jobs"]
+        for key in ("jobs", "checkpoint", "checkpoint_every"):
+            del opts[key]
         self.fingerprint = json.loads(
-            json.dumps({"source": str(source), "options": opts, "version": 3})
+            json.dumps({"source": str(source), "options": opts, "version": 4})
         )
         self.prefix = hashlib.sha256()
         self.end = (0, 0, self.prefix.hexdigest())

@@ -181,6 +181,26 @@ class TestSearch:
         assert code == 2
         assert err.startswith("error:") and "path source" in err
 
+    def test_minimal_needs_the_filter(self, capsys):
+        code, out, err = run(
+            capsys, "search", "--gen", "4", "--minimal", "--no-filter"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "structural filter" in err
+
+    def test_moved_checkpoint_resumes(self, capsys, tmp_path):
+        stream, ck, moved = (tmp_path / f for f in ("s.g6", "c.json", "m.json"))
+        stream.write_text("FCZeO\nFCZUO\n")
+        code, first, _ = run(capsys, "search", str(stream), "--checkpoint", str(ck))
+        assert code == 0
+        ck.rename(moved)
+        code, again, _ = run(
+            capsys, "search", str(stream), "--checkpoint", str(moved)
+        )
+        assert code == 0
+        # The same report, all but the elapsed line.
+        assert again.splitlines()[:-1] == first.splitlines()[:-1]
+
     def test_checkpoint_of_another_run_is_usage_error(self, capsys, tmp_path):
         stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
         stream.write_text("CN\n")

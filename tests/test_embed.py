@@ -28,7 +28,6 @@ class TestEmbedShape:
         assert g.has_edge(4, 5)
         assert emb.config.k == 5
         assert emb.config.roles == cfg.roles
-        assert emb.source_k == 3
 
     def test_original_edges_kept(self):
         cfg = builtin("NAND7")

@@ -47,11 +47,6 @@ class TestRuleOrder:
         )
         assert len(verdict.messages) == 3
 
-    def test_short_circuit_stops_at_first(self):
-        k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
-        verdict = structural_filter(_cfg(4, k4, 0, (1, 2), 3), short_circuit=True)
-        assert verdict.violations == ("IN_ADJ",)
-
 
 class TestIndividualRules:
     def test_clean_baseline(self):
@@ -157,9 +152,7 @@ class TestKernelAgreement:
             report = verify_ladget(cfg)
             semantic = report.truth_table.code() if report.is_ladget else -2
             for use_filter, minimal_mode in FILTER_MODES:
-                verdict = structural_filter(
-                    cfg, minimal_mode=minimal_mode, short_circuit=True
-                )
+                verdict = structural_filter(cfg, minimal_mode=minimal_mode)
                 want = -1 if use_filter and not verdict.passed else semantic
                 got = int(res[(use_filter, minimal_mode)][j])
                 assert got == want, (g.edges(), cfgs[j], use_filter, minimal_mode)

@@ -78,6 +78,7 @@ class TestOptions:
             {"sample_rate": 1.5},
             {"jobs": 0},
             {"targets": ("NAND", "XNAND")},
+            {"use_filter": False, "minimal_mode": True},
         ],
     )
     def test_validation(self, kwargs):
@@ -385,15 +386,48 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="different run"):
             search_stream(str(stream), self._opts(ck))
 
+    def test_refuses_version_3_checkpoint(self, tmp_path):
+        stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
+        stream.write_text("CN\nFCZeO\n")
+        search_stream(str(stream), self._opts(ck))
+        data = json.loads(ck.read_text())
+        data["fingerprint"]["version"] = 3
+        ck.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="different run"):
+            search_stream(str(stream), self._opts(ck))
+
     def test_fingerprint_mismatch(self, tmp_path):
         stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
         stream.write_text("CN\n")
         search_stream(str(stream), self._opts(ck))
-        other = SearchOptions(
-            targets=("OR",), checkpoint=str(ck), checkpoint_every=1
-        )
-        with pytest.raises(ValueError, match="different run"):
-            search_stream(str(stream), other)
+        for change in ({"targets": ("OR",)}, {"strict": True}):
+            with pytest.raises(ValueError, match="different run"):
+                search_stream(str(stream), replace(self._opts(ck), **change))
+
+    @pytest.mark.parametrize("change", ["moved", "checkpoint_every"])
+    def test_finished_checkpoint_resumes_without_scanning(
+        self, tmp_path, monkeypatch, change
+    ):
+        # Neither the checkpoint's path nor its save interval is part of the
+        # run: a finished checkpoint resumes under another one to the
+        # identical report without a block scanned.
+        stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
+        stream.write_text("\n".join(NAND_GRAPHS + ["CN", "!!!"]) + "\n")
+        first = search_stream(str(stream), self._opts(ck))
+        assert first.hits_raw == {"NAND": 3} and first.bad_lines == 1
+        if change == "moved":
+            copy = tmp_path / "b.json"
+            copy.write_text(ck.read_text())
+            opts = replace(self._opts(ck), checkpoint=str(copy))
+        else:
+            opts = replace(self._opts(ck), checkpoint_every=50)
+
+        def no_scan(records, options):
+            raise AssertionError("a block was scanned")
+
+        monkeypatch.setattr(search, "_scan_chunk", no_scan)
+        resumed = search_stream(str(stream), opts)
+        assert _report(resumed) == _report(first)
 
 
 class TestReport:
