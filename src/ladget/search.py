@@ -12,7 +12,8 @@ is one additive Counter (graphs, configurations, raw hits and bad lines)
 plus, per role-respecting isomorphism class, the least hit in the input
 labeling, so memory grows with distinct hits and reports do not depend on
 worker scheduling or chunking.  Checkpoints save that same state after a
-merged block and so always cover a contiguous prefix of the stream.
+merged block and so always cover a contiguous prefix of the stream; a
+resume replays that prefix to check its sha256.
 Rarity statistics report both the raw and the deduplicated numerator since
 either reading of "one hit in N" is defensible.
 """
@@ -36,7 +37,7 @@ import numpy as np
 from . import _kernels
 from .coloring import all_colorings
 from .errors import InvalidGraph6
-from .gadget import TARGET_CODES, TruthTable, classify
+from .gadget import NAMED_FUNCTIONS, TruthTable, classify
 from .graphcore import Graph, RoleLabeling, config_canonical_key, decode_graph6
 
 CHUNK_RECORDS = 512
@@ -90,11 +91,18 @@ class SearchOptions:
             raise ValueError("jobs must be >= 1")
         if self.minimal_mode and not self.use_filter:
             raise ValueError("minimal mode needs the structural filter")
-        bad = [t for t in self.targets if t not in TARGET_CODES]
+        arities = {name: ar for (ar, _), name in NAMED_FUNCTIONS.items()}
+        bad = [t for t in self.targets if t not in arities]
         if bad:
             raise ValueError(
-                f"unknown target(s) {bad}; known: {sorted(TARGET_CODES)} "
+                f"unknown target(s) {bad}; known: {sorted(arities)} "
                 f"(empty targets = every non-degenerate function)"
+            )
+        wrong = [t for t in self.targets if arities[t] != self.arity]
+        if wrong:
+            raise ValueError(
+                f"target(s) {wrong} do not have arity {self.arity}, "
+                "so they can never hit"
             )
 
 
@@ -174,12 +182,6 @@ def _scan_graph(g: Graph, g6: str, options: SearchOptions, lineno: int):
     return len(cfgs), after, hits
 
 
-def _keep_least(least: dict, key, hit: Hit) -> None:
-    old = least.get(key)
-    if old is None or hit.sort_key() < old.sort_key():
-        least[key] = hit
-
-
 _ORDER_KEYS = ("graphs", "configs_enumerated", "configs_after_filter")
 
 
@@ -197,12 +199,20 @@ class _Tally:
     def merge(self, other: "_Tally") -> None:
         self.counts.update(other.counts)
         for key, hit in other.least.items():
-            _keep_least(self.least, key, hit)
+            self.least[key] = min(hit, self.least.get(key, hit), key=Hit.sort_key)
+
+    def fold(self, hit: Hit, ordered_inputs: bool, g: Graph | None = None) -> None:
+        # Keys the hit by its role-respecting isomorphism class; g is the
+        # decoded hit.graph6 when the caller has it.
+        if g is None:
+            g = decode_graph6(hit.graph6)
+        key = (hit.function, config_canonical_key(g, hit.roles, ordered_inputs))
+        self.least[key] = min(hit, self.least.get(key, hit), key=Hit.sort_key)
 
 
 def _scan_chunk(records: list, options: SearchOptions) -> _Tally:
     tally = _Tally()
-    for lineno, line, _ in records:
+    for lineno, line in records:
         text = line.strip()
         if not text:
             continue
@@ -219,8 +229,7 @@ def _scan_chunk(records: list, options: SearchOptions) -> _Tally:
             tally.counts[name, g.n] += count
         for hit in hits:
             tally.counts["hits", hit.function, g.n] += 1
-            key = config_canonical_key(g, hit.roles, options.ordered_inputs)
-            _keep_least(tally.least, (hit.function, key), hit)
+            tally.fold(hit, options.ordered_inputs, g)
     return tally
 
 
@@ -228,12 +237,10 @@ def dedupe_hits(hits: list[Hit], ordered_inputs: bool = False) -> list[Hit]:
     """One representative per role-respecting isomorphism class, the
     lexicographically least (graph6, roles) member.  Output order is
     normalized, independent of input order."""
-    least: dict = {}
+    tally = _Tally()
     for hit in hits:
-        g = decode_graph6(hit.graph6)
-        key = config_canonical_key(g, hit.roles, ordered_inputs)
-        _keep_least(least, (hit.function, key), hit)
-    return sorted(least.values(), key=lambda h: (h.function, h.sort_key()))
+        tally.fold(hit, ordered_inputs)
+    return sorted(tally.least.values(), key=lambda h: (h.function, h.sort_key()))
 
 
 @dataclass
@@ -246,7 +253,7 @@ class SearchReport:
     hits: dict
     elapsed_s: float
     hits_raw_per_order: dict = field(default_factory=dict)
-    backend: str = _kernels.BACKEND
+    backend = _kernels.BACKEND  # not a field: there is one backend
 
     @property
     def configs_enumerated(self) -> int:
@@ -261,12 +268,6 @@ class SearchReport:
         if self.configs_enumerated == 0:
             return None
         return self.configs_after_filter / self.configs_enumerated
-
-    def all_hits(self) -> list[Hit]:
-        return [h for hs in self.hits.values() for h in hs]
-
-    def rarity_rows(self) -> list[dict]:
-        return rarity_stats(self)
 
     def to_json_dict(self) -> dict:
         ratio = self.filter_pass_ratio
@@ -288,7 +289,7 @@ class SearchReport:
                 fn: [h.to_json_dict() for h in hs]
                 for fn, hs in sorted(self.hits.items())
             },
-            "rarity": self.rarity_rows(),
+            "rarity": rarity_stats(self),
             "elapsed_s": round(self.elapsed_s, 3),
         }
 
@@ -307,7 +308,9 @@ def rarity_stats(report: SearchReport) -> list[dict]:
         {(fn, n): c for fn, by in report.hits_raw_per_order.items()
          for n, c in by.items()}
     )
-    deduped = Counter((h.function, h.n) for h in report.all_hits())
+    deduped = Counter(
+        (h.function, h.n) for hs in report.hits.values() for h in hs
+    )
     rows = []
     for fn, n in sorted(raw.keys() | deduped.keys()):
         slot = report.per_order[n]
@@ -330,54 +333,39 @@ def rarity_stats(report: SearchReport) -> list[dict]:
     return rows
 
 
-def _record_iter(
-    source, start_offset: int = 0, start_lineno: int = 0, prefix=None
-) -> Iterator[tuple[int, str, int | None]]:
-    # Yields (lineno, line, offset_after_line or None).  Offsets are only
-    # available for path sources, where they make resuming possible; a
-    # prefix hasher is fed every byte read.
+def _record_iter(source, prefix=None) -> Iterator[tuple[int, str]]:
+    # Yields (lineno, line).  For a path source, a prefix hasher is fed
+    # every byte read.
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
-            fh.seek(start_offset)
-            offset = start_offset
-            lineno = start_lineno
-            for raw in fh:
+            for lineno, raw in enumerate(fh, start=1):
                 if prefix is not None:
                     prefix.update(raw)
-                offset += len(raw)
-                lineno += 1
-                yield lineno, raw.decode("ascii", "replace"), offset
+                yield lineno, raw.decode("ascii", "replace")
     else:
-        for lineno, line in enumerate(source, start=1):
-            yield lineno, line, None
-
-
-def _tuples(x):
-    return tuple(map(_tuples, x)) if isinstance(x, list) else x
+        yield from enumerate(source, start=1)
 
 
 class _Checkpoint:
-    """Resumable progress of a path-source run: the tally of a contiguous
-    prefix of the stream, and the (lineno, offset, sha256) that prefix
-    ends at."""
+    """Resumable progress of a path-source run: the tally of the first
+    lineno lines of the stream, and the sha256 of those lines."""
 
-    def __init__(self, path: str, options: SearchOptions, source):
+    def __init__(self, path: str, options: SearchOptions):
         self.path = path
-        self.source = source
-        # A run is its source and the options that shape its report.  The
+        self.ordered_inputs = options.ordered_inputs
+        # A run is the options that shape its report; the stream is pinned
+        # by the prefix sha256, so any spelling of its path resumes.  The
         # worker count, the checkpoint's own path and its save interval do
-        # not, so a run may resume under other ones.  strict stays in: a
-        # prefix scanned leniently may hold bad lines a strict run stops at.
-        # Round-tripped through JSON so the comparison with a loaded file is
-        # type-stable (tuples arrive back as lists).
+        # not shape the report either.  strict stays in: a prefix scanned
+        # leniently may hold bad lines a strict run stops at.  Round-tripped
+        # through JSON so the comparison with a loaded file is type-stable
+        # (tuples arrive back as lists).
         opts = asdict(options)
         for key in ("jobs", "checkpoint", "checkpoint_every"):
             del opts[key]
-        self.fingerprint = json.loads(
-            json.dumps({"source": str(source), "options": opts, "version": 4})
-        )
+        self.fingerprint = json.loads(json.dumps({"options": opts, "version": 5}))
         self.prefix = hashlib.sha256()
-        self.end = (0, 0, self.prefix.hexdigest())
+        self.end = (0, self.prefix.hexdigest())
         self.saved_at = 0
         self.tally = _Tally()
 
@@ -389,40 +377,28 @@ class _Checkpoint:
         if data.get("fingerprint") != self.fingerprint:
             raise ValueError(
                 "checkpoint was written by a different run "
-                "(source or options differ); refusing to resume"
+                "(options or format differ); refusing to resume"
             )
-        self.end = (data["lineno"], data["offset"], data["prefix_sha256"])
+        self.end = (data["lineno"], data["prefix_sha256"])
         self.saved_at = data["lineno"]
-        left = data["offset"]
-        with open(self.source, "rb") as fh:
-            while left > 0 and (piece := fh.read(min(left, 1 << 20))):
-                self.prefix.update(piece)
-                left -= len(piece)
-        if self.prefix.hexdigest() != data["prefix_sha256"]:
-            raise ValueError(
-                f"the first {data['offset']} bytes of {self.source} changed "
-                "since the checkpoint was written; refusing to resume"
-            )
         t = self.tally
         t.counts = Counter({tuple(row[:-1]): row[-1] for row in data["counts"]})
-        for key, g6, a0, ins, out, bits in data["hits"]:
-            key = _tuples(key)
-            hit = Hit(g6, RoleLabeling(a0, tuple(ins), out), key[0], bits)
-            t.least[key] = hit
+        for g6, a0, ins, out, fn, bits in data["hits"]:
+            t.fold(Hit(g6, RoleLabeling(a0, tuple(ins), out), fn, bits),
+                   self.ordered_inputs)
 
     def save(self, done: bool = False) -> None:
         t = self.tally
-        lineno, offset, digest = self.end
+        lineno, digest = self.end
         data = {
             "fingerprint": self.fingerprint,
             "lineno": lineno,
-            "offset": offset,
             "prefix_sha256": digest,
             "counts": [[*key, c] for key, c in t.counts.items()],
             "hits": [
-                [key, h.graph6, h.roles.anchor, h.roles.inputs, h.roles.output,
-                 h.truth_table]
-                for key, h in t.least.items()
+                [h.graph6, h.roles.anchor, h.roles.inputs, h.roles.output,
+                 h.function, h.truth_table]
+                for h in t.least.values()
             ],
             "done": done,
         }
@@ -446,12 +422,20 @@ def search_stream(source, options: SearchOptions) -> SearchReport:
     if options.checkpoint:
         if not isinstance(source, (str, Path)):
             raise ValueError("checkpointing requires a path source")
-        ckpt = _Checkpoint(options.checkpoint, options, source)
+        ckpt = _Checkpoint(options.checkpoint, options)
         ckpt.load()
     tally = ckpt.tally if ckpt else _Tally()
     prefix = ckpt.prefix if ckpt else None
-    lineno, offset, _ = ckpt.end if ckpt else (0, 0, None)
-    records = _record_iter(source, offset, lineno, prefix)
+    records = _record_iter(source, prefix)
+    if ckpt is not None:
+        # Reading the covered lines again feeds them to the prefix hasher.
+        lineno, digest = ckpt.end
+        deque(itertools.islice(records, lineno), maxlen=0)
+        if prefix.hexdigest() != digest:
+            raise ValueError(
+                f"the first {lineno} lines of {source} changed since the "
+                "checkpoint was written; refusing to resume"
+            )
     blocks = iter(lambda: list(itertools.islice(records, CHUNK_RECORDS)), [])
 
     def merge(scan, end) -> None:
@@ -471,8 +455,7 @@ def search_stream(source, options: SearchOptions) -> SearchReport:
     pending: deque = deque()
     try:
         for block in blocks:
-            lineno, _, offset = block[-1]
-            end = (lineno, offset, prefix.hexdigest() if prefix else None)
+            end = (block[-1][0], prefix.hexdigest() if prefix else None)
             scan = (pool.submit(_scan_chunk, block, options).result if pool
                     else partial(_scan_chunk, block, options))
             pending.append((scan, end))

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from ladget import appendix
+from ladget.graphcore import encode_graph6, generate_connected
 from ladget.cli import main
 
 
@@ -200,6 +201,32 @@ class TestSearch:
         assert code == 0
         # The same report, all but the elapsed line.
         assert again.splitlines()[:-1] == first.splitlines()[:-1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--target", "NAND", "--arity", "1"],
+            ["--target", "NOT", "--arity", "2"],
+            ["--arity", "1"],  # the default target is NAND
+        ],
+        ids=["NAND-1", "NOT-2", "default-1"],
+    )
+    def test_target_of_another_arity_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "search", "--gen", "5", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "never hit" in err
+
+    def test_unterminated_line_that_grew_is_usage_error(self, capsys, tmp_path):
+        stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
+        records = [encode_graph6(g) for g in generate_connected(6)[:30]]
+        argv = ["search", str(stream), "--target", "all", "--arity", "1",
+                "--sample", "0.5", "--seed", "3", "--checkpoint", str(ck)]
+        stream.write_text("\n".join(records[:10]))
+        assert run(capsys, *argv)[0] == 0
+        stream.write_text("\n".join(records) + "\n")
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and "changed" in err
 
     def test_checkpoint_of_another_run_is_usage_error(self, capsys, tmp_path):
         stream, ck = tmp_path / "s.g6", tmp_path / "c.json"

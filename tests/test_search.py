@@ -1,10 +1,16 @@
 import itertools
 import json
+import os
+import signal
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ladget
 from ladget import _kernels, search
 from ladget.errors import InvalidGraph6
 from ladget.graphcore import RoleLabeling, decode_graph6, encode_graph6, generate_connected
@@ -79,6 +85,7 @@ class TestOptions:
             {"jobs": 0},
             {"targets": ("NAND", "XNAND")},
             {"use_filter": False, "minimal_mode": True},
+            {"targets": ("NAND", "NOT")},
         ],
     )
     def test_validation(self, kwargs):
@@ -240,8 +247,8 @@ class TestParallel:
             encode_graph6(g) for g in generate_connected(6)[:40]
         ]
         stream_file.write_text("\n".join(records) + "\n")
-        opt1 = SearchOptions(targets=("NAND", "NOT"))
-        opt2 = SearchOptions(targets=("NAND", "NOT"), jobs=2)
+        opt1 = SearchOptions(targets=("NAND",))
+        opt2 = SearchOptions(targets=("NAND",), jobs=2)
         a = search_stream(str(stream_file), opt1)
         b = search_stream(str(stream_file), opt2)
         da, db = a.to_json_dict(), b.to_json_dict()
@@ -283,6 +290,21 @@ class Interrupted(Exception):
     pass
 
 
+def _interrupt_after_first_save(monkeypatch, stream, opts) -> dict:
+    # Runs the census until its first checkpoint save and returns the file.
+    real_save = search._Checkpoint.save
+
+    def save_once_then_die(self, done=False):
+        real_save(self, done)
+        raise Interrupted
+
+    monkeypatch.setattr(search._Checkpoint, "save", save_once_then_die)
+    with pytest.raises(Interrupted):
+        search_stream(str(stream), opts)
+    monkeypatch.setattr(search._Checkpoint, "save", real_save)
+    return json.loads(Path(opts.checkpoint).read_text())
+
+
 class TestCheckpoint:
     def _opts(self, path):
         return SearchOptions(
@@ -304,19 +326,11 @@ class TestCheckpoint:
         opts = SearchOptions(
             targets=(), arity=1, checkpoint=str(ck), checkpoint_every=1
         )
-        real_save = search._Checkpoint.save
-
-        def save_once_then_die(self, done=False):
-            real_save(self, done)
-            raise Interrupted
-
-        monkeypatch.setattr(search._Checkpoint, "save", save_once_then_die)
-        with pytest.raises(Interrupted):
-            search_stream(str(stream), replace(opts, jobs=jobs))
-        saved = json.loads(ck.read_text())
+        saved = _interrupt_after_first_save(
+            monkeypatch, stream, replace(opts, jobs=jobs)
+        )
         assert saved["lineno"] == 7 and saved["done"] is False
 
-        monkeypatch.setattr(search._Checkpoint, "save", real_save)
         resumed = search_stream(str(stream), replace(opts, jobs=3 - jobs))
         fresh = search_stream(str(stream), SearchOptions(targets=(), arity=1))
         assert resumed.hits_raw and _report(resumed) == _report(fresh)
@@ -351,13 +365,11 @@ class TestCheckpoint:
 
     def test_bad_lines_are_counted_not_listed(self, tmp_path):
         # A checkpoint holds a count of bad lines, so 2000 of them take no
-        # more room than 10 apart from the digits of the line number, the
-        # offset and the count.
+        # more room than 10 apart from the digits of the line number and
+        # the count.  Neither path is in the file.
         sizes = []
         for name, bad in (("a", 10), ("b", 2000)):
-            run = tmp_path / name  # same length: the paths are in the file
-            run.mkdir()
-            stream, ck = run / "s.g6", run / "c.json"
+            stream, ck = tmp_path / f"{name}.g6", tmp_path / f"{name}.json"
             stream.write_text("CN\n" + "!!!\n" * bad + "FCZeO\n")
             rep = search_stream(str(stream), self._opts(ck))
             assert rep.bad_lines == bad
@@ -391,10 +403,15 @@ class TestCheckpoint:
         stream.write_text("CN\nFCZeO\n")
         search_stream(str(stream), self._opts(ck))
         data = json.loads(ck.read_text())
-        data["fingerprint"]["version"] = 3
-        ck.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="different run"):
-            search_stream(str(stream), self._opts(ck))
+        # The same progress under the version-3 and version-4 fingerprints,
+        # which also named the source; version 4 stored a byte offset too.
+        for version, extra in ((3, {}), (4, {"offset": 9})):
+            fingerprint = dict(
+                data["fingerprint"], source=str(stream), version=version
+            )
+            ck.write_text(json.dumps(dict(data, fingerprint=fingerprint, **extra)))
+            with pytest.raises(ValueError, match="different run"):
+                search_stream(str(stream), self._opts(ck))
 
     def test_fingerprint_mismatch(self, tmp_path):
         stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
@@ -404,30 +421,129 @@ class TestCheckpoint:
             with pytest.raises(ValueError, match="different run"):
                 search_stream(str(stream), replace(self._opts(ck), **change))
 
-    @pytest.mark.parametrize("change", ["moved", "checkpoint_every"])
+    @pytest.mark.parametrize(
+        "change", ["moved", "checkpoint_every", "dot_path", "abs_path"]
+    )
     def test_finished_checkpoint_resumes_without_scanning(
         self, tmp_path, monkeypatch, change
     ):
-        # Neither the checkpoint's path nor its save interval is part of the
-        # run: a finished checkpoint resumes under another one to the
-        # identical report without a block scanned.
-        stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
-        stream.write_text("\n".join(NAND_GRAPHS + ["CN", "!!!"]) + "\n")
-        first = search_stream(str(stream), self._opts(ck))
+        # Neither the checkpoint's path, its save interval nor the spelling
+        # of the stream's path is part of the run: a finished checkpoint
+        # resumes under another one to the identical report without a
+        # block scanned.
+        monkeypatch.chdir(tmp_path)
+        source, ck = "s.g6", tmp_path / "c.json"
+        Path(source).write_text("\n".join(NAND_GRAPHS + ["CN", "!!!"]) + "\n")
+        first = search_stream(source, self._opts(ck))
         assert first.hits_raw == {"NAND": 3} and first.bad_lines == 1
+        opts = self._opts(ck)
         if change == "moved":
             copy = tmp_path / "b.json"
             copy.write_text(ck.read_text())
-            opts = replace(self._opts(ck), checkpoint=str(copy))
+            opts = replace(opts, checkpoint=str(copy))
+        elif change == "checkpoint_every":
+            opts = replace(opts, checkpoint_every=50)
+        elif change == "dot_path":
+            source = "./s.g6"
         else:
-            opts = replace(self._opts(ck), checkpoint_every=50)
+            source = str(tmp_path / "s.g6")
 
         def no_scan(records, options):
             raise AssertionError("a block was scanned")
 
         monkeypatch.setattr(search, "_scan_chunk", no_scan)
-        resumed = search_stream(str(stream), opts)
+        resumed = search_stream(source, opts)
         assert _report(resumed) == _report(first)
+
+    def test_refuses_unterminated_last_line_that_grew(self, tmp_path):
+        # Resuming after the unterminated last line gained its newline would
+        # count that newline as a blank line and shift every later line
+        # number, and with it the sample drawn for each record.
+        stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
+        records = [encode_graph6(g) for g in generate_connected(6)[:30]]
+        opts = SearchOptions(
+            targets=(), arity=1, sample_rate=0.5, seed=3,
+            checkpoint=str(ck), checkpoint_every=1,
+        )
+        stream.write_text("\n".join(records[:10]))
+        search_stream(str(stream), opts)
+        assert json.loads(ck.read_text())["lineno"] == 10
+        stream.write_text("\n".join(records) + "\n")
+        with pytest.raises(ValueError, match="changed"):
+            search_stream(str(stream), opts)
+
+    def test_resume_does_not_depend_on_key_codes(self, tmp_path, monkeypatch):
+        # A checkpoint holds no canonical keys: its hits are keyed again on
+        # load, so a resume under other key codes still folds each class
+        # into one hit.  Every record appears twice, so classes met before
+        # the save meet their copies after it.
+        stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
+        records = [encode_graph6(g) for g in generate_connected(6)]
+        stream.write_text("\n".join(records * 2) + "\n")
+        monkeypatch.setattr(search, "CHUNK_RECORDS", 7)
+        opts = SearchOptions(
+            targets=(), arity=1, checkpoint=str(ck), checkpoint_every=1
+        )
+        assert _interrupt_after_first_save(monkeypatch, stream, opts)["lineno"] == 7
+
+        real_key = search.config_canonical_key
+        monkeypatch.setattr(
+            search, "config_canonical_key", lambda *a: ("v2", real_key(*a))
+        )
+        resumed = search_stream(str(stream), opts)
+        fresh = search_stream(str(stream), SearchOptions(targets=(), arity=1))
+        assert resumed.hits_raw and _report(resumed) == _report(fresh)
+
+    def test_sigkill_resume_under_either_jobs(self, tmp_path):
+        # A child process kills itself with SIGKILL right after the save
+        # that reaches line 21; its checkpoint resumes under either --jobs
+        # to the report of an uninterrupted run.
+        stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
+        stream.write_text(
+            "\n".join(encode_graph6(g) for g in generate_connected(6)) + "\n"
+        )
+        child = """if True:
+            import os, signal, sys
+            from ladget import search
+            search.CHUNK_RECORDS = 7
+            real_save = search._Checkpoint.save
+
+            def save(self, done=False):
+                real_save(self, done)
+                if self.end[0] >= 21:
+                    os.kill(os.getpid(), signal.SIGKILL)
+
+            search._Checkpoint.save = save
+            search.search_stream(sys.argv[1], search.SearchOptions(
+                targets=(), arity=1, checkpoint=sys.argv[2], checkpoint_every=1
+            ))
+        """
+        src = os.path.dirname(os.path.dirname(ladget.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(stream), str(ck)],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        killed = ck.read_text()
+        saved = json.loads(killed)
+        assert saved["lineno"] == 21 and saved["done"] is False
+        # Format 5: no byte offset, source path or canonical keys.
+        assert set(saved) == {
+            "fingerprint", "lineno", "prefix_sha256", "counts", "hits", "done"
+        }
+        assert set(saved["fingerprint"]) == {"options", "version"}
+        assert all(len(row) == 6 for row in saved["hits"])
+
+        fresh = search_stream(str(stream), SearchOptions(targets=(), arity=1))
+        for jobs in (1, 2):
+            copy = tmp_path / f"c{jobs}.json"
+            copy.write_text(killed)
+            opts = SearchOptions(
+                targets=(), arity=1, jobs=jobs, checkpoint=str(copy)
+            )
+            resumed = search_stream(str(stream), opts)
+            assert resumed.hits_raw and _report(resumed) == _report(fresh)
 
 
 class TestReport:
@@ -445,13 +561,13 @@ class TestReport:
         assert rep.to_json_dict()["filter_pass_ratio"] is None
 
     def test_rarity_no_hits_row(self):
-        rep = search_stream(["CN"], SearchOptions(targets=("NAND", "NOT")))
+        rep = search_stream(["CN"], SearchOptions(targets=("NAND",)))
         rows = rarity_stats(rep)
         assert rows == []  # nothing was ever raw-hit
 
     def test_rarity_rows_carry_both_numerators(self):
         rep = search_stream(NAND_GRAPHS, SearchOptions(targets=("NAND",)))
-        (row,) = rep.rarity_rows()
+        (row,) = rarity_stats(rep)
         assert row["function"] == "NAND" and row["n"] == 7
         assert row["hits_raw"] == 3 and row["hits_deduped"] == 2
         assert row["graphs_per_hit_raw"] == pytest.approx(2 / 3)
