@@ -7,6 +7,8 @@ decides a block of configurations per numpy pass: the role colors of every
 (configuration, input color tuple) for universality and one over
 (configuration, Boolean input pattern, output != 0) for consistency and the
 truth table.  ``SCAN_CELLS`` bounds the cells of one pass, and so its memory.
+The census applies ``_filter_mask_vec`` itself, to a stack of graphs of one
+order at once, and scans only the configurations it keeps, unfiltered.
 """
 
 import numpy as np
@@ -19,24 +21,30 @@ SCAN_CELLS = 1 << 14
 
 
 def _filter_mask_vec(adj, deg, cfgs, arity, minimal_mode):
-    # Vectorized structural filter: True means keep.
+    # Vectorized structural filter: True means keep.  adj and deg are one
+    # graph's (n,) arrays, giving a (configurations,) mask, or a stack of
+    # (graphs, n) arrays of one order, giving a (graphs, configurations)
+    # mask.
     a0 = cfgs[:, 0]
     th = cfgs[:, 1]
     i1 = cfgs[:, 2]
     i2 = cfgs[:, 3]
-    keep = ((adj[a0] >> i1) & 1) == 0
-    keep &= ((adj[a0] >> th) & 1) == 0
-    keep &= deg[th] >= 2
-    keep &= deg[i1] >= 2
+    nb = adj[..., a0]
+    keep = ((nb >> i1) & 1) == 0
+    keep &= ((nb >> th) & 1) == 0
+    keep &= deg[..., th] >= 2
+    keep &= deg[..., i1] >= 2
     if arity == 2:
-        keep &= ((adj[i1] >> i2) & 1) == 0
-        keep &= ((adj[a0] >> i2) & 1) == 0
-        common = adj[a0] & adj[i1] & adj[i2]
+        keep &= ((adj[..., i1] >> i2) & 1) == 0
+        keep &= ((nb >> i2) & 1) == 0
+        common = nb & adj[..., i1] & adj[..., i2]
         keep &= (common & ~(np.int64(1) << th)) == 0
-        keep &= deg[i2] >= 2
+        keep &= deg[..., i2] >= 2
     if minimal_mode:
         lowdeg = np.bitwise_or.reduce(
-            (deg < 3).astype(np.int64) << np.arange(len(deg))
+            (deg < 3).astype(np.int64) << np.arange(deg.shape[-1]),
+            axis=-1,
+            keepdims=True,
         )
         rolemask = (
             (np.int64(1) << a0) | (np.int64(1) << th) | (np.int64(1) << i1)

@@ -5,6 +5,13 @@
 * ``all_colorings`` materializes its rows as a uint8 matrix sorted into
   lexicographic order, the oracle's order; ``exists_coloring`` stops at
   the first one.
+* ``stacked_colorings`` gives the same matrices for a stack of graphs of
+  one order, extending all their partial colorings together one vertex at
+  a time with numpy.  The census uses it for a pass of graphs: over the
+  first 3,000 order-8 records of tests/data/connected8.g6 (2-CPU host,
+  numpy 2.4) it took 30-38 us per graph in stacks of 78 against the
+  backtracker's 117-133 us, but 157-183 us one graph at a time.  So
+  ``all_colorings`` stays for the one-graph paths: verify, map and embed.
 * ``oracle_colorings`` checks every one of the k**n assignments with no
   pruning at all and is used to validate the enumerator in tests.
 """
@@ -104,6 +111,35 @@ def all_colorings(
             f"more than {MAX_MATERIALIZED} colorings; refusing to materialize"
         )
     return C[np.lexsort(C.T[::-1])]
+
+
+def stacked_colorings(adj: np.ndarray) -> list[np.ndarray]:
+    """All proper 3-colorings of each graph in a stack of adjacency rows.
+
+    adj is a (graphs, n) array of bitmask rows, every graph of order n.
+    Returns one uint8 matrix per graph, rows in lexicographic order as from
+    all_colorings.  The partial colorings of all graphs are extended
+    together, one vertex at a time in label order and colors ascending, so
+    each graph's rows come out already sorted.  Raises TooLarge when the
+    partial colorings of the stack outgrow the materialization bound.
+    """
+    count, n = adj.shape
+    # Row r is a partial coloring of graph owner[r]; masks[r, c] holds its
+    # vertices colored c.
+    owner = np.arange(count)
+    masks = np.zeros((count, 3), np.int64)
+    C = np.zeros((count, n), np.uint8)
+    for v in range(n):
+        row, color = np.nonzero((masks & adj[owner, v][:, None]) == 0)
+        if len(row) > MAX_MATERIALIZED:
+            raise TooLarge(
+                f"more than {MAX_MATERIALIZED} colorings; refusing to materialize"
+            )
+        owner, masks, C = owner[row], masks[row], C[row]
+        masks[np.arange(len(row)), color] |= np.int64(1) << v
+        C[:, v] = color
+    ends = np.searchsorted(owner, np.arange(1, count))
+    return np.split(C, ends) if count else []
 
 
 def oracle_colorings(

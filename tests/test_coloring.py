@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from ladget import coloring
@@ -8,6 +9,7 @@ from ladget.coloring import (
     enumerate_colorings,
     exists_coloring,
     oracle_colorings,
+    stacked_colorings,
 )
 from ladget.errors import TooLarge
 from ladget.graphcore import Graph, random_connected
@@ -99,6 +101,39 @@ class TestKernelAgainstReference:
         g = Graph.from_edges(5, [])
         with pytest.raises(TooLarge):
             all_colorings(g, None, 3)
+
+
+class TestStackedColorings:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_same_rows_same_order_as_oracle(self, rng, n):
+        # Each graph of a stack gets exactly the oracle's rows in the
+        # oracle's order, as all_colorings gives them.  The stacks hold an
+        # edgeless graph and, from order 5, K4 plus a pendant (no proper
+        # 3-coloring) with isolated vertices.
+        k4_pendant = [(u, v) for v in range(4) for u in range(v)] + [(3, 4)]
+        for _ in range(3):
+            graphs = [random_graph(rng, n, p) for p in (0.2, 0.5, 0.8)]
+            graphs.append(Graph.from_edges(n, []))
+            if n >= 5:
+                graphs.append(Graph.from_edges(n, k4_pendant))
+            graphs = [graphs[i] for i in rng.permutation(len(graphs))]
+            got = stacked_colorings(np.array([g.adj for g in graphs]))
+            assert len(got) == len(graphs)
+            for g, C in zip(graphs, got):
+                want = all_colorings(g, None, 3)
+                assert C.dtype == want.dtype and np.array_equal(C, want)
+                assert C.shape == (len(want), n)
+                assert [tuple(int(c) for c in row) for row in C] == (
+                    oracle_colorings(g, None, 3)
+                )
+
+    def test_empty_stack(self):
+        assert stacked_colorings(np.zeros((0, 4), np.int64)) == []
+
+    def test_too_large_guard(self, monkeypatch):
+        monkeypatch.setattr(coloring, "MAX_MATERIALIZED", 50)
+        with pytest.raises(TooLarge):
+            stacked_colorings(np.array([Graph.from_edges(5, []).adj]))
 
 
 class TestOracle:

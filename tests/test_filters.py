@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from ladget import _kernels, appendix
 from ladget._kernels import scan_configs
 from ladget.coloring import all_colorings
-from ladget.filters import RULES, structural_filter
+from ladget.filters import RULES, _violations, structural_filter
 from ladget.gadget import GadgetConfig, TruthTable, builtin, classify, verify_ladget
 from ladget.graphcore import Graph, RoleLabeling, generate_connected
 from ladget.search import enumerate_configs
@@ -218,6 +218,46 @@ class TestKernelAgreement:
                     if int(code) >= 0:
                         fn = classify(TruthTable.from_code(2, int(code)))
                         assert fn.degenerate
+
+
+@st.composite
+def same_order_stacks(draw):
+    # One to six graphs of one order, not necessarily connected.
+    n = draw(st.integers(min_value=1, max_value=8))
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    edge_sets = st.sets(st.sampled_from(pairs)) if pairs else st.just(set())
+    return [
+        Graph.from_edges(n, edges)
+        for edges in draw(st.lists(edge_sets, min_size=1, max_size=6))
+    ]
+
+
+class TestStackedFilterMask:
+    @pytest.mark.parametrize("arity", [1, 2])
+    @pytest.mark.parametrize("minimal_mode", [False, True])
+    @settings(max_examples=30, deadline=None)
+    @given(graphs=same_order_stacks())
+    def test_rows_match_one_graph_mask_and_reference(
+        self, arity, minimal_mode, graphs
+    ):
+        # Row i of the stacked mask is graph i's own mask, which keeps
+        # exactly the configurations the readable rules pass.
+        n = graphs[0].n
+        cfgs = enumerate_configs(n, arity, ordered_inputs=True)
+        adj = np.array([g.adj_array() for g in graphs])
+        deg = np.array([g.deg_array() for g in graphs])
+        mask = _kernels._filter_mask_vec(adj, deg, cfgs, arity, minimal_mode)
+        assert mask.shape == (len(graphs), len(cfgs))
+        for g, row in zip(graphs, mask):
+            one = _kernels._filter_mask_vec(
+                g.adj_array(), g.deg_array(), cfgs, arity, minimal_mode
+            )
+            assert np.array_equal(row, one)
+            want = [
+                not any(_violations(g, _roles_of(c, arity), minimal_mode))
+                for c in cfgs
+            ]
+            assert row.tolist() == want, g.edges()
 
 
 class TestVerdictShape:

@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,8 +13,17 @@ import pytest
 
 import ladget
 from ladget import _kernels, search
+from ladget.coloring import all_colorings
 from ladget.errors import InvalidGraph6
-from ladget.graphcore import RoleLabeling, decode_graph6, encode_graph6, generate_connected
+from ladget.filters import _violations
+from ladget.gadget import TruthTable, classify
+from ladget.graphcore import (
+    RoleLabeling,
+    decode_graph6,
+    encode_graph6,
+    generate_connected,
+    random_connected,
+)
 from ladget.search import (
     Hit,
     SearchOptions,
@@ -275,6 +285,110 @@ class TestParallel:
         for stream, want in zip(streams, wants):
             got = search_stream(stream, replace(opt, jobs=jobs))
             assert want["hits_raw"] and _report(got) == want
+
+
+def _roles_of(row, arity) -> RoleLabeling:
+    a0, th, i1, i2 = (int(x) for x in row)
+    return RoleLabeling(a0, (i1,) if arity == 1 else (i1, i2), th)
+
+
+def _reference_census(stream, opt):
+    # Per record, as the census did before blocks were batched: sample,
+    # then every coloring from all_colorings and the filtered law scan.
+    # Returns (bad lines, per-order counts, raw hits).
+    bad, per_order, hits = 0, {}, []
+    for lineno, line in enumerate(stream, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            g = decode_graph6(text)
+        except InvalidGraph6:
+            bad += 1
+            continue
+        cfgs = enumerate_configs(g.n, opt.arity, opt.ordered_inputs)
+        rng = np.random.default_rng((opt.seed, lineno))
+        cfgs = cfgs[rng.random(len(cfgs)) < opt.sample_rate]
+        res = _kernels.scan_configs(
+            all_colorings(g), g.adj_array(), g.deg_array(), cfgs,
+            opt.arity, True, opt.minimal_mode,
+        )
+        slot = per_order.setdefault(g.n, Counter(graphs=0))
+        slot.update(graphs=1, configs_enumerated=len(cfgs),
+                    configs_after_filter=int((res != -1).sum()))
+        for row, code in zip(cfgs, res.tolist()):
+            fn = classify(TruthTable.from_code(opt.arity, code)) if code >= 0 else None
+            if fn is None or fn.degenerate:
+                continue
+            bits = fn.truth_table.bitstring()
+            name = fn.name if fn.name != "other" else f"tt_{bits}"
+            hits.append(Hit(text, _roles_of(row, opt.arity), name, bits))
+    return bad, per_order, hits
+
+
+class TestBlockKernel:
+    def test_colorings_only_for_graphs_that_keep_a_configuration(
+        self, monkeypatch
+    ):
+        # Filter first: in minimal mode the enumerator sees exactly the
+        # graphs with a configuration that passes the readable rules, in
+        # stream order, and the configuration counts do not move.
+        graphs = generate_connected(6)
+        cfgs = enumerate_configs(6, 2)
+        survivors = [
+            g.adj
+            for g in graphs
+            if any(not any(_violations(g, _roles_of(c, 2), True)) for c in cfgs)
+        ]
+        assert 0 < len(survivors) < len(graphs)
+        seen = []
+        real = search.stacked_colorings
+
+        def counting(adj, *args):
+            seen.extend(tuple(row) for row in adj.tolist())
+            return real(adj, *args)
+
+        monkeypatch.setattr(search, "stacked_colorings", counting)
+        rep = search_stream(
+            [encode_graph6(g) for g in graphs],
+            SearchOptions(targets=(), minimal_mode=True),
+        )
+        assert seen == survivors
+        assert rep.configs_enumerated == 112 * 180
+        assert rep.configs_after_filter == 26
+
+    @pytest.mark.parametrize("arity", [1, 2])
+    @pytest.mark.parametrize("one_graph_passes", [False, True])
+    def test_mixed_order_block_matches_per_record_reference(
+        self, monkeypatch, arity, one_graph_passes
+    ):
+        # One block holding orders 1-7 in a shuffled order, between blank
+        # and undecodable lines, with sampled ordered inputs; with one
+        # graph per pass too.
+        rng = np.random.default_rng(9)
+        graphs = [g for n in range(1, 6) for g in generate_connected(n)[:6]]
+        graphs += [random_connected(n, rng) for n in (6, 6, 7, 7, 7)]
+        graphs += [decode_graph6(g6) for g6 in NAND_GRAPHS]
+        stream = []
+        for i in rng.permutation(len(graphs)):
+            stream += [encode_graph6(graphs[i]), ["", "!!!", "  "][i % 3]]
+        opt = SearchOptions(targets=(), arity=arity, ordered_inputs=True,
+                            sample_rate=0.5, seed=7)
+        bad, per_order, hits = _reference_census(stream, opt)
+        if one_graph_passes:
+            monkeypatch.setattr(search, "PASS_CELLS", 1)
+        rep = search_stream(stream, opt)
+        assert rep.bad_lines == bad > 0
+        assert rep.per_order == {n: dict(c) for n, c in per_order.items()}
+        assert set(rep.per_order) == set(range(1, 8))
+        raw = Counter((h.function, h.n) for h in hits)
+        assert raw and {
+            (fn, n): c
+            for fn, by in rep.hits_raw_per_order.items()
+            for n, c in by.items()
+        } == raw
+        got = [h for fn in sorted(rep.hits) for h in rep.hits[fn]]
+        assert got == dedupe_hits(hits, ordered_inputs=True)
 
 
 def _report(rep) -> dict:
