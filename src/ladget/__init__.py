@@ -7,12 +7,7 @@ inputs to the output (color 0 is false, any other color is true).
 """
 
 from ._kernels import BACKEND
-from .coloring import (
-    all_colorings,
-    enumerate_colorings,
-    exists_coloring,
-    oracle_colorings,
-)
+from .coloring import all_colorings, oracle_colorings
 from .embed import EmbeddedLadget, embed_to_k, verify_embedding
 from .errors import (
     ArityMismatch,
@@ -97,9 +92,7 @@ __all__ = [
     "dedupe_hits",
     "embed_to_k",
     "encode_graph6",
-    "enumerate_colorings",
     "enumerate_configs",
-    "exists_coloring",
     "generate_connected",
     "oracle_colorings",
     "random_connected",

@@ -162,6 +162,8 @@ def cmd_search(args) -> int:
         return 1
     except ValueError as exc:  # checkpoint refused: source, options, prefix
         raise UsageError(str(exc))
+    except OSError as exc:  # unreadable stream or unwritable checkpoint
+        raise UsageError(str(exc))
     d = report.to_json_dict()
     lines = [
         f"graphs {report.graphs_seen}  configs {report.configs_enumerated}"

@@ -1,25 +1,27 @@
 """Proper k-coloring enumeration, and the exhaustive oracle that checks it.
 
-* ``enumerate_colorings`` is the enumerator (backtracking over a static
-  vertex order), lazy so callers can stop early; it yields in search order.
-* ``all_colorings`` materializes its rows as a uint8 matrix sorted into
-  lexicographic order, the oracle's order; ``exists_coloring`` stops at
-  the first one.
-* ``stacked_colorings`` gives the same matrices for a stack of graphs of
-  one order, extending all their partial colorings together one vertex at
-  a time with numpy.  The census uses it for a pass of graphs: over the
-  first 3,000 order-8 records of tests/data/connected8.g6 (2-CPU host,
-  numpy 2.4) it took 30-38 us per graph in stacks of 78 against the
-  backtracker's 117-133 us, but 157-183 us one graph at a time.  So
-  ``all_colorings`` stays for the one-graph paths: verify, map and embed.
+Two enumerators, one per workload shape, give the same rows in the same
+(lexicographic) order:
+
+* ``all_colorings`` backtracks over one graph and returns its colorings as
+  a uint8 matrix.  Verify, map and embed call it one configuration at a
+  time, with fixed vertices and any k.
+* ``stacked_colorings`` extends the partial 3-colorings of a whole stack of
+  graphs of one order together, one vertex at a time with numpy, and is
+  what the census runs.  Over the first 3,000 order-8 records of
+  tests/data/connected8.g6 (2-CPU host, numpy 2.4) it took 30-38 us per
+  graph in stacks of 78 against the backtracker's 117-133 us, but 157-183
+  us one graph at a time.  Extended to fixed vertices and any k, the same
+  method took 1.3-1.4 s for the 1,623 one-graph enumerations of one
+  perfbench verify-table repetition against the backtracker's 0.14-0.21 s,
+  1.0 s of it on the order-13 embeddings at k=6.  So both stay.
 * ``oracle_colorings`` checks every one of the k**n assignments with no
-  pruning at all and is used to validate the enumerator in tests.
+  pruning at all and is used to validate the enumerators in tests.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -48,68 +50,52 @@ def _fixed_colors(g: Graph, fixed: Mapping[int, int] | None, k: int) -> list[int
     return pre
 
 
-def enumerate_colorings(
+def all_colorings(
     g: Graph, fixed: Mapping[int, int] | None = None, k: int = 3
-) -> Iterator[Coloring]:
-    """Yield every proper k-coloring honoring `fixed`, lazily, each once.
+) -> np.ndarray:
+    """All proper k-colorings honoring `fixed` as a uint8 matrix, one row each.
 
-    Search order: backtracking over a static vertex order (fixed vertices
-    first, then the vertex with the most already-ordered neighbors, lowest
-    id on ties), trying colors ascending.  This is not lexicographic order.
+    Backtracks over a static vertex order (fixed vertices first, then the
+    vertex with the most already-ordered neighbors, lowest id on ties),
+    trying colors ascending, and sorts the rows into lexicographic order
+    (vertex 0 most significant), the same order as oracle_colorings.
+    Raises TooLarge as soon as the count passes the materialization bound.
     """
     pre = _fixed_colors(g, fixed, k)
     n = g.n
+    adj = g.adj
     order = [v for v in range(n) if pre[v] >= 0]
     placed = sum(1 << v for v in order)
     rest = [v for v in range(n) if pre[v] < 0]
     while rest:
-        v = max(rest, key=lambda u: ((g.adj[u] & placed).bit_count(), -u))
+        v = max(rest, key=lambda u: ((adj[u] & placed).bit_count(), -u))
         rest.remove(v)
         order.append(v)
         placed |= 1 << v
     choices = [[c] if c >= 0 else range(k) for c in pre]
-    color = [-1] * n
+    color = bytearray(n)
     masks = [0] * k  # masks[c]: the vertices currently colored c
+    out = bytearray()  # the complete colorings, n bytes each
+    cap = MAX_MATERIALIZED * n
 
-    def walk(i: int) -> Iterator[Coloring]:
+    def walk(i: int) -> None:
         if i == n:
-            yield tuple(color)
+            out.extend(color)
+            if len(out) > cap:
+                raise TooLarge(
+                    f"more than {MAX_MATERIALIZED} colorings; refusing to materialize"
+                )
             return
         v = order[i]
         for c in choices[v]:
-            if not masks[c] & g.adj[v]:
+            if not masks[c] & adj[v]:
                 color[v] = c
                 masks[c] |= 1 << v
-                yield from walk(i + 1)
+                walk(i + 1)
                 masks[c] ^= 1 << v
 
-    yield from walk(0)
-
-
-def exists_coloring(
-    g: Graph, fixed: Mapping[int, int] | None = None, k: int = 3
-) -> bool:
-    """True when at least one proper k-coloring honors `fixed` (short-circuits)."""
-    return next(enumerate_colorings(g, fixed, k), None) is not None
-
-
-def all_colorings(
-    g: Graph, fixed: Mapping[int, int] | None = None, k: int = 3
-) -> np.ndarray:
-    """All proper k-colorings as a uint8 matrix, one row per coloring.
-
-    Rows are in lexicographic order (vertex 0 most significant), the same
-    order as oracle_colorings.  Raises TooLarge beyond the materialization
-    bound.
-    """
-    rows = itertools.islice(
-        enumerate_colorings(g, fixed, k), MAX_MATERIALIZED + 1
-    )
-    C = np.fromiter(rows, dtype=np.dtype((np.uint8, g.n)))
-    if C.shape[0] > MAX_MATERIALIZED:
-        raise TooLarge(
-            f"more than {MAX_MATERIALIZED} colorings; refusing to materialize"
-        )
+    walk(0)
+    C = np.frombuffer(out, np.uint8).reshape(-1, n)
     return C[np.lexsort(C.T[::-1])]
 
 

@@ -88,14 +88,14 @@ def package_color_profile(embedded: EmbeddedLadget) -> dict:
         "package_avoids_inputs": True,
         "original_within_three": True,
     }
-    for row in C:
-        pkg_colors = {int(row[p]) for p in pkg}
+    for row in C.tolist():
+        pkg_colors = {row[p] for p in pkg}
         if len(pkg_colors) != len(pkg):
             profile["package_distinct_ok"] = False
         if 0 in pkg_colors:
             profile["package_avoids_zero"] = False
-        if pkg_colors & {int(row[v]) for v in cfg.roles.inputs}:
+        if pkg_colors & {row[v] for v in cfg.roles.inputs}:
             profile["package_avoids_inputs"] = False
-        if len({int(row[v]) for v in range(n0)}) > 3:
+        if len(set(row[:n0])) > 3:
             profile["original_within_three"] = False
     return profile

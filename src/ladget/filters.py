@@ -97,8 +97,7 @@ def structural_filter(
     config: GadgetConfig, minimal_mode: bool = False
 ) -> FilterVerdict:
     """Evaluate the structural rules in their fixed order, collecting every
-    violated rule for reporting.  The census kernel stops at the first one;
-    the verdict is the same."""
+    violated rule for reporting."""
     found = list(_violations(config.graph, config.roles, minimal_mode))
     return FilterVerdict(
         passed=not found,

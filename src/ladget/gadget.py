@@ -104,8 +104,8 @@ def _mapping_from(config: GadgetConfig, C) -> ColorMapping:
     }
     ins = config.roles.inputs
     out = config.roles.output
-    for row in C:
-        table[tuple(int(row[v]) for v in ins)].add(int(row[out]))
+    for row in C.tolist():
+        table[tuple(row[v] for v in ins)].add(row[out])
     return ColorMapping(config.arity, config.k, table)
 
 
@@ -236,12 +236,12 @@ def _consistency_from(config: GadgetConfig, C) -> ConsistencyResult:
     ins = config.roles.inputs
     out = config.roles.output
     first_seen: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
-    for row in C:
+    for row in C.tolist():
         pattern = tuple(int(row[v] != 0) for v in ins)
         ob = int(row[out] != 0)
         bucket = first_seen.setdefault(pattern, {})
         if ob not in bucket:
-            bucket[ob] = tuple(int(c) for c in row)
+            bucket[ob] = tuple(row)
             if len(bucket) == 2:
                 return ConsistencyResult(
                     False,

@@ -91,6 +91,7 @@ class SearchOptions:
     checkpoint_every: int = 2000
 
     def __post_init__(self):
+        object.__setattr__(self, "targets", tuple(self.targets))
         if self.arity not in (1, 2):
             raise ValueError(f"arity must be 1 or 2, got {self.arity}")
         if self.sample_rate is not None and not 0 < self.sample_rate <= 1:

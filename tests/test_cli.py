@@ -182,6 +182,20 @@ class TestSearch:
         assert code == 2
         assert err.startswith("error:") and "path source" in err
 
+    def test_unreadable_stream_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "search", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(tmp_path) in err
+
+    def test_checkpoint_in_missing_directory_is_usage_error(
+        self, capsys, tmp_path
+    ):
+        stream, ck = tmp_path / "s.g6", tmp_path / "missing" / "c.json"
+        stream.write_text("CN\n")
+        code, out, err = run(capsys, "search", str(stream), "--checkpoint", str(ck))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(ck) in err
+
     def test_minimal_needs_the_filter(self, capsys):
         code, out, err = run(
             capsys, "search", "--gen", "4", "--minimal", "--no-filter"

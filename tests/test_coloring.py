@@ -1,13 +1,9 @@
-import itertools
-
 import numpy as np
 import pytest
 
 from ladget import coloring
 from ladget.coloring import (
     all_colorings,
-    enumerate_colorings,
-    exists_coloring,
     oracle_colorings,
     stacked_colorings,
 )
@@ -20,62 +16,53 @@ PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 K4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
 
 
+def count(g, fixed=None, k=3):
+    C = all_colorings(g, fixed, k)
+    assert C.dtype == np.uint8 and C.shape[1] == g.n
+    return C.shape[0]
+
+
 class TestCounts:
     def test_triangle(self):
-        assert len(list(enumerate_colorings(TRIANGLE, k=3))) == 6
+        assert count(TRIANGLE) == 6
 
     def test_path(self):
-        assert len(list(enumerate_colorings(PATH3, k=3))) == 12
+        assert count(PATH3) == 12
 
     def test_empty_graph(self):
-        g = Graph.from_edges(3, [])
-        assert len(list(enumerate_colorings(g, k=3))) == 27
+        assert count(Graph.from_edges(3, [])) == 27
 
     def test_k4_needs_four_colors(self):
-        assert list(enumerate_colorings(K4, k=3)) == []
-        assert len(list(enumerate_colorings(K4, k=4))) == 24
+        assert all_colorings(K4, k=3).shape == (0, 4)
+        assert count(K4, k=4) == 24
 
     def test_fixed_vertex(self):
-        got = list(enumerate_colorings(TRIANGLE, fixed={0: 0}, k=3))
+        got = all_colorings(TRIANGLE, fixed={0: 0}, k=3)
         assert len(got) == 2
         assert all(c[0] == 0 for c in got)
 
     def test_unsatisfiable_fixed(self):
-        assert list(enumerate_colorings(PATH3, fixed={0: 1, 1: 1}, k=3)) == []
+        assert all_colorings(PATH3, fixed={0: 1, 1: 1}, k=3).shape == (0, 3)
 
 
 class TestValidation:
     def test_rejects_bad_fixed_vertex(self):
         with pytest.raises(ValueError):
-            list(enumerate_colorings(PATH3, fixed={7: 0}))
+            all_colorings(PATH3, fixed={7: 0})
 
     def test_rejects_bad_fixed_color(self):
         with pytest.raises(ValueError):
-            list(enumerate_colorings(PATH3, fixed={0: 3}, k=3))
+            all_colorings(PATH3, fixed={0: 3}, k=3)
 
     def test_rejects_tiny_k(self):
         with pytest.raises(ValueError):
-            list(enumerate_colorings(PATH3, k=1))
-
-
-class TestLaziness:
-    def test_generator_stops_early(self):
-        # 3**18 total assignments; taking one must be instant.
-        g = Graph.from_edges(18, [(v, v + 1) for v in range(17)])
-        first = next(enumerate_colorings(g, k=3))
-        assert len(first) == 18
-
-    def test_exists_short_circuits(self):
-        g = Graph.from_edges(16, [(v, v + 1) for v in range(15)])
-        assert exists_coloring(g, k=3)
-        assert not exists_coloring(K4, k=3)
-        assert exists_coloring(K4, k=4)
+            all_colorings(PATH3, k=1)
 
 
 class TestKernelAgainstReference:
     def test_same_rows_same_order(self, rng):
         # all_colorings returns the oracle's rows in the oracle's
-        # (lexicographic) order; the lazy generator yields each row once.
+        # (lexicographic) order.
         cases = []
         for _ in range(40):
             g = random_graph(rng, int(rng.integers(2, 9)), 0.4)
@@ -88,7 +75,6 @@ class TestKernelAgainstReference:
             ref = oracle_colorings(g, fixed, k)
             got = all_colorings(g, fixed, k)
             assert [tuple(int(c) for c in row) for row in got] == ref
-            assert sorted(enumerate_colorings(g, fixed, k)) == ref
 
     def test_cap_growth_path(self):
         # Thousands of rows: the matrix holds every coloring, not a prefix.
@@ -101,6 +87,18 @@ class TestKernelAgainstReference:
         g = Graph.from_edges(5, [])
         with pytest.raises(TooLarge):
             all_colorings(g, None, 3)
+
+    @pytest.mark.parametrize("fixed, k", [(None, 3), ({0: 0}, 4)])
+    def test_too_large_raised_during_enumeration(self, monkeypatch, fixed, k):
+        # 3**30 (or 4**29) colorings: only a bound checked as rows are
+        # found, not after enumeration, can end this in time.
+        monkeypatch.setattr(coloring, "MAX_MATERIALIZED", 1_000)
+        with pytest.raises(TooLarge):
+            all_colorings(Graph.from_edges(30, []), fixed, k)
+
+    def test_exactly_at_the_bound(self, monkeypatch):
+        monkeypatch.setattr(coloring, "MAX_MATERIALIZED", 3**5)
+        assert all_colorings(Graph.from_edges(5, []), None, 3).shape == (3**5, 5)
 
 
 class TestStackedColorings:
@@ -188,14 +186,6 @@ def test_connected_coloring_count_bound(rng):
 
 
 def test_stop_after_counts_beyond_buffer():
-    # Below the materialization bound every coloring is kept, and the lazy
-    # generator starts in ascending order.
+    # Below the materialization bound every coloring is kept.
     g = Graph.from_edges(7, [])
     assert all_colorings(g, None, 3).shape[0] == 3**7
-    assert list(
-        itertools.islice(enumerate_colorings(g, k=3), 3)
-    ) == [
-        (0, 0, 0, 0, 0, 0, 0),
-        (0, 0, 0, 0, 0, 0, 1),
-        (0, 0, 0, 0, 0, 0, 2),
-    ]

@@ -102,6 +102,24 @@ class TestOptions:
         with pytest.raises(ValueError):
             SearchOptions(**kwargs)
 
+    def test_list_targets_are_a_tuple(self, tmp_path):
+        # A list of targets runs the same census as the tuple, and resumes
+        # the tuple run's checkpoint: the fingerprint is unchanged.
+        stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
+        stream.write_text(
+            "".join(encode_graph6(g) + "\n" for g in generate_connected(4))
+        )
+        opts = SearchOptions(targets=["NOT"], arity=1)
+        assert opts.targets == ("NOT",)
+        tupled = replace(opts, targets=("NOT",))
+        want = _report(search_stream(str(stream), tupled))
+        got = _report(search_stream(str(stream), opts))
+        assert got["hits_raw"] == {"NOT": 2}
+        assert json.dumps(got) == json.dumps(want)
+        search_stream(str(stream), replace(tupled, checkpoint=str(ck)))
+        again = search_stream(str(stream), replace(opts, checkpoint=str(ck)))
+        assert _report(again) == want
+
 
 class TestSmallCensus:
     def test_not_census_order_four(self):
