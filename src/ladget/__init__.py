@@ -7,7 +7,7 @@ inputs to the output (color 0 is false, any other color is true).
 """
 
 from ._kernels import BACKEND
-from .coloring import all_colorings, oracle_colorings
+from .coloring import all_colorings
 from .embed import EmbeddedLadget, embed_to_k, verify_embedding
 from .errors import (
     ArityMismatch,
@@ -16,7 +16,6 @@ from .errors import (
     InvalidRoles,
     LadgetError,
     OrderOverflow,
-    PreconditionViolated,
     SizeUnsupported,
     TooLarge,
     TooManyInputs,
@@ -30,7 +29,6 @@ from .gadget import (
     TruthTable,
     VerificationReport,
     builtin,
-    check_consistency,
     check_universality,
     classify,
     compute_mapping,
@@ -42,14 +40,12 @@ from .graphcore import (
     decode_graph6,
     encode_graph6,
     generate_connected,
-    random_connected,
     roles_isomorphic,
 )
 from .search import (
     Hit,
     SearchOptions,
     SearchReport,
-    dedupe_hits,
     enumerate_configs,
     rarity_stats,
     search_stream,
@@ -72,7 +68,6 @@ __all__ = [
     "InvalidRoles",
     "LadgetError",
     "OrderOverflow",
-    "PreconditionViolated",
     "RoleLabeling",
     "SearchOptions",
     "SearchReport",
@@ -84,18 +79,14 @@ __all__ = [
     "VerificationReport",
     "all_colorings",
     "builtin",
-    "check_consistency",
     "check_universality",
     "classify",
     "compute_mapping",
     "decode_graph6",
-    "dedupe_hits",
     "embed_to_k",
     "encode_graph6",
     "enumerate_configs",
     "generate_connected",
-    "oracle_colorings",
-    "random_connected",
     "rarity_stats",
     "roles_isomorphic",
     "search_stream",

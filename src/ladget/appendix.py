@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import LadgetError
-from .gadget import GadgetConfig, VerificationReport, verify_ladget
+from .gadget import GadgetConfig, verify_ladget
 from .graphcore import RoleLabeling, decode_graph6
 
 DEFAULT_TABLE = "appendix_a.tsv"
@@ -90,7 +90,6 @@ class RowResult:
     entry: AppendixEntry
     ok: bool
     detail: str
-    report: VerificationReport | None
 
 
 def check_entry(entry: AppendixEntry, one_based: bool = False) -> RowResult:
@@ -98,7 +97,7 @@ def check_entry(entry: AppendixEntry, one_based: bool = False) -> RowResult:
     try:
         cfg = entry.config(one_based=one_based)
     except LadgetError as exc:
-        return RowResult(entry, False, f"{type(exc).__name__}: {exc}", None)
+        return RowResult(entry, False, f"{type(exc).__name__}: {exc}")
     report = verify_ladget(cfg, target=entry.function, minimal_mode=True)
     if report.ok:
         detail = "ok"
@@ -115,7 +114,7 @@ def check_entry(entry: AppendixEntry, one_based: bool = False) -> RowResult:
             else "?"
         )
         detail = f"classified as {got}, wanted {entry.function}"
-    return RowResult(entry, report.ok, detail, report)
+    return RowResult(entry, report.ok, detail)
 
 
 def check_table(

@@ -117,12 +117,6 @@ def _search_options(args) -> SearchOptions:
         targets: tuple[str, ...] = ()
     else:
         targets = tuple(t.strip() for t in args.target.split(",") if t.strip())
-    seed, env = args.seed, os.environ.get("LADGET_SEED")
-    if seed is None and env:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise UsageError(f"LADGET_SEED must be an integer, got {env!r}")
     try:
         return SearchOptions(
             targets=targets,
@@ -131,7 +125,7 @@ def _search_options(args) -> SearchOptions:
             use_filter=not args.no_filter,
             minimal_mode=args.minimal,
             sample_rate=args.sample,
-            seed=seed,
+            seed=args.seed,
             jobs=args.jobs,
             strict=args.strict,
             checkpoint=args.checkpoint,
@@ -396,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--seed",
         type=int,
-        help="sampling seed (default: LADGET_SEED env, else 0)",
+        help="sampling seed (default 0)",
     )
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument(

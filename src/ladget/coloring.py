@@ -1,4 +1,4 @@
-"""Proper k-coloring enumeration, and the exhaustive oracle that checks it.
+"""Proper k-coloring enumeration.
 
 Two enumerators, one per workload shape, give the same rows in the same
 (lexicographic) order:
@@ -15,8 +15,9 @@ Two enumerators, one per workload shape, give the same rows in the same
   method took 1.3-1.4 s for the 1,623 one-graph enumerations of one
   perfbench verify-table repetition against the backtracker's 0.14-0.21 s,
   1.0 s of it on the order-13 embeddings at k=6.  So both stay.
-* ``oracle_colorings`` checks every one of the k**n assignments with no
-  pruning at all and is used to validate the enumerators in tests.
+
+Both are checked in tests against the exhaustive oracle in tests/oracles.py,
+which tries every one of the k**n assignments with no pruning at all.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ import numpy as np
 
 from .errors import TooLarge
 from .graphcore import Graph
-
-Coloring = tuple[int, ...]
-
-ORACLE_CAP = 100_000_000
 
 # Safety bound for materializing colorings; real gadget workloads sit far
 # below it (a connected graph has at most 3 * 2**(n-1) proper 3-colorings).
@@ -58,7 +55,7 @@ def all_colorings(
     Backtracks over a static vertex order (fixed vertices first, then the
     vertex with the most already-ordered neighbors, lowest id on ties),
     trying colors ascending, and sorts the rows into lexicographic order
-    (vertex 0 most significant), the same order as oracle_colorings.
+    (vertex 0 most significant).
     Raises TooLarge as soon as the count passes the materialization bound.
     """
     pre = _fixed_colors(g, fixed, k)
@@ -127,33 +124,3 @@ def stacked_colorings(adj: np.ndarray) -> list[np.ndarray]:
     ends = np.searchsorted(owner, np.arange(1, count))
     return np.split(C, ends) if count else []
 
-
-def oracle_colorings(
-    g: Graph, fixed: Mapping[int, int] | None = None, k: int = 3
-) -> list[Coloring]:
-    """Exhaustive scan of all k**n assignments, keeping the proper ones.
-
-    Vectorized but unpruned; guarded by ORACLE_CAP.  Output is sorted in
-    lexicographic assignment order (vertex 0 most significant).
-    """
-    pre = _fixed_colors(g, fixed, k)
-    total = k**g.n
-    if total > ORACLE_CAP:
-        raise TooLarge(f"k**n = {total} exceeds the oracle cap {ORACLE_CAP}")
-    edges = g.edges()
-    out: list[Coloring] = []
-    chunk = 1 << 18
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        cols = np.empty((hi - lo, g.n), dtype=np.int64)
-        for v in range(g.n):
-            cols[:, v] = (idx // (k ** (g.n - 1 - v))) % k
-        good = np.ones(hi - lo, dtype=bool)
-        for u, v in edges:
-            good &= cols[:, u] != cols[:, v]
-        for v in range(g.n):
-            if pre[v] >= 0:
-                good &= cols[:, v] == pre[v]
-        out.extend(tuple(int(c) for c in row) for row in cols[good])
-    return out

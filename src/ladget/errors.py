@@ -26,10 +26,6 @@ class TooLarge(LadgetError):
     """An exhaustive enumeration would exceed the safety bound."""
 
 
-class PreconditionViolated(LadgetError):
-    """A staged check was invoked before the stage it depends on passed."""
-
-
 class UnknownFixture(LadgetError):
     """No built-in gadget is registered under the requested name."""
 

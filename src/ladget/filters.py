@@ -34,7 +34,6 @@ class FilterVerdict:
     passed: bool
     violations: tuple[str, ...]
     messages: tuple[str, ...]
-    minimal_mode: bool
 
 
 def _violations(
@@ -103,5 +102,4 @@ def structural_filter(
         passed=not found,
         violations=tuple(rule for rule, _ in found),
         messages=tuple(msg for _, msg in found),
-        minimal_mode=minimal_mode,
     )

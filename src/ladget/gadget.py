@@ -17,10 +17,10 @@ function, recovered here as an explicit truth table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .coloring import all_colorings
-from .errors import PreconditionViolated, UnknownFixture
+from .errors import UnknownFixture
 from .filters import FilterVerdict, structural_filter
 from .graphcore import Graph, RoleLabeling, encode_graph6
 
@@ -41,9 +41,6 @@ class GadgetConfig:
     @property
     def arity(self) -> int:
         return self.roles.arity
-
-    def with_output(self, output: int) -> "GadgetConfig":
-        return replace(self, roles=replace(self.roles, output=output))
 
     def colorings(self):
         """Every proper k-coloring with the anchor pinned to color 0, the
@@ -76,14 +73,6 @@ class ColorMapping:
 
     def items(self):
         return sorted(self.table.items())
-
-    def apply_color_perm(self, sigma) -> "ColorMapping":
-        """Relabel colors: tuple t maps through sigma on both sides."""
-        table = {
-            tuple(sigma[c] for c in t): {sigma[o] for o in outs}
-            for t, outs in self.table.items()
-        }
-        return ColorMapping(self.arity, self.k, table)
 
     def as_dict(self) -> dict:
         return {
@@ -139,6 +128,7 @@ class TruthTable:
     entries: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(self.entries))
         if len(self.entries) != 1 << self.arity:
             raise ValueError("entry count must be 2**arity")
         if any(e not in (0, 1) for e in self.entries):
@@ -201,7 +191,7 @@ def classify(tt: TruthTable) -> BooleanFunction:
     return BooleanFunction(name, tt, depends)
 
 
-def _pattern_index(arity: int, bools) -> int:
+def _pattern_index(bools) -> int:
     p = 0
     for b in bools:
         p = (p << 1) | int(b)
@@ -218,18 +208,6 @@ def check_universality(
         if not outs:
             return UniversalityResult(False, t)
     return UniversalityResult(True, None)
-
-
-def check_consistency(
-    config: GadgetConfig, universality: UniversalityResult
-) -> ConsistencyResult:
-    """All colorings sharing a Boolean input pattern must agree on the
-    Boolean output.  Only meaningful once universality holds."""
-    if universality is None or not universality.passed:
-        raise PreconditionViolated(
-            "consistency is only defined after universality has passed"
-        )
-    return _consistency_from(config, config.colorings())
 
 
 def _consistency_from(config: GadgetConfig, C) -> ConsistencyResult:
@@ -254,7 +232,7 @@ def truth_table_from_mapping(mapping: ColorMapping) -> TruthTable:
     """Boolean collapse of a universal, consistent mapping."""
     entries = [0] * (1 << mapping.arity)
     for t, outs in mapping.items():
-        p = _pattern_index(mapping.arity, (c != 0 for c in t))
+        p = _pattern_index(c != 0 for c in t)
         entries[p] = int(next(iter(outs)) != 0)
     return TruthTable(mapping.arity, tuple(entries))
 

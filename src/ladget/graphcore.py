@@ -32,6 +32,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "adj", tuple(self.adj))
         if not 1 <= self.n <= MAX_VERTICES:
             raise ValueError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
         if len(self.adj) != self.n:
@@ -84,27 +85,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
-
-    def is_connected(self) -> bool:
-        seen = 1
-        while True:
-            grown = seen
-            for v in range(self.n):
-                if (seen >> v) & 1:
-                    grown |= self.adj[v]
-            if grown == seen:
-                break
-            seen = grown
-        return seen == (1 << self.n) - 1
-
-    def permuted(self, perm) -> "Graph":
-        """Relabel: vertex v becomes perm[v]."""
-        rows = [0] * self.n
-        for v in range(self.n):
-            for u in range(self.n):
-                if (self.adj[v] >> u) & 1:
-                    rows[perm[v]] |= 1 << perm[u]
-        return Graph(self.n, tuple(rows))
 
 
 def decode_graph6(record: str) -> Graph:
@@ -397,18 +377,3 @@ def generate_connected(n: int) -> list[Graph]:
         level = _extend_connected(level)
     return level
 
-
-def random_connected(n: int, rng: np.random.Generator, p: float = 0.5) -> Graph:
-    """One connected Erdos-Renyi G(n, p) sample (rejection until connected)."""
-    if not 1 <= n <= MAX_VERTICES:
-        raise ValueError(f"n outside 1..{MAX_VERTICES}")
-    while True:
-        rows = [0] * n
-        for v in range(n):
-            for u in range(v + 1, n):
-                if rng.random() < p:
-                    rows[v] |= 1 << u
-                    rows[u] |= 1 << v
-        g = Graph(n, tuple(rows))
-        if g.is_connected():
-            return g

@@ -15,8 +15,9 @@ A tally is one additive Counter (graphs, configurations, raw hits and bad
 lines) plus, per role-respecting isomorphism class, the least hit in the
 input labeling, so memory grows with distinct hits and reports do not
 depend on worker scheduling or chunking.  Checkpoints save that same
-state after a merged block and so always cover a contiguous prefix of the
-stream; a resume replays that prefix to check its sha256.
+state before the first block and after merged blocks, and so always cover
+a contiguous prefix of the stream; a resume replays that prefix to check
+its sha256.
 Rarity statistics report both the raw and the deduplicated numerator since
 either reading of "one hit in N" is defensible.
 """
@@ -254,16 +255,6 @@ def _scan_pass(
             tally.fold(hit, options.ordered_inputs, g)
 
 
-def dedupe_hits(hits: list[Hit], ordered_inputs: bool = False) -> list[Hit]:
-    """One representative per role-respecting isomorphism class, the
-    lexicographically least (graph6, roles) member.  Output order is
-    normalized, independent of input order."""
-    tally = _Tally()
-    for hit in hits:
-        tally.fold(hit, ordered_inputs)
-    return sorted(tally.least.values(), key=lambda h: (h.function, h.sort_key()))
-
-
 @dataclass
 class SearchReport:
     options: SearchOptions
@@ -457,6 +448,8 @@ def search_stream(source, options: SearchOptions) -> SearchReport:
                 f"the first {lineno} lines of {source} changed since the "
                 "checkpoint was written; refusing to resume"
             )
+        # An unwritable checkpoint path fails here, not blocks into the scan.
+        ckpt.save()
     blocks = iter(lambda: list(itertools.islice(records, CHUNK_RECORDS)), [])
 
     def merge(scan, end) -> None:

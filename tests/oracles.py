@@ -1,11 +1,102 @@
 """Slow, obviously-correct reference implementations used to validate the
-fast paths.  Everything here is brute force on purpose."""
+fast paths, plus the helpers that draw and relabel test graphs.  The
+references are brute force on purpose."""
 
 from __future__ import annotations
 
 import itertools
+from typing import Mapping
 
-from ladget.graphcore import Graph, RoleLabeling
+import numpy as np
+
+from ladget.coloring import _fixed_colors
+from ladget.errors import TooLarge
+from ladget.gadget import ColorMapping
+from ladget.graphcore import MAX_VERTICES, Graph, RoleLabeling
+
+Coloring = tuple[int, ...]
+
+ORACLE_CAP = 100_000_000
+
+
+def oracle_colorings(
+    g: Graph, fixed: Mapping[int, int] | None = None, k: int = 3
+) -> list[Coloring]:
+    """Exhaustive scan of all k**n assignments, keeping the proper ones.
+
+    Vectorized but unpruned; guarded by ORACLE_CAP.  Output is sorted in
+    lexicographic assignment order (vertex 0 most significant).
+    """
+    pre = _fixed_colors(g, fixed, k)
+    total = k**g.n
+    if total > ORACLE_CAP:
+        raise TooLarge(f"k**n = {total} exceeds the oracle cap {ORACLE_CAP}")
+    edges = g.edges()
+    out: list[Coloring] = []
+    chunk = 1 << 18
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        idx = np.arange(lo, hi, dtype=np.int64)
+        cols = np.empty((hi - lo, g.n), dtype=np.int64)
+        for v in range(g.n):
+            cols[:, v] = (idx // (k ** (g.n - 1 - v))) % k
+        good = np.ones(hi - lo, dtype=bool)
+        for u, v in edges:
+            good &= cols[:, u] != cols[:, v]
+        for v in range(g.n):
+            if pre[v] >= 0:
+                good &= cols[:, v] == pre[v]
+        out.extend(tuple(int(c) for c in row) for row in cols[good])
+    return out
+
+
+def is_connected(g: Graph) -> bool:
+    """Connectivity by growing the reached vertex mask to a fixpoint."""
+    seen = 1
+    while True:
+        grown = seen
+        for v in range(g.n):
+            if (seen >> v) & 1:
+                grown |= g.adj[v]
+        if grown == seen:
+            break
+        seen = grown
+    return seen == (1 << g.n) - 1
+
+
+def random_connected(n: int, rng: np.random.Generator, p: float = 0.5) -> Graph:
+    """One connected Erdos-Renyi G(n, p) sample (rejection until connected)."""
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"n outside 1..{MAX_VERTICES}")
+    while True:
+        rows = [0] * n
+        for v in range(n):
+            for u in range(v + 1, n):
+                if rng.random() < p:
+                    rows[v] |= 1 << u
+                    rows[u] |= 1 << v
+        g = Graph(n, tuple(rows))
+        if is_connected(g):
+            return g
+
+
+def permuted(g: Graph, perm) -> Graph:
+    """Relabel: vertex v becomes perm[v]."""
+    rows = [0] * g.n
+    for v in range(g.n):
+        for u in range(g.n):
+            if (g.adj[v] >> u) & 1:
+                rows[perm[v]] |= 1 << perm[u]
+    return Graph(g.n, tuple(rows))
+
+
+def apply_color_perm(m: ColorMapping, sigma) -> ColorMapping:
+    """Relabel colors: tuple t maps through sigma on both sides."""
+    table = {
+        tuple(sigma[c] for c in t): {sigma[o] for o in outs}
+        for t, outs in m.table.items()
+    }
+    return ColorMapping(m.arity, m.k, table)
 
 
 def brute_roles_isomorphic(

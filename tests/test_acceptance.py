@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ladget import _kernels, appendix
-from ladget.coloring import all_colorings, oracle_colorings
+from ladget.coloring import all_colorings
 from ladget.embed import embed_to_k, package_color_profile, verify_embedding
 from ladget.gadget import (
     GadgetConfig,
@@ -29,11 +29,11 @@ from ladget.graphcore import (
     encode_graph6,
     canonical_key,
     generate_connected,
-    random_connected,
     roles_isomorphic,
 )
 from ladget.search import SearchOptions, enumerate_configs, search_stream
-from oracles import random_graph
+from oracles import apply_color_perm, is_connected, oracle_colorings
+from oracles import random_connected, random_graph
 
 pytestmark = pytest.mark.acceptance
 
@@ -145,7 +145,7 @@ def test_c05_and_or_census_order_eight(connected8_path, gen_stream):
     records = connected8_path.read_text().split()
     assert len(records) == 11117
     graphs = [decode_graph6(r) for r in records]
-    assert all(g.n == 8 and g.is_connected() for g in graphs)
+    assert all(g.n == 8 and is_connected(g) for g in graphs)
     sample = np.random.default_rng(8).choice(len(graphs), 500, replace=False)
     keys = {canonical_key(graphs[i]) for i in sample}
     assert len(keys) == 500  # pairwise non-isomorphic (sampled)
@@ -277,7 +277,7 @@ def test_c10_true_colors_interchangeable():
 
     for name in FIXTURE_NAMES:
         m = compute_mapping(builtin(name))
-        assert m.apply_color_perm(sigma) == m, name
+        assert apply_color_perm(m, sigma) == m, name
     rng = np.random.default_rng(1010)
     checked = 0
     while checked < 100:
@@ -288,7 +288,7 @@ def test_c10_true_colors_interchangeable():
             int(picks[0]), (int(picks[1]), int(picks[2])), int(picks[3])
         )
         report = verify_ladget(GadgetConfig(g, roles))
-        assert report.mapping.apply_color_perm(sigma) == report.mapping
+        assert apply_color_perm(report.mapping, sigma) == report.mapping
         checked += 1
     _ok(
         "C10",

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ladget import appendix
+from ladget import appendix, search
 from ladget.graphcore import encode_graph6, generate_connected
 from ladget.cli import main
 
@@ -147,16 +147,6 @@ class TestSearch:
         assert d["hits"]["NOT"][0]["graph6"] == "CN"
         assert d["options"]["arity"] == 1
 
-    def test_seed_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("LADGET_SEED", "5")
-        code, out, _ = run(
-            capsys,
-            "search", "--gen", "6", "--target", "NAND", "--sample", "0.25",
-            "--json",
-        )
-        assert code == 0
-        assert json.loads(out)["options"]["seed"] == 5
-
     def test_all_targets(self, capsys):
         code, out, _ = run(
             capsys, "search", "--gen", "4", "--target", "all", "--arity", "1"
@@ -170,12 +160,6 @@ class TestSearch:
         )
         assert code == 2
 
-    def test_bad_seed_env_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("LADGET_SEED", "abc")
-        code, _, err = run(capsys, "search", "--gen", "4")
-        assert code == 2
-        assert err.startswith("error:") and "LADGET_SEED" in err
-
     def test_checkpoint_needs_a_file_source(self, capsys, tmp_path):
         ck = tmp_path / "c.json"
         code, _, err = run(capsys, "search", "--gen", "4", "--checkpoint", str(ck))
@@ -188,10 +172,14 @@ class TestSearch:
         assert err.startswith("error:") and str(tmp_path) in err
 
     def test_checkpoint_in_missing_directory_is_usage_error(
-        self, capsys, tmp_path
+        self, capsys, monkeypatch, tmp_path
     ):
+        # Refused before any block is scanned.
         stream, ck = tmp_path / "s.g6", tmp_path / "missing" / "c.json"
         stream.write_text("CN\n")
+        monkeypatch.setattr(
+            search, "_scan_chunk", lambda *a: pytest.fail("a block was scanned")
+        )
         code, out, err = run(capsys, "search", str(stream), "--checkpoint", str(ck))
         assert code == 2 and out == ""
         assert err.startswith("error:") and str(ck) in err

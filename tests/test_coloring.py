@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
 
+import oracles
 from ladget import coloring
-from ladget.coloring import (
-    all_colorings,
-    oracle_colorings,
-    stacked_colorings,
-)
+from ladget.coloring import all_colorings, stacked_colorings
 from ladget.errors import TooLarge
-from ladget.graphcore import Graph, random_connected
-from oracles import random_graph
+from ladget.graphcore import Graph
+from oracles import oracle_colorings, random_connected, random_graph
 
 TRIANGLE = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -150,7 +147,7 @@ class TestOracle:
             assert fast == oracle_colorings(g, fixed, k)
 
     def test_oracle_cap(self, monkeypatch):
-        monkeypatch.setattr(coloring, "ORACLE_CAP", 100)
+        monkeypatch.setattr(oracles, "ORACLE_CAP", 100)
         with pytest.raises(TooLarge):
             oracle_colorings(Graph.from_edges(5, []), None, 3)
 

@@ -81,7 +81,6 @@ class TestIndividualRules:
         assert structural_filter(cfg).passed
         verdict = structural_filter(cfg, minimal_mode=True)
         assert verdict.violations == ("INTERNAL_DEGREE",)
-        assert verdict.minimal_mode
 
     def test_input_degree(self):
         edges = [(0, 1), (1, 2), (1, 3), (2, 3), (3, 4)]

@@ -19,19 +19,19 @@ from ladget.filters import _violations
 from ladget.gadget import TruthTable, classify
 from ladget.graphcore import (
     RoleLabeling,
+    config_canonical_key,
     decode_graph6,
     encode_graph6,
     generate_connected,
-    random_connected,
 )
 from ladget.search import (
     Hit,
     SearchOptions,
-    dedupe_hits,
     enumerate_configs,
     rarity_stats,
     search_stream,
 )
+from oracles import permuted, random_connected
 
 NAND_GRAPHS = ["FCZeO", "FCZUO"]
 
@@ -237,35 +237,37 @@ class TestSampling:
 
 
 class TestDedupe:
+    # The census keeps the least hit per role-respecting isomorphism class.
+    NAND7 = Hit("FCZeO", RoleLabeling(3, (2, 6), 4), "NAND", "1110")
+
+    def _nand_hits(self, stream, **kw):
+        rep = search_stream(stream, SearchOptions(targets=("NAND",), **kw))
+        return rep.hits_raw["NAND"], rep.hits
+
     def test_collapses_isomorphic_labelings(self):
         g = decode_graph6("FCZeO")
-        base = RoleLabeling(3, (2, 6), 4)
-        hits = [Hit("FCZeO", base, "NAND", "1110")]
-        perm = [6, 5, 4, 3, 2, 1, 0]
-        h = g.permuted(perm)
-        hits.append(
-            Hit(
-                encode_graph6(h),
-                RoleLabeling(perm[3], (perm[2], perm[6]), perm[4]),
-                "NAND",
-                "1110",
-            )
-        )
-        assert len(dedupe_hits(hits)) == 1
+        h = encode_graph6(permuted(g, [6, 5, 4, 3, 2, 1, 0]))
+        assert self._nand_hits(["FCZeO", h]) == (2, {"NAND": [self.NAND7]})
+        assert self._nand_hits([h, "FCZeO"]) == (2, {"NAND": [self.NAND7]})
 
     def test_input_order_ignored_by_default(self):
-        hits = [
-            Hit("FCZeO", RoleLabeling(3, (2, 6), 4), "NAND", "1110"),
-            Hit("FCZeO", RoleLabeling(3, (6, 2), 4), "NAND", "1110"),
-        ]
-        assert len(dedupe_hits(hits)) == 1
+        # Swapping vertices 2 and 6 swaps the hit's inputs: one class with
+        # unordered inputs, two with ordered ones.
+        swapped = encode_graph6(
+            permuted(decode_graph6("FCZeO"), [0, 1, 6, 3, 4, 5, 2])
+        )
+        stream = ["FCZeO", swapped]
+        assert self._nand_hits(stream) == (2, {"NAND": [self.NAND7]})
+        reversed_inputs = replace(self.NAND7, roles=RoleLabeling(3, (6, 2), 4))
+        assert self._nand_hits(stream, ordered_inputs=True) == (
+            4, {"NAND": [self.NAND7, reversed_inputs]}
+        )
 
     def test_order_independence(self):
-        hits = [
-            Hit("FCZeO", RoleLabeling(3, (2, 6), 4), "NAND", "1110"),
-            Hit("FCZUO", RoleLabeling(2, (3, 6), 0), "NAND", "1110"),
-        ]
-        assert dedupe_hits(hits) == dedupe_hits(hits[::-1])
+        stream = ["FCZeO", "FCZUO"]
+        raw, hits = self._nand_hits(stream)
+        assert raw == 3 and len(hits["NAND"]) == 2
+        assert self._nand_hits(stream[::-1]) == (raw, hits)
 
 
 class TestParallel:
@@ -405,8 +407,15 @@ class TestBlockKernel:
             for fn, by in rep.hits_raw_per_order.items()
             for n, c in by.items()
         } == raw
+        # The least raw hit by sort_key in each (function, role-respecting
+        # isomorphism class), listed by function then sort_key.
+        least = {}
+        for h in sorted(hits, key=Hit.sort_key):
+            key = config_canonical_key(decode_graph6(h.graph6), h.roles, True)
+            least.setdefault((h.function, key), h)
+        want = sorted(least.values(), key=lambda h: (h.function, h.sort_key()))
         got = [h for fn in sorted(rep.hits) for h in rep.hits[fn]]
-        assert got == dedupe_hits(hits, ordered_inputs=True)
+        assert got == want
 
 
 def _report(rep) -> dict:
@@ -422,13 +431,16 @@ class Interrupted(Exception):
     pass
 
 
-def _interrupt_after_first_save(monkeypatch, stream, opts) -> dict:
-    # Runs the census until its first checkpoint save and returns the file.
+def _interrupt_after_first_save(monkeypatch, stream, opts, lines=1) -> dict:
+    # Runs the census until its first checkpoint save that covers at least
+    # `lines` lines (0: the save made before any block) and returns the
+    # file.
     real_save = search._Checkpoint.save
 
     def save_once_then_die(self, done=False):
         real_save(self, done)
-        raise Interrupted
+        if self.end[0] >= lines:
+            raise Interrupted
 
     monkeypatch.setattr(search._Checkpoint, "save", save_once_then_die)
     with pytest.raises(Interrupted):
@@ -447,6 +459,28 @@ class TestCheckpoint:
         ck = tmp_path / "c.json"
         with pytest.raises(ValueError, match="path source"):
             search_stream(["CN"], SearchOptions(targets=("NAND",), checkpoint=str(ck)))
+
+    def test_unwritable_path_fails_before_the_scan(self, tmp_path, monkeypatch):
+        stream, ck = tmp_path / "s.g6", tmp_path / "missing" / "c.json"
+        stream.write_text("CN\n")
+        monkeypatch.setattr(
+            search, "_scan_chunk", lambda *a: pytest.fail("a block was scanned")
+        )
+        with pytest.raises(OSError):
+            search_stream(str(stream), self._opts(ck))
+
+    def test_line_zero_checkpoint_resumes_as_a_fresh_run(
+        self, tmp_path, monkeypatch
+    ):
+        stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
+        stream.write_text("\n".join(NAND_GRAPHS + ["CN", "!!!"]) + "\n")
+        saved = _interrupt_after_first_save(
+            monkeypatch, stream, self._opts(ck), lines=0
+        )
+        assert saved["lineno"] == 0 and saved["counts"] == saved["hits"] == []
+        resumed = search_stream(str(stream), self._opts(ck))
+        fresh = search_stream(str(stream), SearchOptions(targets=("NAND",)))
+        assert resumed.hits_raw and _report(resumed) == _report(fresh)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_interrupted_resume_under_other_jobs(self, tmp_path, monkeypatch, jobs):
