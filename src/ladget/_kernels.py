@@ -1,22 +1,23 @@
-"""Census kernel: the per-graph configuration scan, vectorized with numpy.
+"""Census kernel: the structural filter and the law scan, vectorized with numpy.
 
-``scan_configs`` applies the structural filter and the two ladget laws to
-every role assignment of one graph against its materialized colorings.  It
-decides a block of configurations per numpy pass: the role colors of every
-(coloring row, configuration) cell, then one ``bincount`` over
-(configuration, input color tuple) for universality and one over
-(configuration, Boolean input pattern, output != 0) for consistency and the
-truth table.  ``SCAN_CELLS`` bounds the cells of one pass, and so its memory.
-The census applies ``_filter_mask_vec`` itself, to a stack of graphs of one
-order at once, and scans only the configurations it keeps, unfiltered.
+``scan_pass`` judges a pass of graphs of one order against their stacked
+colorings: every kept (graph, configuration) pair, a step of pairs per
+numpy pass.  A step gathers the role colors of each pair's coloring rows
+that color its anchor 0, then runs one ``bincount`` over (pair, input color
+tuple) for universality and one over (pair, Boolean input pattern, output
+!= 0) for consistency and the truth table.  ``SCAN_CELLS`` bounds the
+(pair, coloring row) cells of one step, and so its memory.  The census
+masks a pass with ``_filter_mask_vec`` first and scans only the pairs it
+keeps; ``scan_configs`` is the one-graph call, filter included.
 """
 
 import numpy as np
 
 BACKEND = "numpy"
 
-# Coloring rows x configurations per pass.  At 1 << 16 a 2-worker unfiltered
-# order-8 census peaked at about 16% more resident memory for no speed.
+# (pair, coloring row) cells per step of a scan.  With the earlier
+# one-graph scan, 1 << 16 made a 2-worker unfiltered order-8 census peak at
+# about 16% more resident memory for no speed.
 SCAN_CELLS = 1 << 14
 
 
@@ -62,35 +63,79 @@ def scan_configs(C, adj, deg, cfgs, arity, use_filter, minimal_mode):
     or consistency fails); otherwise the truth table code, with input
     pattern p = b1 * 2 + b2 indexing bit p.
     """
-    q = cfgs.shape[0]
-    res = np.full(q, -2, np.int64)
     if use_filter:
         keep = _filter_mask_vec(adj, deg, cfgs, arity, minimal_mode)
-        res[~keep] = -1
-        todo = np.nonzero(keep)[0]
     else:
-        todo = np.arange(q)
+        keep = np.ones(len(cfgs), bool)
+    return scan_pass(C, np.array([0, len(C)]), keep[None], cfgs, arity)[0]
+
+
+def scan_pass(C, starts, keep, cfgs, arity):
+    """scan_configs' verdicts for a pass of graphs of one order: a
+    (graphs, configurations) matrix, -1 where the mask `keep` is False.
+
+    C holds every graph's colorings, graph g's being C[starts[g]:starts[g +
+    1]], and cfgs is the (configurations, 4) role table.  The kept (graph,
+    configuration) pairs are judged in row-major order, a step at a time of
+    at most SCAN_CELLS (pair, coloring row) cells or one pair.
+    """
+    # A graph without colorings is not universal: its kept pairs are -2.
+    height = np.diff(starts)
+    res = np.where(keep, -2, -1)
+    keep = keep & (height > 0)[:, None]
+    pairs = np.flatnonzero(keep)
+    q = keep.shape[1]
+    total, n = C.shape
+    flat = C.reshape(-1)
     ntup = 3**arity
     ngrp = 2**arity
-    step = max(1, SCAN_CELLS // max(1, C.shape[0]))
-    for lo in range(0, len(todo), step):
-        j = todo[lo : lo + step]
+    # A pair reads only its graph's rows that color the anchor 0.  zero
+    # lists the flat offsets in C of the rows coloring v 0, by vertex v and
+    # then in stack order; graph g's for v are the span[v, g] entries from
+    # zero[at[v, g]] on.
+    hot = np.flatnonzero(C.T == 0)
+    zero = hot % total * n
+    at = np.searchsorted(hot, np.arange(n)[:, None] * total + starts)
+    span = np.diff(at)
+    # Graph g holds pairs pstart[g] .. pend[g] - 1 of height[g] cells each,
+    # cells cstart[g] onwards.
+    kept = keep.sum(axis=1)
+    cells = kept * height
+    pend = kept.cumsum()
+    pstart = pend - kept
+    cend = cells.cumsum()
+    cstart = cend - cells
+    lo = 0
+    while lo < len(pairs):
+        g = pend.searchsorted(lo, "right")
+        limit = cstart[g] + (lo - pstart[g]) * height[g] + SCAN_CELLS
+        g = cend.searchsorted(limit, "right")
+        hi = len(pairs)
+        if g < len(kept):
+            hi = max(lo + 1, pstart[g] + (limit - cstart[g]) // height[g])
+        step = pairs[lo:hi]
+        owner, j = np.divmod(step, q)
         a0, th, i1, i2 = cfgs[j].T
-        # rows x configurations: role colors, and the column of each cell
-        live = C[:, a0] == 0
-        col = live.nonzero()[1]
-        x1 = C[:, i1][live]
+        # Per live cell: its pair, and the flat offset of its coloring row;
+        # then the role colors, gathered in uint8.
+        first = at[a0, owner]
+        rows = span[a0, owner]
+        ends = rows.cumsum()
+        row = zero[np.arange(ends[-1]) + (first - ends + rows).repeat(rows)]
+        pair = np.arange(len(step)).repeat(rows)
+        x1 = flat[row + i1.repeat(rows)]
         tup, grp = x1, x1 != 0
         if arity == 2:
-            x2 = C[:, i2][live]
+            x2 = flat[row + i2.repeat(rows)]
             tup, grp = x1 * 3 + x2, grp * 2 + (x2 != 0)
-        covered = np.bincount(col * ntup + tup, minlength=len(j) * ntup)
+        covered = np.bincount(pair * ntup + tup, minlength=len(step) * ntup)
         universal = covered.reshape(-1, ntup).all(axis=1)
-        out = C[:, th][live] != 0
+        out = flat[row + th.repeat(rows)] != 0
         seen = np.bincount(
-            (col * ngrp + grp) * 2 + out, minlength=len(j) * ngrp * 2
+            (pair * ngrp + grp) * 2 + out, minlength=len(step) * ngrp * 2
         ).reshape(-1, ngrp, 2) > 0
         consistent = ~(seen[:, :, 0] & seen[:, :, 1]).any(axis=1)
         code = seen[:, :, 1] @ (1 << np.arange(ngrp))
-        res[j] = np.where(universal & consistent, code, -2)
+        res.reshape(-1)[step] = np.where(universal & consistent, code, -2)
+        lo = hi
     return res

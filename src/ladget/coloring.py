@@ -8,7 +8,8 @@ Two enumerators, one per workload shape, give the same rows in the same
   time, with fixed vertices and any k.
 * ``stacked_colorings`` extends the partial 3-colorings of a whole stack of
   graphs of one order together, one vertex at a time with numpy, and is
-  what the census runs.  Over the first 3,000 order-8 records of
+  what the census runs.  It returns one matrix for the stack, with each
+  graph's row offsets.  Over the first 3,000 order-8 records of
   tests/data/connected8.g6 (2-CPU host, numpy 2.4) it took 30-38 us per
   graph in stacks of 78 against the backtracker's 117-133 us, but 157-183
   us one graph at a time.  Extended to fixed vertices and any k, the same
@@ -96,15 +97,18 @@ def all_colorings(
     return C[np.lexsort(C.T[::-1])]
 
 
-def stacked_colorings(adj: np.ndarray) -> list[np.ndarray]:
+def stacked_colorings(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All proper 3-colorings of each graph in a stack of adjacency rows.
 
     adj is a (graphs, n) array of bitmask rows, every graph of order n.
-    Returns one uint8 matrix per graph, rows in lexicographic order as from
+    Returns (C, starts): one uint8 matrix holding every graph's colorings in
+    stack order, and the (graphs + 1,) row offsets, so graph i's colorings
+    are C[starts[i]:starts[i + 1]], in lexicographic order as from
     all_colorings.  The partial colorings of all graphs are extended
     together, one vertex at a time in label order and colors ascending, so
-    each graph's rows come out already sorted.  Raises TooLarge when the
-    partial colorings of the stack outgrow the materialization bound.
+    the rows come out grouped by graph and already sorted.  Raises TooLarge
+    when the partial colorings of the stack outgrow the materialization
+    bound.
     """
     count, n = adj.shape
     # Row r is a partial coloring of graph owner[r]; masks[r, c] holds its
@@ -121,6 +125,4 @@ def stacked_colorings(adj: np.ndarray) -> list[np.ndarray]:
         owner, masks, C = owner[row], masks[row], C[row]
         masks[np.arange(len(row)), color] |= np.int64(1) << v
         C[:, v] = color
-    ends = np.searchsorted(owner, np.arange(1, count))
-    return np.split(C, ends) if count else []
-
+    return C, np.searchsorted(owner, np.arange(count + 1))

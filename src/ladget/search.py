@@ -2,14 +2,17 @@
 
 The stream is scanned in blocks of CHUNK_RECORDS records, inline or on a
 process pool, and the blocks' tallies are merged in stream order.  A block
-is filtered first: its graphs, grouped by order in stream order, go in
-passes of at most PASS_CELLS (graph, role assignment) cells through one
-structural filter over the stacked adjacency rows.  Proper 3-colorings are
-then enumerated, for the whole pass at once, only for the graphs that keep
-some role assignment (configuration), and the census kernel checks
-universality and consistency and reads the truth table of the kept ones.
-Graphs up to 7 vertices can come from the built-in generator; anything
-larger arrives as an external one-record-per-line graph6 stream.
+is decoded with numpy, one order at a time, into stacked adjacency rows; a
+record failing any check is counted bad by decode_graph6.  Its graphs,
+grouped by order in stream order, then go in passes of at most PASS_CELLS
+(graph, role assignment) cells through one structural filter over the
+stacked rows.  Proper 3-colorings are enumerated, for the whole pass at
+once, only for the graphs that keep some role assignment (configuration),
+and one law scan of the pass checks universality and consistency and reads
+the truth table of every kept (graph, configuration) pair.  A Graph is
+built only for a graph with a hit.  Graphs up to 7 vertices can come from
+the built-in generator; anything larger arrives as an external
+one-record-per-line graph6 stream.
 
 A tally is one additive Counter (graphs, configurations, raw hits and bad
 lines) plus, per role-respecting isomorphism class, the least hit in the
@@ -42,7 +45,13 @@ from . import _kernels
 from .coloring import stacked_colorings
 from .errors import InvalidGraph6
 from .gadget import NAMED_FUNCTIONS, TruthTable, classify
-from .graphcore import Graph, RoleLabeling, config_canonical_key, decode_graph6
+from .graphcore import (
+    MAX_VERTICES,
+    Graph,
+    RoleLabeling,
+    config_canonical_key,
+    decode_graph6,
+)
 
 CHUNK_RECORDS = 512
 # Graphs x configurations per filter and coloring pass of a block, and so
@@ -192,43 +201,79 @@ class _Tally:
 
 def _scan_chunk(records: list, options: SearchOptions) -> _Tally:
     tally = _Tally()
+    for n, (linenos, texts, adj) in _decode_block(records, tally).items():
+        cfgs = enumerate_configs(n, options.arity, options.ordered_inputs)
+        step = max(1, PASS_CELLS // max(1, len(cfgs)))
+        for lo in range(0, len(texts), step):
+            part = slice(lo, lo + step)
+            _scan_pass(linenos[part], texts[part], adj[part], cfgs, options, tally)
+    return tally
+
+
+def _decode_block(records: list, tally: _Tally) -> dict:
+    # The block's records by order, in stream order: line numbers, stripped
+    # texts and (graphs, n) adjacency rows.  Each order is decoded at once;
+    # a record failing any check is counted bad by decode_graph6, so the
+    # messages have one source and first_bad is the block's least line.
     by_order: dict[int, list] = {}
+    rejects = []
     for lineno, line in records:
         text = line.strip()
         if not text:
             continue
+        n = ord(text[0]) - 63
+        size = 1 + (n * (n - 1) // 2 + 5) // 6
+        if 0 < n <= MAX_VERTICES and len(text) == size and text.isascii():
+            by_order.setdefault(n, []).append((lineno, text))
+        else:
+            rejects.append((lineno, text))
+    out = {}
+    for n, group in by_order.items():
+        raw = np.frombuffer("".join(t for _, t in group).encode(), np.uint8)
+        body = raw.reshape(len(group), -1)[:, 1:] - np.uint8(63)
+        bits = np.unpackbits(body[:, :, None], axis=2)[:, :, 2:]
+        bits = bits.reshape(len(group), -1)
+        # The vertex pairs i < j in graph6 bit order: (0, 1), (0, 2), (1, 2), ...
+        j, i = np.tril_indices(n, -1)
+        ok = (body < 64).all(axis=1) & ~bits[:, len(i) :].any(axis=1)
+        rejects += [group[k] for k in np.flatnonzero(~ok)]
+        good = [group[k] for k in np.flatnonzero(ok)]
+        if good:
+            adj = np.zeros((len(good), n, n), np.uint8)
+            adj[:, i, j] = adj[:, j, i] = bits[ok, : len(i)]
+            # A record that decodes is the only graph6 of its graph, so the
+            # stripped text doubles as the hits' graph6.
+            out[n] = (
+                [lineno for lineno, _ in good],
+                [text for _, text in good],
+                adj @ (np.int64(1) << np.arange(n)),
+            )
+    for lineno, text in sorted(rejects):
         try:
-            g = decode_graph6(text)
+            decode_graph6(text)
         except InvalidGraph6 as exc:
             tally.counts["bad",] += 1
             tally.first_bad = tally.first_bad or (lineno, str(exc))
-            continue
-        # A record that decodes is the only graph6 of its graph, so the
-        # stripped text doubles as the hits' graph6.
-        by_order.setdefault(g.n, []).append((lineno, text, g))
-    for n, group in by_order.items():
-        cfgs = enumerate_configs(n, options.arity, options.ordered_inputs)
-        step = max(1, PASS_CELLS // max(1, len(cfgs)))
-        for lo in range(0, len(group), step):
-            _scan_pass(group[lo : lo + step], cfgs, options, tally)
-    return tally
+        else:
+            raise AssertionError(f"line {lineno} decodes, but the block refused it")
+    return out
 
 
 def _scan_pass(
-    group: list, cfgs: np.ndarray, options: SearchOptions, tally: _Tally
+    linenos: list, texts: list, adj: np.ndarray, cfgs: np.ndarray,
+    options: SearchOptions, tally: _Tally,
 ) -> None:
-    # One pass over (lineno, graph6, graph) records of one order: the
-    # sampled, filtered keep-mask of every (graph, configuration), then
-    # colorings and the law scan for the graphs that keep any.
-    n = group[0][2].n
-    adj = np.array([g.adj for _, _, g in group], dtype=np.int64)
+    # One pass over records of one order: the sampled, filtered keep-mask of
+    # every (graph, configuration), then the colorings of the graphs that
+    # keep any and one law scan of every kept (graph, configuration) pair.
+    count, n = adj.shape
     deg = ((adj[:, :, None] >> np.arange(n)) & 1).sum(axis=2)
-    keep = np.ones((len(group), len(cfgs)), dtype=bool)
+    keep = np.ones((count, len(cfgs)), dtype=bool)
     if options.sample_rate is not None and options.sample_rate < 1.0:
-        for i, (lineno, _, _) in enumerate(group):
+        for i, lineno in enumerate(linenos):
             rng = np.random.default_rng((options.seed or 0, lineno))
             keep[i] = rng.random(len(cfgs)) < options.sample_rate
-    tally.counts["graphs", n] += len(group)
+    tally.counts["graphs", n] += count
     tally.counts["configs_enumerated", n] += int(keep.sum())
     if options.use_filter:
         keep &= _kernels._filter_mask_vec(
@@ -236,22 +281,25 @@ def _scan_pass(
         )
     after = keep.sum(axis=1)
     tally.counts["configs_after_filter", n] += int(after.sum())
-    live = np.nonzero(after)[0]
+    live = np.flatnonzero(after)
+    res = _kernels.scan_pass(
+        *stacked_colorings(adj[live]), keep[live], cfgs, options.arity
+    )
     allowed = _allowed_codes(options.targets, options.arity)
-    for i, C in zip(live, stacked_colorings(adj[live])):
-        kept = cfgs[keep[i]]
-        res = _kernels.scan_configs(
-            C, adj[i], deg[i], kept, options.arity, False, False
-        )
-        _, text, g = group[i]
-        for j in np.nonzero(res >= 0)[0]:
-            found = allowed.get(int(res[j]))
-            if found is None:
-                continue
-            a0, th, i1, i2 = (int(x) for x in kept[j])
+    ladget = res >= 0
+    found = [
+        (i, c, allowed[code])
+        for (i, c), code in zip(np.argwhere(ladget).tolist(), res[ladget].tolist())
+        if code in allowed
+    ]
+    for i, hits in itertools.groupby(found, key=lambda hit: hit[0]):
+        text = texts[live[i]]
+        g = decode_graph6(text)
+        for _, c, (function, bits) in hits:
+            a0, th, i1, i2 = cfgs[c].tolist()
             inputs = (i1,) if options.arity == 1 else (i1, i2)
-            hit = Hit(text, RoleLabeling(a0, inputs, th), *found)
-            tally.counts["hits", hit.function, n] += 1
+            hit = Hit(text, RoleLabeling(a0, inputs, th), function, bits)
+            tally.counts["hits", function, n] += 1
             tally.fold(hit, options.ordered_inputs, g)
 
 

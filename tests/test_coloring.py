@@ -112,9 +112,12 @@ class TestStackedColorings:
             if n >= 5:
                 graphs.append(Graph.from_edges(n, k4_pendant))
             graphs = [graphs[i] for i in rng.permutation(len(graphs))]
-            got = stacked_colorings(np.array([g.adj for g in graphs]))
-            assert len(got) == len(graphs)
-            for g, C in zip(graphs, got):
+            stack, starts = stacked_colorings(np.array([g.adj for g in graphs]))
+            assert stack.shape[1] == n
+            assert len(starts) == len(graphs) + 1
+            assert starts[0] == 0 and starts[-1] == len(stack)
+            for i, g in enumerate(graphs):
+                C = stack[starts[i] : starts[i + 1]]
                 want = all_colorings(g, None, 3)
                 assert C.dtype == want.dtype and np.array_equal(C, want)
                 assert C.shape == (len(want), n)
@@ -123,7 +126,9 @@ class TestStackedColorings:
                 )
 
     def test_empty_stack(self):
-        assert stacked_colorings(np.zeros((0, 4), np.int64)) == []
+        C, starts = stacked_colorings(np.zeros((0, 4), np.int64))
+        assert C.shape == (0, 4) and C.dtype == np.uint8
+        assert starts.tolist() == [0]
 
     def test_too_large_guard(self, monkeypatch):
         monkeypatch.setattr(coloring, "MAX_MATERIALIZED", 50)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ladget
 from ladget import _kernels, search
@@ -18,6 +20,7 @@ from ladget.errors import InvalidGraph6
 from ladget.filters import _violations
 from ladget.gadget import TruthTable, classify
 from ladget.graphcore import (
+    Graph,
     RoleLabeling,
     config_canonical_key,
     decode_graph6,
@@ -32,6 +35,7 @@ from ladget.search import (
     search_stream,
 )
 from oracles import permuted, random_connected
+from test_graphcore import graphs
 
 NAND_GRAPHS = ["FCZeO", "FCZUO"]
 
@@ -212,6 +216,106 @@ class TestBadLines:
         big = "`" + "?" * 88  # well-formed graph6, 33 vertices
         rep = search_stream([big, "CN"], SearchOptions(targets=("NOT",), arity=1))
         assert rep.bad_lines == 1 and rep.graphs_seen == 1
+
+
+def _reference_decode(records):
+    # Per record with decode_graph6: the good records by order as (lineno,
+    # text, rows), the bad count and the first bad (lineno, message).
+    groups, bad, first = {}, 0, None
+    for lineno, line in records:
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            g = decode_graph6(text)
+        except InvalidGraph6 as exc:
+            bad += 1
+            first = first or (lineno, str(exc))
+            continue
+        groups.setdefault(g.n, []).append((lineno, text, g.adj))
+    return groups, bad, first
+
+
+def _assert_block_decodes_like_reference(lines):
+    records = list(enumerate(lines, start=1))
+    tally = search._Tally()
+    got = search._decode_block(records, tally)
+    groups, bad, first = _reference_decode(records)
+    assert tally.counts["bad",] == bad
+    assert tally.first_bad == first
+    assert set(got) == set(groups)
+    for n, (linenos, texts, adj) in got.items():
+        assert adj.dtype == np.int64 and adj.shape == (len(texts), n)
+        rows = [tuple(row) for row in adj.tolist()]
+        assert list(zip(linenos, texts, rows)) == groups[n]
+    return bad, first
+
+
+# Every malformed kind of TestGraph6.test_rejects, a raw 0xff byte as the
+# stream reader delivers it, inner spaces at and off the record length, a
+# non-ASCII first character, and an order above 32.
+MALFORMED = [
+    ">>graph6<<C~", "?", "~??", "C", "C~~", "A@", "C>", "C\x7f",
+    b"C\xff".decode("ascii", "replace"), "GCO _{", "GCO j_{",
+    "\ufffdCOj_{", "`" + "?" * 88,
+]
+
+
+class TestBlockDecode:
+    def test_connected8_with_bad_records_between(self, connected8_path):
+        lines = connected8_path.read_text().splitlines()
+        mixed = []
+        for k, line in enumerate(lines):
+            mixed.append(line)
+            if k % 997 == 0:
+                mixed += [MALFORMED[k // 997 % len(MALFORMED)], "  "]
+        bad, first = _assert_block_decodes_like_reference(mixed)
+        assert bad == 12 and first[0] == 2
+
+    @given(st.lists(graphs(max_n=12), max_size=40), st.data())
+    def test_random_graphs_with_bad_records(self, gs, data):
+        gs += [Graph(1, (0,)), Graph(2, (0, 0)), Graph(2, (2, 1))]
+        lines = [encode_graph6(g) for g in gs]
+        for bad in data.draw(st.lists(st.sampled_from(MALFORMED), max_size=5)):
+            lines.insert(data.draw(st.integers(0, len(lines))), bad)
+        _assert_block_decodes_like_reference(lines)
+
+    @pytest.mark.parametrize("bad", MALFORMED)
+    def test_each_malformed_kind(self, bad):
+        lines = ["CN", bad, "FCZeO", bad, "A_"]
+        assert _assert_block_decodes_like_reference(lines)[0] == 2
+
+    @pytest.mark.parametrize("bad", MALFORMED)
+    def test_census_bad_count_and_strict_error(self, bad):
+        lines = ["CN", "FCZeO", " ", bad, "A_", bad]
+        _, bad_count, first = _reference_decode(enumerate(lines, start=1))
+        rep = search_stream(lines, SearchOptions(targets=("NAND",)))
+        assert rep.bad_lines == bad_count == 2
+        with pytest.raises(InvalidGraph6) as err:
+            search_stream(lines, SearchOptions(targets=("NAND",), strict=True))
+        assert str(err.value) == "line {}: {}".format(*first)
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "census_golden.json").read_text())
+
+
+class TestGoldenReports:
+    # Reports written by tools/make_census_golden.py, pinned bit for bit
+    # apart from elapsed_s, also with one graph per pass and one
+    # (graph, configuration) pair per scan step.
+    @pytest.mark.parametrize("tiny_budgets", [False, True])
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_report_is_pinned(self, monkeypatch, connected8_path, name, tiny_budgets):
+        entry = GOLDEN[name]
+        if tiny_budgets:
+            monkeypatch.setattr(_kernels, "SCAN_CELLS", 1)
+            monkeypatch.setattr(search, "PASS_CELLS", 1)
+        lines = connected8_path.read_text().splitlines(keepends=True)
+        options = SearchOptions(**entry["report"]["options"])
+        assert options.jobs == 1
+        got = search_stream(lines[: entry["lines"]], options).to_json_dict()
+        del got["elapsed_s"]
+        assert json.loads(json.dumps(got)) == entry["report"]
 
 
 class TestSampling:
