@@ -22,38 +22,53 @@ SCAN_CELLS = 1 << 14
 
 
 def _filter_mask_vec(adj, deg, cfgs, arity, minimal_mode):
-    # Vectorized structural filter: True means keep.  adj and deg are one
-    # graph's (n,) arrays, giving a (configurations,) mask, or a stack of
-    # (graphs, n) arrays of one order, giving a (graphs, configurations)
-    # mask.
-    a0 = cfgs[:, 0]
-    th = cfgs[:, 1]
-    i1 = cfgs[:, 2]
-    i2 = cfgs[:, 3]
-    nb = adj[..., a0]
-    keep = ((nb >> i1) & 1) == 0
-    keep &= ((nb >> th) & 1) == 0
-    keep &= deg[..., th] >= 2
-    keep &= deg[..., i1] >= 2
-    if arity == 2:
-        keep &= ((adj[..., i1] >> i2) & 1) == 0
-        keep &= ((nb >> i2) & 1) == 0
-        common = nb & adj[..., i1] & adj[..., i2]
-        keep &= (common & ~(np.int64(1) << th)) == 0
-        keep &= deg[..., i2] >= 2
+    # The structural filter, True meaning keep: a (configurations,) mask for
+    # one graph's (n,) bitmask rows and degrees, or a (graphs,
+    # configurations) mask for a stack of (graphs, n) rows of one order.
+    #
+    # Each rule reads the anchor and one other role, or the anchor and the
+    # inputs, so the rules are judged once per graph on two int8 tables and
+    # each configuration gathers one entry of each: out at anchor * n +
+    # output (OUT_ANCHOR_ADJ, OUT_DEGREE) and tup at anchor * n + i1, or
+    # (anchor * n + i1) * n + i2 at arity 2 (ANCHOR_IN_ADJ, INPUT_DEGREE,
+    # IN_ADJ, TRIPLE_NEIGHBOR).  A rejected entry is -1 in out and -2 in
+    # tup, so the mask is out == tup.  A common neighbour of the anchor and
+    # both inputs is none of those three, so of the roles it can only be
+    # the output, which OUT_ANCHOR_ADJ rejects anyway: in the conjunction
+    # TRIPLE_NEIGHBOR is an empty common neighbourhood.  A mask per rule
+    # must keep the output's exclusion.  INTERNAL_DEGREE (minimal mode):
+    # tup counts the low-degree (< 3) vertices other than the anchor and
+    # inputs, and out holds whether the output is one, so they are equal
+    # when the output is the only one; outside minimal mode both hold 0.
+    # The tables keep graphs on the last axis, where numpy broadcasts fast.
+    rows = np.ascontiguousarray(adj.reshape(-1, adj.shape[-1]).T)
+    n, count = rows.shape
+    deg = np.ascontiguousarray(deg.reshape(count, n).T)
+    a0, th, i1, i2 = cfgs.T
+    # adjacent[u, v]: u and v are adjacent; apart[u, v]: they are not, and
+    # v has degree at least 2.  Tables are built with arithmetic rather
+    # than np.where, which is several times slower on int8.
+    adjacent = ((rows[:, None] >> np.arange(n)[:, None]) & 1).astype(bool)
+    apart = ~adjacent & (deg >= 2)
     if minimal_mode:
-        lowdeg = np.bitwise_or.reduce(
-            (deg < 3).astype(np.int64) << np.arange(deg.shape[-1]),
-            axis=-1,
-            keepdims=True,
-        )
-        rolemask = (
-            (np.int64(1) << a0) | (np.int64(1) << th) | (np.int64(1) << i1)
-        )
-        if arity == 2:
-            rolemask |= np.int64(1) << i2
-        keep &= (lowdeg & ~rolemask) == 0
-    return keep
+        low = (deg < 3).astype(np.int8)
+    else:
+        low = np.zeros((n, count), np.int8)
+    out = ((low + 1) * apart - 1).reshape(n * n, count)
+    left = low.sum(axis=0, dtype=np.int8) - low
+    if arity == 1:
+        ok = apart
+        rest = left[:, None] - low
+        at = a0 * n + i1
+    else:
+        ok = apart[:, :, None] & apart[:, None] & ~adjacent
+        words = rows.astype(np.uint32)
+        ok &= (words[:, None, None] & words[:, None] & words) == 0
+        rest = left[:, None, None] - low[:, None] - low
+        at = (a0 * n + i1) * n + i2
+    tup = ((rest + 2) * ok - 2).reshape(-1, count)
+    keep = out[a0 * n + th] == tup[at]
+    return keep[:, 0] if adj.ndim == 1 else np.ascontiguousarray(keep.T)
 
 
 def scan_configs(C, adj, deg, cfgs, arity, use_filter, minimal_mode):

@@ -267,7 +267,6 @@ def _scan_pass(
     # every (graph, configuration), then the colorings of the graphs that
     # keep any and one law scan of every kept (graph, configuration) pair.
     count, n = adj.shape
-    deg = ((adj[:, :, None] >> np.arange(n)) & 1).sum(axis=2)
     keep = np.ones((count, len(cfgs)), dtype=bool)
     if options.sample_rate is not None and options.sample_rate < 1.0:
         for i, lineno in enumerate(linenos):
@@ -276,6 +275,7 @@ def _scan_pass(
     tally.counts["graphs", n] += count
     tally.counts["configs_enumerated", n] += int(keep.sum())
     if options.use_filter:
+        deg = ((adj[:, :, None] >> np.arange(n)) & 1).sum(axis=2)
         keep &= _kernels._filter_mask_vec(
             adj, deg, cfgs, options.arity, options.minimal_mode
         )

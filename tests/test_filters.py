@@ -8,7 +8,7 @@ from ladget._kernels import scan_configs
 from ladget.coloring import all_colorings
 from ladget.filters import RULES, _violations, structural_filter
 from ladget.gadget import GadgetConfig, TruthTable, builtin, classify, verify_ladget
-from ladget.graphcore import Graph, RoleLabeling, generate_connected
+from ladget.graphcore import Graph, RoleLabeling, decode_graph6, generate_connected
 from ladget.search import enumerate_configs
 
 
@@ -257,6 +257,69 @@ class TestStackedFilterMask:
                 for c in cfgs
             ]
             assert row.tolist() == want, g.edges()
+
+
+def _stack(graphs):
+    adj = np.array([g.adj_array() for g in graphs]).reshape(len(graphs), -1)
+    deg = np.array([g.deg_array() for g in graphs]).reshape(adj.shape)
+    return adj, deg
+
+
+def _passes(g, rows, arity, minimal_mode):
+    return [
+        not any(_violations(g, _roles_of(c, arity), minimal_mode)) for c in rows
+    ]
+
+
+class TestFilterMaskExhaustive:
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_every_configuration_matches_reference(self, arity, connected8_path):
+        # Every connected graph up to order 6 and the first 200 order-8
+        # records, every configuration, ordered and unordered inputs, minimal
+        # mode on and off.  The reference runs once per ordered configuration;
+        # an unordered row is looked up by its roles.  A one-graph call equals
+        # its row of the stack.
+        lines = connected8_path.read_text().split()[:200]
+        by_order = {n: generate_connected(n) for n in range(1, 7)}
+        by_order[8] = [decode_graph6(text) for text in lines]
+        for n, graphs in by_order.items():
+            adj, deg = _stack(graphs)
+            rows = enumerate_configs(n, arity, ordered_inputs=True)
+            index = {tuple(c): j for j, c in enumerate(rows.tolist())}
+            plain = np.array([_passes(g, rows, arity, False) for g in graphs])
+            plain = plain.reshape(len(graphs), len(rows))
+            # INTERNAL_DEGREE only adds rejections to the plain rules.
+            minimal = plain.copy()
+            for i, j in np.argwhere(plain):
+                minimal[i, j] = _passes(graphs[i], rows[j : j + 1], arity, True)[0]
+            for ordered in (False, True):
+                cfgs = enumerate_configs(n, arity, ordered)
+                cols = [index[tuple(c)] for c in cfgs.tolist()]
+                for minimal_mode, want in ((False, plain), (True, minimal)):
+                    mask = _kernels._filter_mask_vec(
+                        adj, deg, cfgs, arity, minimal_mode
+                    )
+                    assert mask.dtype == bool
+                    assert np.array_equal(mask, want[:, cols]), (n, ordered)
+                    for g, row in zip(graphs, mask):
+                        one = _kernels._filter_mask_vec(
+                            g.adj_array(), g.deg_array(), cfgs, arity, minimal_mode
+                        )
+                        assert np.array_equal(one, row), g.edges()
+
+    @pytest.mark.parametrize("n,arity", [(2, 1), (3, 2)])
+    def test_empty_configuration_table(self, n, arity):
+        graphs = generate_connected(n)
+        cfgs = enumerate_configs(n, arity)
+        assert cfgs.shape == (0, 4)
+        adj, deg = _stack(graphs)
+        for minimal_mode in (False, True):
+            mask = _kernels._filter_mask_vec(adj, deg, cfgs, arity, minimal_mode)
+            assert mask.shape == (len(graphs), 0) and mask.dtype == bool
+            one = _kernels._filter_mask_vec(
+                adj[0], deg[0], cfgs, arity, minimal_mode
+            )
+            assert one.shape == (0,) and one.dtype == bool
 
 
 class TestVerdictShape:
