@@ -9,6 +9,13 @@ tuple) for universality and one over (pair, Boolean input pattern, output
 (pair, coloring row) cells of one step, and so its memory.  The census
 masks a pass with ``_filter_mask_vec`` first and scans only the pairs it
 keeps; ``scan_configs`` is the one-graph call, filter included.
+
+``_filter_mask_vec`` is the census's structural filter.  Each rule reads
+the anchor and one other role, or the anchor and the inputs, so it judges
+the rules once per graph on a small (anchor, output) table and a small
+(anchor, input tuple) table, and each configuration gathers one int8 entry
+of each; the mask is their equality.  ``filters._violations`` is its
+readable reference.
 """
 
 import numpy as np
@@ -26,28 +33,29 @@ def _filter_mask_vec(adj, deg, cfgs, arity, minimal_mode):
     # one graph's (n,) bitmask rows and degrees, or a (graphs,
     # configurations) mask for a stack of (graphs, n) rows of one order.
     #
-    # Each rule reads the anchor and one other role, or the anchor and the
-    # inputs, so the rules are judged once per graph on two int8 tables and
-    # each configuration gathers one entry of each: out at anchor * n +
-    # output (OUT_ANCHOR_ADJ, OUT_DEGREE) and tup at anchor * n + i1, or
-    # (anchor * n + i1) * n + i2 at arity 2 (ANCHOR_IN_ADJ, INPUT_DEGREE,
-    # IN_ADJ, TRIPLE_NEIGHBOR).  A rejected entry is -1 in out and -2 in
-    # tup, so the mask is out == tup.  A common neighbour of the anchor and
-    # both inputs is none of those three, so of the roles it can only be
-    # the output, which OUT_ANCHOR_ADJ rejects anyway: in the conjunction
-    # TRIPLE_NEIGHBOR is an empty common neighbourhood.  A mask per rule
-    # must keep the output's exclusion.  INTERNAL_DEGREE (minimal mode):
-    # tup counts the low-degree (< 3) vertices other than the anchor and
-    # inputs, and out holds whether the output is one, so they are equal
-    # when the output is the only one; outside minimal mode both hold 0.
-    # The tables keep graphs on the last axis, where numpy broadcasts fast.
-    rows = np.ascontiguousarray(adj.reshape(-1, adj.shape[-1]).T)
+    # out[anchor * n + output] holds OUT_ANCHOR_ADJ and OUT_DEGREE, and
+    # tup[anchor * n + i1], or tup[(anchor * n + i1) * n + i2] at arity 2,
+    # holds ANCHOR_IN_ADJ, INPUT_DEGREE, IN_ADJ and TRIPLE_NEIGHBOR.  A
+    # rejected entry is -1 in out and -2 in tup, so a configuration is kept
+    # where its two entries are equal.  TRIPLE_NEIGHBOR: a common neighbour
+    # of the anchor and both inputs is neither the anchor nor an input, so
+    # of the roles it can only be the output, and OUT_ANCHOR_ADJ rejects
+    # that case; in the conjunction the rule is an empty common
+    # neighbourhood.  A mask per
+    # rule must keep the output's exclusion.  INTERNAL_DEGREE (minimal
+    # mode): tup counts the low-degree (< 3) vertices other than the anchor
+    # and inputs, and out is 1 if the output is one of them, else 0; both
+    # are 0 outside minimal mode.  The tables keep graphs on the last axis,
+    # where numpy broadcasts fast, and are built with arithmetic because
+    # np.where is several times slower on int8.
+    # Rows fit in 32 bits (n <= 32), which halves the traffic of the
+    # common-neighbourhood test.
+    rows = np.ascontiguousarray(adj.reshape(-1, adj.shape[-1]).T, np.uint32)
     n, count = rows.shape
     deg = np.ascontiguousarray(deg.reshape(count, n).T)
     a0, th, i1, i2 = cfgs.T
     # adjacent[u, v]: u and v are adjacent; apart[u, v]: they are not, and
-    # v has degree at least 2.  Tables are built with arithmetic rather
-    # than np.where, which is several times slower on int8.
+    # v has degree at least 2.
     adjacent = ((rows[:, None] >> np.arange(n)[:, None]) & 1).astype(bool)
     apart = ~adjacent & (deg >= 2)
     if minimal_mode:
@@ -55,6 +63,7 @@ def _filter_mask_vec(adj, deg, cfgs, arity, minimal_mode):
     else:
         low = np.zeros((n, count), np.int8)
     out = ((low + 1) * apart - 1).reshape(n * n, count)
+    # left[u]: the low-degree vertices other than u.
     left = low.sum(axis=0, dtype=np.int8) - low
     if arity == 1:
         ok = apart
@@ -62,8 +71,7 @@ def _filter_mask_vec(adj, deg, cfgs, arity, minimal_mode):
         at = a0 * n + i1
     else:
         ok = apart[:, :, None] & apart[:, None] & ~adjacent
-        words = rows.astype(np.uint32)
-        ok &= (words[:, None, None] & words[:, None] & words) == 0
+        ok &= (rows[:, None, None] & rows[:, None] & rows) == 0
         rest = left[:, None, None] - low[:, None] - low
         at = (a0 * n + i1) * n + i2
     tup = ((rest + 2) * ok - 2).reshape(-1, count)

@@ -6,7 +6,9 @@ is decoded with numpy, one order at a time, into stacked adjacency rows; a
 record failing any check is counted bad by decode_graph6.  Its graphs,
 grouped by order in stream order, then go in passes of at most PASS_CELLS
 (graph, role assignment) cells through one structural filter over the
-stacked rows.  Proper 3-colorings are enumerated, for the whole pass at
+stacked rows, which judges each graph's (anchor, output) pairs and
+(anchor, inputs) tuples once and gathers every assignment's verdict from
+those two tables.  Proper 3-colorings are enumerated, for the whole pass at
 once, only for the graphs that keep some role assignment (configuration),
 and one law scan of the pass checks universality and consistency and reads
 the truth table of every kept (graph, configuration) pair.  A Graph is
