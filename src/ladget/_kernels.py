@@ -37,19 +37,22 @@ def _filter_mask_vec(adj, deg, cfgs, arity, minimal_mode):
     # tup[anchor * n + i1], or tup[(anchor * n + i1) * n + i2] at arity 2,
     # holds ANCHOR_IN_ADJ, INPUT_DEGREE, IN_ADJ and TRIPLE_NEIGHBOR.  A
     # rejected entry is -1 in out and -2 in tup, so a configuration is kept
-    # where its two entries are equal.  TRIPLE_NEIGHBOR: a common neighbour
-    # of the anchor and both inputs is neither the anchor nor an input, so
-    # of the roles it can only be the output, and OUT_ANCHOR_ADJ rejects
-    # that case; in the conjunction the rule is an empty common
-    # neighbourhood.  A mask per
-    # rule must keep the output's exclusion.  INTERNAL_DEGREE (minimal
-    # mode): tup counts the low-degree (< 3) vertices other than the anchor
-    # and inputs, and out is 1 if the output is one of them, else 0; both
-    # are 0 outside minimal mode.  The tables keep graphs on the last axis,
-    # where numpy broadcasts fast, and are built with arithmetic because
-    # np.where is several times slower on int8.
-    # Rows fit in 32 bits (n <= 32), which halves the traffic of the
-    # common-neighbourhood test.
+    # where its two entries are equal.
+    #
+    # TRIPLE_NEIGHBOR: a common neighbour of the anchor and both inputs is
+    # neither the anchor nor an input, so of the roles it can only be the
+    # output, and OUT_ANCHOR_ADJ rejects that case; in the conjunction the
+    # rule is an empty common neighbourhood.  A mask per rule must keep the
+    # output's exclusion.
+    #
+    # INTERNAL_DEGREE (minimal mode): tup counts the low-degree (< 3)
+    # vertices other than the anchor and inputs, and out is 1 if the output
+    # is one of them, else 0; both are 0 outside minimal mode.
+    #
+    # The tables keep graphs on the last axis, where numpy broadcasts fast,
+    # and are built with arithmetic because np.where is several times
+    # slower on int8.  Rows fit in 32 bits (n <= 32), which halves the
+    # traffic of the common-neighbourhood test.
     rows = np.ascontiguousarray(adj.reshape(-1, adj.shape[-1]).T, np.uint32)
     n, count = rows.shape
     deg = np.ascontiguousarray(deg.reshape(count, n).T)
@@ -58,10 +61,7 @@ def _filter_mask_vec(adj, deg, cfgs, arity, minimal_mode):
     # v has degree at least 2.
     adjacent = ((rows[:, None] >> np.arange(n)[:, None]) & 1).astype(bool)
     apart = ~adjacent & (deg >= 2)
-    if minimal_mode:
-        low = (deg < 3).astype(np.int8)
-    else:
-        low = np.zeros((n, count), np.int8)
+    low = ((deg < 3) & minimal_mode).astype(np.int8)
     out = ((low + 1) * apart - 1).reshape(n * n, count)
     # left[u]: the low-degree vertices other than u.
     left = low.sum(axis=0, dtype=np.int8) - low

@@ -219,6 +219,13 @@ class TestKernelAgreement:
                         assert fn.degenerate
 
 
+def _stack(graphs):
+    return (
+        np.array([g.adj_array() for g in graphs]),
+        np.array([g.deg_array() for g in graphs]),
+    )
+
+
 @st.composite
 def same_order_stacks(draw):
     # One to six graphs of one order, not necessarily connected.
@@ -243,8 +250,7 @@ class TestStackedFilterMask:
         # exactly the configurations the readable rules pass.
         n = graphs[0].n
         cfgs = enumerate_configs(n, arity, ordered_inputs=True)
-        adj = np.array([g.adj_array() for g in graphs])
-        deg = np.array([g.deg_array() for g in graphs])
+        adj, deg = _stack(graphs)
         mask = _kernels._filter_mask_vec(adj, deg, cfgs, arity, minimal_mode)
         assert mask.shape == (len(graphs), len(cfgs))
         for g, row in zip(graphs, mask):
@@ -257,12 +263,6 @@ class TestStackedFilterMask:
                 for c in cfgs
             ]
             assert row.tolist() == want, g.edges()
-
-
-def _stack(graphs):
-    adj = np.array([g.adj_array() for g in graphs]).reshape(len(graphs), -1)
-    deg = np.array([g.deg_array() for g in graphs]).reshape(adj.shape)
-    return adj, deg
 
 
 def _passes(g, rows, arity, minimal_mode):
@@ -287,7 +287,6 @@ class TestFilterMaskExhaustive:
             rows = enumerate_configs(n, arity, ordered_inputs=True)
             index = {tuple(c): j for j, c in enumerate(rows.tolist())}
             plain = np.array([_passes(g, rows, arity, False) for g in graphs])
-            plain = plain.reshape(len(graphs), len(rows))
             # INTERNAL_DEGREE only adds rejections to the plain rules.
             minimal = plain.copy()
             for i, j in np.argwhere(plain):
