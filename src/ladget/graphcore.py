@@ -4,7 +4,10 @@ Vertices are 0-based ints.  A graph stores one int per vertex whose bit u
 is set when the vertex is adjacent to u; the cap of 32 vertices keeps every
 row inside a machine word for the census kernel.  The module also carries the
 graph6 codec (bare records only, no header), exhaustive generation of small
-connected graphs, and role-respecting isomorphism via canonical labelings.
+connected graphs, and role-respecting isomorphism via canonical labelings:
+one canonical search per graph keys all of its configurations at once, each
+as the graph's canonical key plus the least image of its role tuple under
+the canonical labelings, which differ by exactly the graph's automorphisms.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import (
     ArityMismatch,
     GraphTooSmall,
@@ -200,12 +204,11 @@ class RoleLabeling:
                 raise InvalidRoles(f"role vertex {v} outside 0..{g.n - 1}")
 
 
-def _refine_classes(g: Graph, base: list[int]) -> list[int]:
-    # Neighborhood color refinement to a fixpoint.  Class ids are the rank
-    # of the (previous id, sorted neighbor ids) key, so isomorphic graphs
-    # with matching base classes get matching refined classes.
-    ranks = {b: i for i, b in enumerate(sorted(set(base)))}
-    cls = [ranks[b] for b in base]
+def _refine_classes(g: Graph) -> list[int]:
+    # Neighborhood color refinement to a fixpoint, from one class.  Class ids
+    # are the rank of the (previous id, sorted neighbor ids) key, so
+    # isomorphic graphs get matching refined classes.
+    cls = [0] * g.n
     nbrs = [g.neighbors(v) for v in range(g.n)]
     while True:
         keys = [
@@ -218,7 +221,9 @@ def _refine_classes(g: Graph, base: list[int]) -> list[int]:
         cls = new
 
 
-def _canon_columns(adj: tuple[int, ...], classes: list[int]) -> list[int]:
+def _canon_columns(
+    adj: tuple[int, ...], classes: list[int], hold: bool = False
+) -> tuple[list[int], list[tuple[int, ...]]]:
     """Canonical adjacency columns under class-preserving relabelings.
 
     Positions 0..n-1 are owned by class ids in ascending order; vertices may
@@ -226,11 +231,17 @@ def _canon_columns(adj: tuple[int, ...], classes: list[int]) -> list[int]:
     is sum(bit(i, t) << i for i < t) against already placed vertices, and the
     canonical form is the lexicographically least column vector, found by
     depth-first search with prefix pruning.
+
+    The search prunes only prefixes whose column exceeds the best one, so it
+    reaches every labeling (perm[t] = vertex at position t) of the least
+    vector.  With hold it returns them all, dropping those held whenever the
+    best vector improves; they are one coset of the automorphism group.
     """
     n = len(adj)
     big = 1 << 62
     cls_sorted = sorted(classes)
     best = [big] * n
+    held: list[tuple[int, ...]] = []
     perm = [0] * n
     used = [False] * n
     cand = [-1] * n
@@ -250,6 +261,7 @@ def _canon_columns(adj: tuple[int, ...], classes: list[int]) -> list[int]:
                     if col < best[t]:
                         best[t] = col
                         best[t + 1 :] = [big] * (n - t - 1)
+                        held.clear()
                     cand[t] = v
                     perm[t] = v
                     used[v] = True
@@ -263,26 +275,28 @@ def _canon_columns(adj: tuple[int, ...], classes: list[int]) -> list[int]:
                 used[perm[t]] = False
             continue
         if t == n - 1:
+            if hold:
+                held.append(tuple(perm))
             used[perm[t]] = False
             continue
         t += 1
-    return best
+    return best, held
 
 
-def canonical_key(g: Graph, base_classes=None) -> tuple:
-    """Hashable key equal across (class-respecting) isomorphic graphs.
-
-    With no base classes this keys plain isomorphism; passing role-derived
-    classes keys role-respecting isomorphism.  The key is (n, sorted class
-    layout, packed canonical adjacency code).
-    """
-    base = list(base_classes) if base_classes is not None else [0] * g.n
-    cls = _refine_classes(g, base)
-    cols = _canon_columns(g.adj, cls)
+def _canonical(g: Graph, hold: bool) -> tuple[tuple, list[tuple[int, ...]]]:
+    # canonical_key(g) and, with hold, every labeling that reaches it.
+    cls = _refine_classes(g)
+    cols, held = _canon_columns(g.adj, cls, hold)
     code = 0
     for t in range(1, g.n):
         code = (code << t) | cols[t]
-    return (g.n, tuple(sorted(cls)), code)
+    return (g.n, tuple(sorted(cls)), code), held
+
+
+def canonical_key(g: Graph) -> tuple:
+    """Hashable key equal across isomorphic graphs: (n, sorted refined
+    class layout, packed canonical adjacency code)."""
+    return _canonical(g, False)[0]
 
 
 def graph_from_canonical_code(n: int, code: int) -> Graph:
@@ -298,22 +312,42 @@ def graph_from_canonical_code(n: int, code: int) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def _role_base_classes(
-    g: Graph, roles: RoleLabeling, inputs_ordered: bool
-) -> list[int]:
-    base = [len(roles.inputs) + 2] * g.n
-    base[roles.anchor] = 0
-    base[roles.output] = 1
-    for pos, v in enumerate(roles.inputs):
-        base[v] = 2 + pos if inputs_ordered else 2
-    return base
+def config_canonical_keys(g: Graph, rows, inputs_ordered: bool = False) -> list:
+    """One role-respecting isomorphism key per configuration row of g.
+
+    A row is (anchor, output, input...) in g's vertex ids, all rows of one
+    arity.  Two configurations are role-isomorphic exactly when their graphs
+    are isomorphic and an automorphism maps one role tuple onto the other,
+    so a key is (canonical_key(g), role code): the least packed (anchor,
+    output, inputs) position tuple over every canonical labeling of g, inputs
+    sorted unless ordered.  One canonical search serves all rows; the
+    minimum runs over the labelings in steps of at most SCAN_CELLS
+    (labeling, row) cells.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if not len(rows):
+        return []
+    key, held = _canonical(g, True)
+    pos = np.empty((len(held), g.n), np.int64)
+    pos[np.arange(len(held))[:, None], held] = np.arange(g.n)
+    weights = g.n ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+    least = np.full(len(rows), np.iinfo(np.int64).max)
+    step = max(1, _kernels.SCAN_CELLS // len(rows))
+    for lo in range(0, len(held), step):
+        placed = pos[lo : lo + step, rows]
+        if not inputs_ordered:
+            placed[:, :, 2:].sort(axis=2)
+        np.minimum(least, (placed @ weights).min(axis=0), out=least)
+    return [(key, code) for code in least.tolist()]
 
 
 def config_canonical_key(
     g: Graph, roles: RoleLabeling, inputs_ordered: bool = False
 ) -> tuple:
+    """config_canonical_keys for one configuration, given as roles."""
     roles.validate_for(g)
-    return canonical_key(g, _role_base_classes(g, roles, inputs_ordered))
+    row = (roles.anchor, roles.output, *roles.inputs)
+    return config_canonical_keys(g, [row], inputs_ordered)[0]
 
 
 def roles_isomorphic(

@@ -12,7 +12,8 @@ those two tables.  Proper 3-colorings are enumerated, for the whole pass at
 once, only for the graphs that keep some role assignment (configuration),
 and one law scan of the pass checks universality and consistency and reads
 the truth table of every kept (graph, configuration) pair.  A Graph is
-built only for a graph with a hit.  Graphs up to 7 vertices can come from
+built, from its pass row, only for a graph with a hit, and all of its hits
+are keyed with one canonical search.  Graphs up to 7 vertices can come from
 the built-in generator; anything larger arrives as an external
 one-record-per-line graph6 stream.
 
@@ -22,7 +23,7 @@ input labeling, so memory grows with distinct hits and reports do not
 depend on worker scheduling or chunking.  Checkpoints save that same
 state before the first block and after merged blocks, and so always cover
 a contiguous prefix of the stream; a resume replays that prefix to check
-its sha256.
+its sha256 and keys the saved hits again, once per graph.
 Rarity statistics report both the raw and the deduplicated numerator since
 either reading of "one hit in N" is defensible.
 """
@@ -51,7 +52,7 @@ from .graphcore import (
     MAX_VERTICES,
     Graph,
     RoleLabeling,
-    config_canonical_key,
+    config_canonical_keys,
     decode_graph6,
 )
 
@@ -180,9 +181,9 @@ _ORDER_KEYS = ("graphs", "configs_enumerated", "configs_after_filter")
 class _Tally:
     # Additive counts keyed (name, order) for the _ORDER_KEYS, ("hits",
     # function, order) and ("bad",); the least Hit per (function,
-    # config_canonical_key); and the block's first undecodable (lineno,
-    # message), which only strict mode reads.  The state grows with orders
-    # and distinct hits, not with lines read.
+    # config_canonical_keys entry); and the block's first undecodable
+    # (lineno, message), which only strict mode reads.  The state grows with
+    # orders and distinct hits, not with lines read.
     counts: Counter = field(default_factory=Counter)
     least: dict = field(default_factory=dict)
     first_bad: tuple | None = None
@@ -190,14 +191,9 @@ class _Tally:
     def merge(self, other: "_Tally") -> None:
         self.counts.update(other.counts)
         for key, hit in other.least.items():
-            self.least[key] = min(hit, self.least.get(key, hit), key=Hit.sort_key)
+            self.fold(key, hit)
 
-    def fold(self, hit: Hit, ordered_inputs: bool, g: Graph | None = None) -> None:
-        # Keys the hit by its role-respecting isomorphism class; g is the
-        # decoded hit.graph6 when the caller has it.
-        if g is None:
-            g = decode_graph6(hit.graph6)
-        key = (hit.function, config_canonical_key(g, hit.roles, ordered_inputs))
+    def fold(self, key: tuple, hit: Hit) -> None:
         self.least[key] = min(hit, self.least.get(key, hit), key=Hit.sort_key)
 
 
@@ -294,15 +290,18 @@ def _scan_pass(
         for (i, c), code in zip(np.argwhere(ladget).tolist(), res[ladget].tolist())
         if code in allowed
     ]
-    for i, hits in itertools.groupby(found, key=lambda hit: hit[0]):
+    for i, group in itertools.groupby(found, key=lambda hit: hit[0]):
+        group = list(group)
+        rows = cfgs[[c for _, c, _ in group], : 2 + options.arity]
+        g = Graph(n, tuple(adj[live[i]].tolist()))
+        keys = config_canonical_keys(g, rows, options.ordered_inputs)
         text = texts[live[i]]
-        g = decode_graph6(text)
-        for _, c, (function, bits) in hits:
-            a0, th, i1, i2 = cfgs[c].tolist()
-            inputs = (i1,) if options.arity == 1 else (i1, i2)
+        for (_, _, (function, bits)), (a0, th, *inputs), key in zip(
+            group, rows.tolist(), keys
+        ):
             hit = Hit(text, RoleLabeling(a0, inputs, th), function, bits)
             tally.counts["hits", function, n] += 1
-            tally.fold(hit, options.ordered_inputs, g)
+            tally.fold((function, key), hit)
 
 
 @dataclass
@@ -445,9 +444,15 @@ class _Checkpoint:
         self.saved_at = data["lineno"]
         t = self.tally
         t.counts = Counter({tuple(row[:-1]): row[-1] for row in data["counts"]})
+        by_graph: dict[str, list] = {}
         for g6, a0, ins, out, fn, bits in data["hits"]:
-            t.fold(Hit(g6, RoleLabeling(a0, tuple(ins), out), fn, bits),
-                   self.ordered_inputs)
+            by_graph.setdefault(g6, []).append((a0, out, *ins, fn, bits))
+        for g6, saved in by_graph.items():
+            keys = config_canonical_keys(
+                decode_graph6(g6), [row[:-2] for row in saved], self.ordered_inputs
+            )
+            for (a0, out, *ins, fn, bits), key in zip(saved, keys):
+                t.fold((fn, key), Hit(g6, RoleLabeling(a0, ins, out), fn, bits))
 
     def save(self, done: bool = False) -> None:
         t = self.tally

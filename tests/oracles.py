@@ -127,6 +127,28 @@ def brute_roles_isomorphic(
     return False
 
 
+def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every vertex permutation that maps g's edges onto its edges."""
+    edges = g.edges()
+    return [
+        perm
+        for perm in itertools.permutations(range(g.n))
+        if all(g.has_edge(perm[u], perm[v]) for u, v in edges)
+    ]
+
+
+def brute_role_orbit(auts, row, ordered_inputs: bool = False) -> tuple:
+    """The least image of a role row (anchor, output, input...) under the
+    permutations auts, inputs taken as a set unless ordered.  Two rows of
+    one graph lie in one orbit of its automorphisms iff these are equal."""
+
+    def image(perm):
+        anchor, output, *inputs = (perm[v] for v in row)
+        return (anchor, output, *(inputs if ordered_inputs else sorted(inputs)))
+
+    return min(image(perm) for perm in auts)
+
+
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
     """Plain graph isomorphism by trying every vertex permutation."""
     if g.n != h.n:

@@ -12,19 +12,24 @@ from ladget.errors import (
     InvalidRoles,
     SizeUnsupported,
 )
+from ladget import _kernels
 from ladget.graphcore import (
     GENERATION_CAP,
     Graph,
     RoleLabeling,
+    _canonical,
     canonical_key,
     config_canonical_key,
+    config_canonical_keys,
     decode_graph6,
     encode_graph6,
     generate_connected,
     graph_from_canonical_code,
     roles_isomorphic,
 )
-from oracles import bfs_connected, brute_isomorphic, brute_roles_isomorphic
+from ladget.search import enumerate_configs
+from oracles import bfs_connected, brute_automorphisms, brute_isomorphic
+from oracles import brute_role_orbit, brute_roles_isomorphic
 from oracles import is_connected, permuted, random_connected, random_graph
 
 
@@ -310,3 +315,96 @@ class TestRolesIsomorphic:
             assert config_canonical_key(
                 permuted(g, perm), hr
             ) == config_canonical_key(g, r)
+
+
+def _row_roles(row) -> RoleLabeling:
+    anchor, output, *inputs = row
+    return RoleLabeling(anchor, inputs, output)
+
+
+def _petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, outer + spokes + inner)
+
+
+SYMMETRIC = {
+    "K1,5": Graph.from_edges(6, [(0, v) for v in range(1, 6)]),
+    "K3,3": Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)]),
+    "C6": Graph.from_edges(6, [(v, (v + 1) % 6) for v in range(6)]),
+    "Petersen": _petersen(),
+}
+
+SHAPES = [(arity, ordered) for arity in (1, 2) for ordered in (False, True)]
+
+
+class TestConfigCanonicalKeys:
+    # The batched key against brute force over every connected graph of
+    # order 1..6: equal keys exactly on the orbits of the role rows under
+    # all n! vertex permutations that are automorphisms.
+    @pytest.fixture(scope="class")
+    def small(self):
+        return [
+            (g, brute_automorphisms(g))
+            for n in range(1, 7)
+            for g in generate_connected(n)
+        ]
+
+    @pytest.mark.parametrize("arity,ordered", SHAPES)
+    def test_keys_are_automorphism_orbits(self, small, arity, ordered):
+        seen = set()
+        orbits = 0
+        for g, auts in small:
+            rows = enumerate_configs(g.n, arity, ordered).tolist()
+            rows = [row[: 2 + arity] for row in rows]
+            keys = config_canonical_keys(g, rows, ordered)
+            assert len(keys) == len(rows)
+            reps = [brute_role_orbit(auts, row, ordered) for row in rows]
+            # One partition: each key meets one orbit and each orbit one key.
+            classes = len(set(zip(keys, reps)))
+            assert len(set(keys)) == len(set(reps)) == classes, encode_graph6(g)
+            # Keys of non-isomorphic graphs never meet.
+            assert not seen & set(keys)
+            seen |= set(keys)
+            orbits += len(set(reps))
+        assert len(seen) == orbits > 0
+
+    def test_search_holds_one_labeling_per_automorphism(self, small):
+        for g, auts in small:
+            key, held = _canonical(g, True)
+            assert key == canonical_key(g)
+            assert len(held) == len(set(held)) == len(auts)
+
+    @pytest.mark.parametrize("arity,ordered", SHAPES)
+    def test_relabelled_graph_keeps_its_keys(self, small, rng, arity, ordered):
+        for g, _ in small:
+            rows = enumerate_configs(g.n, arity, ordered)[:, : 2 + arity]
+            perm = rng.permutation(g.n)
+            assert config_canonical_keys(
+                permuted(g, perm.tolist()), perm[rows], ordered
+            ) == config_canonical_keys(g, rows, ordered)
+
+    @pytest.mark.parametrize("arity,ordered", SHAPES)
+    def test_one_row_call_is_its_batch_row(self, small, rng, arity, ordered):
+        for g, _ in small[-40:]:
+            rows = enumerate_configs(g.n, arity, ordered)[:, : 2 + arity]
+            keys = config_canonical_keys(g, rows, ordered)
+            for i in rng.choice(len(rows), 3, replace=False):
+                one = config_canonical_key(g, _row_roles(rows[i].tolist()), ordered)
+                assert one == keys[i]
+
+    def test_empty_batch(self):
+        assert config_canonical_keys(generate_connected(4)[0], []) == []
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC))
+    def test_step_budget_does_not_change_keys(self, name, monkeypatch):
+        g = SYMMETRIC[name]
+        cases = []
+        for arity, ordered in SHAPES:
+            rows = enumerate_configs(g.n, arity, ordered)[:, : 2 + arity]
+            cases.append((rows, ordered, config_canonical_keys(g, rows, ordered)))
+        monkeypatch.setattr(_kernels, "SCAN_CELLS", 1)
+        for rows, ordered, want in cases:
+            assert config_canonical_keys(g, rows, ordered) == want
+            assert len(set(want)) < len(want)  # the graph has symmetry to use

@@ -756,9 +756,10 @@ class TestCheckpoint:
         )
         assert _interrupt_after_first_save(monkeypatch, stream, opts)["lineno"] == 7
 
-        real_key = search.config_canonical_key
+        real_keys = search.config_canonical_keys
         monkeypatch.setattr(
-            search, "config_canonical_key", lambda *a: ("v2", real_key(*a))
+            search, "config_canonical_keys",
+            lambda *a: [("v2", key) for key in real_keys(*a)],
         )
         resumed = search_stream(str(stream), opts)
         fresh = search_stream(str(stream), SearchOptions(targets=(), arity=1))
