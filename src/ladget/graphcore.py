@@ -327,6 +327,8 @@ def config_canonical_keys(g: Graph, rows, inputs_ordered: bool = False) -> list:
     rows = np.asarray(rows, dtype=np.int64)
     if not len(rows):
         return []
+    if rows.min() < 0 or rows.max() >= g.n:
+        raise InvalidRoles(f"role vertex outside 0..{g.n - 1}")
     key, held = _canonical(g, True)
     pos = np.empty((len(held), g.n), np.int64)
     pos[np.arange(len(held))[:, None], held] = np.arange(g.n)

@@ -317,11 +317,6 @@ class TestRolesIsomorphic:
             ) == config_canonical_key(g, r)
 
 
-def _row_roles(row) -> RoleLabeling:
-    anchor, output, *inputs = row
-    return RoleLabeling(anchor, inputs, output)
-
-
 def _petersen() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
@@ -391,11 +386,16 @@ class TestConfigCanonicalKeys:
             rows = enumerate_configs(g.n, arity, ordered)[:, : 2 + arity]
             keys = config_canonical_keys(g, rows, ordered)
             for i in rng.choice(len(rows), 3, replace=False):
-                one = config_canonical_key(g, _row_roles(rows[i].tolist()), ordered)
-                assert one == keys[i]
+                anchor, output, *inputs = rows[i].tolist()
+                roles = RoleLabeling(anchor, inputs, output)
+                assert config_canonical_key(g, roles, ordered) == keys[i]
 
-    def test_empty_batch(self):
-        assert config_canonical_keys(generate_connected(4)[0], []) == []
+    def test_empty_batch_and_bad_rows(self):
+        g = generate_connected(4)[0]
+        assert config_canonical_keys(g, []) == []
+        for row in ((0, 1, 4), (0, -1, 2)):
+            with pytest.raises(InvalidRoles):
+                config_canonical_keys(g, [(0, 1, 2), row])
 
     @pytest.mark.parametrize("name", sorted(SYMMETRIC))
     def test_step_budget_does_not_change_keys(self, name, monkeypatch):
