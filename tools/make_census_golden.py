@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Regenerate tests/data/census_golden.json.
 
-Five census runs over tests/data/connected8.g6, pinned bit for bit: the
+Six census runs over tests/data/connected8.g6, pinned bit for bit: the
 AND/OR minimal census over the whole stream, an arity-1 all-targets
 filtered census over its first 1,500 records, an arity-2 all-targets
 unfiltered census with ordered inputs and a 25 % sample (seed 3) over its
-first 600 records, and two all-targets minimal censuses over its first
-1,000 records, one at arity 1 and one at arity 2 with ordered inputs.  Each entry holds the number of records read and the
-report's to_json_dict() without elapsed_s; the options in the report say
-how to rerun it.  Run with the package on the path:
+first 600 records, two all-targets minimal censuses over its first 1,000
+records, one at arity 1 and one at arity 2 with ordered inputs, and an
+arity-2 all-targets unfiltered census over its first 1,500 records.  Each
+entry holds the number of records read and the report's to_json_dict()
+without elapsed_s; the options in the report say how to rerun it.  Run with the package on the path:
 
     PYTHONPATH=src python tools/make_census_golden.py
 """
@@ -38,6 +39,9 @@ RUNS = {
     "arity2_all_minimal_ordered": (
         1000,
         SearchOptions(targets=(), ordered_inputs=True, minimal_mode=True),
+    ),
+    "arity2_all_unfiltered": (
+        1500, SearchOptions(targets=(), use_filter=False)
     ),
 }
 
