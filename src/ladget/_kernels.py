@@ -2,13 +2,19 @@
 
 ``scan_pass`` judges a pass of graphs of one order against their stacked
 colorings: every kept (graph, configuration) pair, a step of pairs per
-numpy pass.  A step gathers the role colors of each pair's coloring rows
-that color its anchor 0, then runs one ``bincount`` over (pair, input color
-tuple) for universality and one over (pair, Boolean input pattern, output
-!= 0) for consistency and the truth table.  ``SCAN_CELLS`` bounds the
-(pair, coloring row) cells of one step, and so its memory.  The census
-masks a pass with ``_filter_mask_vec`` first and scans only the pairs it
-keeps; ``scan_configs`` is the one-graph call, filter included.
+numpy pass.  The colorings may hold one row per orbit of the six color
+permutations, as ``stacked_colorings`` gives them.  A row's permutations
+that color a pair's anchor 0 are the row shifted by the anchor's color and
+that with colors 1 and 2 swapped.  Consistency and the truth table read
+only which colors are 0, so the swap does not change them, and
+universality counts an input color tuple covered together with its
+swapped tuple.  A step reads every row of each pair's graph, looks up one
+word per (pair, row) cell by the row's role colors, and ORs each pair's
+words: bits for the covered input color tuples and for the (Boolean input
+pattern, output != 0) combinations seen.  ``SCAN_CELLS`` bounds the cells
+of one step, and so its memory.  The census masks a pass with
+``_filter_mask_vec`` first and scans only the pairs it keeps;
+``scan_configs`` is the one-graph call, filter included.
 
 ``_filter_mask_vec`` is the census's structural filter.  Each rule reads
 the anchor and one other role, or the anchor and the inputs, so it judges
@@ -18,13 +24,15 @@ of each; the mask is their equality.  ``filters._violations`` is its
 readable reference.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 BACKEND = "numpy"
 
-# (pair, coloring row) cells per step of a scan.  With the earlier
-# one-graph scan, 1 << 16 made a 2-worker unfiltered order-8 census peak at
-# about 16% more resident memory for no speed.
+# Cells per step of a scan: one per (pair, coloring row) and one per pair.
+# With the earlier one-graph scan, 1 << 16 made a 2-worker unfiltered
+# order-8 census peak at about 16% more resident memory for no speed.
 SCAN_CELLS = 1 << 14
 
 
@@ -80,7 +88,9 @@ def _filter_mask_vec(adj, deg, cfgs, arity, minimal_mode):
 
 
 def scan_configs(C, adj, deg, cfgs, arity, use_filter, minimal_mode):
-    """Verdict per configuration row of `cfgs` against the colorings `C`.
+    """Verdict per configuration row of `cfgs` against the colorings `C`:
+    any rows whose closure under the six color permutations is the graph's
+    proper 3-colorings, such as all_colorings' every row.
 
     -1: rejected by the structural filter; -2: not a ladget (universality
     or consistency fails); otherwise the truth table code, with input
@@ -93,14 +103,38 @@ def scan_configs(C, adj, deg, cfgs, arity, use_filter, minimal_mode):
     return scan_pass(C, np.array([0, len(C)]), keep[None], cfgs, arity)[0]
 
 
+@lru_cache(maxsize=2)
+def _scan_tables(arity):
+    # The words of (pair, coloring row) cells, and the verdicts of a pair's
+    # OR of them.  words is indexed by the row's colors of the anchor, the
+    # output and the inputs, read as one base-3 number.  With the colors
+    # shifted so that the anchor is 0, bit t marks input color tuple t and
+    # the tuple with colors 1 and 2 swapped, and bit 3**arity + 2 * p + b
+    # marks Boolean input pattern p with output value b.  verdict is indexed
+    # by the pattern bits: -2 where a pattern has both output values, else
+    # the truth table code.
+    a, o, *x = np.indices((3,) * (arity + 2)).reshape(arity + 2, -1)
+    y = (np.array(x) - a) % 3
+    digits = 3 ** np.arange(arity)[::-1]
+    pattern = 2 ** np.arange(arity)[::-1] @ (y != 0)
+    words = 1 << digits @ y | 1 << digits @ (-y % 3)
+    words |= 1 << 3**arity + 2 * pattern + (o != a)
+    seen = np.arange(1 << 2 ** (arity + 1))[:, None] >> 2 * np.arange(2**arity) & 3
+    code = (seen >> 1) @ (1 << np.arange(2**arity))
+    return words.astype(np.uint32), np.where((seen == 3).any(axis=1), -2, code)
+
+
 def scan_pass(C, starts, keep, cfgs, arity):
     """scan_configs' verdicts for a pass of graphs of one order: a
     (graphs, configurations) matrix, -1 where the mask `keep` is False.
 
-    C holds every graph's colorings, graph g's being C[starts[g]:starts[g +
-    1]], and cfgs is the (configurations, 4) role table.  The kept (graph,
-    configuration) pairs are judged in row-major order, a step at a time of
-    at most SCAN_CELLS (pair, coloring row) cells or one pair.
+    Graph g's rows are C[starts[g]:starts[g + 1]]: any rows whose closure
+    under the six permutations of the colors is its proper 3-colorings, as
+    stacked_colorings' one row per orbit or all_colorings' every row.  cfgs
+    is the (configurations, 4) role table.  The kept (graph, configuration)
+    pairs are judged in row-major order, a step at a time of at most
+    SCAN_CELLS cells or one pair; a pair costs one cell per row of its
+    graph plus one.
     """
     # A graph without colorings is not universal: its kept pairs are -2.
     height = np.diff(starts)
@@ -108,57 +142,41 @@ def scan_pass(C, starts, keep, cfgs, arity):
     keep = keep & (height > 0)[:, None]
     pairs = np.flatnonzero(keep)
     q = keep.shape[1]
-    total, n = C.shape
+    n = C.shape[1]
     flat = C.reshape(-1)
-    ntup = 3**arity
-    ngrp = 2**arity
-    # A pair reads only its graph's rows that color the anchor 0.  zero
-    # lists the flat offsets in C of the rows coloring v 0, by vertex v and
-    # then in stack order; graph g's for v are the span[v, g] entries from
-    # zero[at[v, g]] on.
-    hot = np.flatnonzero(C.T == 0)
-    zero = hot % total * n
-    at = np.searchsorted(hot, np.arange(n)[:, None] * total + starts)
-    span = np.diff(at)
-    # Graph g holds pairs pstart[g] .. pend[g] - 1 of height[g] cells each,
+    full = (1 << 3**arity) - 1
+    words, verdict = _scan_tables(arity)
+    # Graph g holds pairs pstart[g] .. pend[g] - 1 of cost[g] cells each,
     # cells cstart[g] onwards.
     kept = keep.sum(axis=1)
-    cells = kept * height
+    cost = height + 1
     pend = kept.cumsum()
     pstart = pend - kept
-    cend = cells.cumsum()
-    cstart = cend - cells
+    cend = (kept * cost).cumsum()
+    cstart = cend - kept * cost
     lo = 0
     while lo < len(pairs):
         g = pend.searchsorted(lo, "right")
-        limit = cstart[g] + (lo - pstart[g]) * height[g] + SCAN_CELLS
+        limit = cstart[g] + (lo - pstart[g]) * cost[g] + SCAN_CELLS
         g = cend.searchsorted(limit, "right")
         hi = len(pairs)
         if g < len(kept):
-            hi = max(lo + 1, pstart[g] + (limit - cstart[g]) // height[g])
+            hi = max(lo + 1, pstart[g] + (limit - cstart[g]) // cost[g])
         step = pairs[lo:hi]
         owner, j = np.divmod(step, q)
-        a0, th, i1, i2 = cfgs[j].T
-        # Per live cell: its pair, and the flat offset of its coloring row;
-        # then the role colors, gathered in uint8.
-        first = at[a0, owner]
-        rows = span[a0, owner]
+        # Per cell: the flat offset of its coloring row, then the row's
+        # colors of the pair's anchor, output and inputs, gathered in uint8
+        # and read as one base-3 number, the index of its word.
+        rows = height[owner]
         ends = rows.cumsum()
-        row = zero[np.arange(ends[-1]) + (first - ends + rows).repeat(rows)]
-        pair = np.arange(len(step)).repeat(rows)
-        x1 = flat[row + i1.repeat(rows)]
-        tup, grp = x1, x1 != 0
-        if arity == 2:
-            x2 = flat[row + i2.repeat(rows)]
-            tup, grp = x1 * 3 + x2, grp * 2 + (x2 != 0)
-        covered = np.bincount(pair * ntup + tup, minlength=len(step) * ntup)
-        universal = covered.reshape(-1, ntup).all(axis=1)
-        out = flat[row + th.repeat(rows)] != 0
-        seen = np.bincount(
-            (pair * ngrp + grp) * 2 + out, minlength=len(step) * ngrp * 2
-        ).reshape(-1, ngrp, 2) > 0
-        consistent = ~(seen[:, :, 0] & seen[:, :, 1]).any(axis=1)
-        code = seen[:, :, 1] @ (1 << np.arange(ngrp))
-        res.reshape(-1)[step] = np.where(universal & consistent, code, -2)
+        first = ends - rows
+        row = (np.arange(ends[-1]) + (starts[owner] - first).repeat(rows)) * n
+        cell = 0
+        for role in cfgs[j, : 2 + arity].T:
+            cell = cell * 3 + flat[row + role.repeat(rows)]
+        seen = np.bitwise_or.reduceat(words[cell], first)
+        res.reshape(-1)[step] = np.where(
+            seen & full == full, verdict[seen >> 3**arity], -2
+        )
         lo = hi
     return res

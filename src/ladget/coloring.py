@@ -1,19 +1,19 @@
 """Proper k-coloring enumeration.
 
-Two enumerators, one per workload shape, give the same rows in the same
-(lexicographic) order:
+Two enumerators, one per workload shape, both in lexicographic row order:
 
-* ``all_colorings`` backtracks over one graph and returns its colorings as
-  a uint8 matrix.  Verify, map and embed call it one configuration at a
-  time, with fixed vertices and any k.
+* ``all_colorings`` backtracks over one graph and returns all of its
+  colorings as a uint8 matrix.  Verify, map and embed call it one
+  configuration at a time, with fixed vertices and any k.
 * ``stacked_colorings`` extends the partial 3-colorings of a whole stack of
   graphs of one order together, one vertex at a time with numpy, and is
-  what the census runs.  It returns one matrix for the stack, with each
-  graph's row offsets.  Over the first 3,000 order-8 records of
-  tests/data/connected8.g6 (2-CPU host, numpy 2.4) it took 30-38 us per
-  graph in stacks of 78 against the backtracker's 117-133 us, but 157-183
-  us one graph at a time.  Extended to fixed vertices and any k, the same
-  method took 1.3-1.4 s for the 1,623 one-graph enumerations of one
+  what the census runs.  It returns one coloring per orbit of the six
+  color permutations, the one in restricted-growth form, in one matrix for
+  the stack with each graph's row offsets.  Over the 152 passes of the
+  order-8 minimal census over tests/data/connected8.g6 it builds 14,721
+  rows in 0.06-0.08 s (2-CPU host, numpy 2.4), where all colorings were
+  88,326 rows in 0.16-0.19 s.  Extended to fixed vertices and any k, the
+  same method took 1.3-1.4 s for the 1,623 one-graph enumerations of one
   perfbench verify-table repetition against the backtracker's 0.14-0.21 s,
   1.0 s of it on the order-13 embeddings at k=6.  So both stay.
 
@@ -98,17 +98,20 @@ def all_colorings(
 
 
 def stacked_colorings(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All proper 3-colorings of each graph in a stack of adjacency rows.
+    """One proper 3-coloring per color permutation orbit of each graph in a
+    stack of adjacency rows.
 
     adj is a (graphs, n) array of bitmask rows, every graph of order n.
-    Returns (C, starts): one uint8 matrix holding every graph's colorings in
-    stack order, and the (graphs + 1,) row offsets, so graph i's colorings
-    are C[starts[i]:starts[i + 1]], in lexicographic order as from
-    all_colorings.  The partial colorings of all graphs are extended
-    together, one vertex at a time in label order and colors ascending, so
-    the rows come out grouped by graph and already sorted.  Raises TooLarge
-    when the partial colorings of the stack outgrow the materialization
-    bound.
+    Returns (C, starts): one uint8 matrix holding every graph's rows in
+    stack order, and the (graphs + 1,) row offsets, so graph i's rows are
+    C[starts[i]:starts[i + 1]].  A graph's rows are its colorings in
+    restricted-growth form (each vertex's color at most one above the
+    largest color on the vertices before it), which is one per orbit, in
+    lexicographic order as from all_colorings.  The partial colorings of
+    all graphs are extended together, one vertex at a time in label order
+    and colors ascending, so the rows come out grouped by graph and already
+    sorted.  Raises TooLarge when the partial colorings of the stack
+    outgrow the materialization bound.
     """
     count, n = adj.shape
     # Row r is a partial coloring of graph owner[r]; masks[r, c] holds its
@@ -117,7 +120,10 @@ def stacked_colorings(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     masks = np.zeros((count, 3), np.int64)
     C = np.zeros((count, n), np.uint8)
     for v in range(n):
-        row, color = np.nonzero((masks & adj[owner, v][:, None]) == 0)
+        free = (masks & adj[owner, v][:, None]) == 0
+        # Restricted growth: color c only once color c - 1 is in use.
+        free[:, 1:] &= masks[:, :2] != 0
+        row, color = np.nonzero(free)
         if len(row) > MAX_MATERIALIZED:
             raise TooLarge(
                 f"more than {MAX_MATERIALIZED} colorings; refusing to materialize"

@@ -10,12 +10,14 @@ stacked rows, which judges each graph's (anchor, output) pairs and
 (anchor, inputs) tuples once and gathers every assignment's verdict from
 those two tables.  Proper 3-colorings are enumerated, for the whole pass at
 once, only for the graphs that keep some role assignment (configuration),
-and one law scan of the pass checks universality and consistency and reads
-the truth table of every kept (graph, configuration) pair.  A Graph is
-built, from its pass row, only for a graph with a hit, and all of its hits
-are keyed with one canonical search.  Graphs up to 7 vertices can come from
-the built-in generator; anything larger arrives as an external
-one-record-per-line graph6 stream.
+and only one per orbit of the six color permutations: colors 1 and 2 both
+mean true, and the anchor is moved back to color 0.  One law scan of the
+pass rebuilds each pair's anchor-0 colorings from those rows, checks
+universality and consistency and reads the truth table of every kept
+(graph, configuration) pair.  A Graph is built, from its pass row, only for
+a graph with a hit, and all of its hits are keyed with one canonical
+search.  Graphs up to 7 vertices can come from the built-in generator;
+anything larger arrives as an external one-record-per-line graph6 stream.
 
 A tally is one additive Counter (graphs, configurations, raw hits and bad
 lines) plus, per role-respecting isomorphism class, the least hit in the

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -98,13 +100,28 @@ class TestKernelAgainstReference:
         assert all_colorings(Graph.from_edges(5, []), None, 3).shape == (3**5, 5)
 
 
+def restricted_growth(row):
+    # Each color is at most one above the largest color before it.
+    top = -1
+    for c in row:
+        if c > top + 1:
+            return False
+        top = max(top, c)
+    return True
+
+
+COLOR_PERMS = list(itertools.permutations(range(3)))
+
+
 class TestStackedColorings:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_same_rows_same_order_as_oracle(self, rng, n):
-        # Each graph of a stack gets exactly the oracle's rows in the
-        # oracle's order, as all_colorings gives them.  The stacks hold an
-        # edgeless graph and, from order 5, K4 plus a pendant (no proper
-        # 3-coloring) with isolated vertices.
+        # Each graph of a stack gets exactly the oracle's rows in
+        # restricted-growth form, in the oracle's order, and their orbits
+        # under the six color permutations are disjoint and make up the
+        # oracle's rows.  The stacks hold an edgeless graph and, from order
+        # 5, K4 plus a pendant (no proper 3-coloring) with isolated
+        # vertices.
         k4_pendant = [(u, v) for v in range(4) for u in range(v)] + [(3, 4)]
         for _ in range(3):
             graphs = [random_graph(rng, n, p) for p in (0.2, 0.5, 0.8)]
@@ -113,17 +130,18 @@ class TestStackedColorings:
                 graphs.append(Graph.from_edges(n, k4_pendant))
             graphs = [graphs[i] for i in rng.permutation(len(graphs))]
             stack, starts = stacked_colorings(np.array([g.adj for g in graphs]))
-            assert stack.shape[1] == n
+            assert stack.dtype == np.uint8 and stack.shape[1] == n
             assert len(starts) == len(graphs) + 1
             assert starts[0] == 0 and starts[-1] == len(stack)
             for i, g in enumerate(graphs):
                 C = stack[starts[i] : starts[i + 1]]
-                want = all_colorings(g, None, 3)
-                assert C.dtype == want.dtype and np.array_equal(C, want)
-                assert C.shape == (len(want), n)
-                assert [tuple(int(c) for c in row) for row in C] == (
-                    oracle_colorings(g, None, 3)
-                )
+                got = [tuple(int(c) for c in row) for row in C]
+                ref = oracle_colorings(g, None, 3)
+                assert got == [row for row in ref if restricted_growth(row)]
+                orbits = [{tuple(p[c] for c in row) for p in COLOR_PERMS}
+                          for row in got]
+                assert sum(map(len, orbits)) == len(ref)
+                assert set().union(*orbits) == set(ref)
 
     def test_empty_stack(self):
         C, starts = stacked_colorings(np.zeros((0, 4), np.int64))
@@ -131,9 +149,11 @@ class TestStackedColorings:
         assert starts.tolist() == [0]
 
     def test_too_large_guard(self, monkeypatch):
+        # The edgeless order-6 graph has 122 rows, one per partition of its
+        # vertices into at most three color classes (order 5 has only 41).
         monkeypatch.setattr(coloring, "MAX_MATERIALIZED", 50)
         with pytest.raises(TooLarge):
-            stacked_colorings(np.array([Graph.from_edges(5, []).adj]))
+            stacked_colorings(np.array([Graph.from_edges(6, []).adj]))
 
 
 class TestOracle:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from ladget import _kernels, appendix
 from ladget._kernels import scan_configs
-from ladget.coloring import all_colorings
+from ladget.coloring import all_colorings, stacked_colorings
 from ladget.filters import RULES, _violations, structural_filter
 from ladget.gadget import GadgetConfig, TruthTable, builtin, classify, verify_ladget
 from ladget.graphcore import Graph, RoleLabeling, decode_graph6, generate_connected
@@ -217,6 +219,38 @@ class TestKernelAgreement:
                     if int(code) >= 0:
                         fn = classify(TruthTable.from_code(2, int(code)))
                         assert fn.degenerate
+
+
+class TestScanRowContract:
+    # scan_configs takes any rows whose closure under the six color
+    # permutations is the graph's proper colorings: all of them, the
+    # stacked_colorings representatives, or those representatives each
+    # relabelled by a random color permutation and shuffled.
+    @pytest.mark.parametrize("arity", [1, 2])
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_representatives_give_all_colorings_verdicts(
+        self, arity, ordered, rng, connected8_path
+    ):
+        graphs = [g for n in range(1, 7) for g in generate_connected(n)]
+        # Edgeless graphs, whose one-color rows have orbits of three.
+        graphs += [Graph.from_edges(n, []) for n in range(2, 6)]
+        with open(connected8_path) as fh:
+            graphs += [decode_graph6(next(fh).strip()) for _ in range(200)]
+        perms = np.array(list(itertools.permutations(range(3))), np.uint8)
+        codes = set()
+        for g in graphs:
+            cfgs = enumerate_configs(g.n, arity, ordered)
+            reps, _ = stacked_colorings(np.array([g.adj]))
+            relabelled = perms[rng.integers(6, size=len(reps))[:, None], reps]
+            inputs = (all_colorings(g), reps, rng.permutation(relabelled))
+            want, *others = (
+                scan_configs(C, g.adj_array(), g.deg_array(), cfgs, arity, False, False)
+                for C in inputs
+            )
+            for got in others:
+                assert np.array_equal(got, want), (g.edges(), arity, ordered)
+            codes.update(want.tolist())
+        assert -2 in codes and len(codes) > 2  # some ladgets among the verdicts
 
 
 def _stack(graphs):
