@@ -3,16 +3,12 @@
 ``scan_pass`` judges a pass of graphs of one order against their stacked
 colorings: every kept (graph, configuration) pair, a step of pairs per
 numpy pass.  The colorings may hold one row per orbit of the six color
-permutations, as ``stacked_colorings`` gives them.  A row's permutations
+permutations, as ``stacked_colorings`` gives them: a row's permutations
 that color a pair's anchor 0 are the row shifted by the anchor's color and
-that with colors 1 and 2 swapped.  Consistency and the truth table read
-only which colors are 0, so the swap does not change them, and
-universality counts an input color tuple covered together with its
-swapped tuple.  A step reads every row of each pair's graph, looks up one
-word per (pair, row) cell by the row's role colors, and ORs each pair's
-words: bits for the covered input color tuples and for the (Boolean input
-pattern, output != 0) combinations seen.  ``SCAN_CELLS`` bounds the cells
-of one step, and so its memory.  The census masks a pass with
+that with colors 1 and 2 swapped, and only universality tells them apart.
+Each (pair, row) cell looks up one word by the row's role colors, and a
+pair's verdict is read from the OR of its words.  ``SCAN_CELLS`` bounds
+the cells of one step, and so its memory.  The census masks a pass with
 ``_filter_mask_vec`` first and scans only the pairs it keeps;
 ``scan_configs`` is the one-graph call, filter included.
 
@@ -90,7 +86,8 @@ def _filter_mask_vec(adj, deg, cfgs, arity, minimal_mode):
 def scan_configs(C, adj, deg, cfgs, arity, use_filter, minimal_mode):
     """Verdict per configuration row of `cfgs` against the colorings `C`:
     any rows whose closure under the six color permutations is the graph's
-    proper 3-colorings, such as all_colorings' every row.
+    proper 3-colorings, as all_colorings' every row or stacked_colorings'
+    one row per orbit.
 
     -1: rejected by the structural filter; -2: not a ladget (universality
     or consistency fails); otherwise the truth table code, with input
@@ -106,7 +103,7 @@ def scan_configs(C, adj, deg, cfgs, arity, use_filter, minimal_mode):
 @lru_cache(maxsize=2)
 def _scan_tables(arity):
     # The words of (pair, coloring row) cells, and the verdicts of a pair's
-    # OR of them.  words is indexed by the row's colors of the anchor, the
+    # OR of them; cached and write-protected.  words is indexed by the row's colors of the anchor, the
     # output and the inputs, read as one base-3 number.  With the colors
     # shifted so that the anchor is 0, bit t marks input color tuple t and
     # the tuple with colors 1 and 2 swapped, and bit 3**arity + 2 * p + b
@@ -121,20 +118,21 @@ def _scan_tables(arity):
     words |= 1 << 3**arity + 2 * pattern + (o != a)
     seen = np.arange(1 << 2 ** (arity + 1))[:, None] >> 2 * np.arange(2**arity) & 3
     code = (seen >> 1) @ (1 << np.arange(2**arity))
-    return words.astype(np.uint32), np.where((seen == 3).any(axis=1), -2, code)
+    tables = words.astype(np.uint32), np.where((seen == 3).any(axis=1), -2, code)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def scan_pass(C, starts, keep, cfgs, arity):
     """scan_configs' verdicts for a pass of graphs of one order: a
     (graphs, configurations) matrix, -1 where the mask `keep` is False.
 
-    Graph g's rows are C[starts[g]:starts[g + 1]]: any rows whose closure
-    under the six permutations of the colors is its proper 3-colorings, as
-    stacked_colorings' one row per orbit or all_colorings' every row.  cfgs
-    is the (configurations, 4) role table.  The kept (graph, configuration)
-    pairs are judged in row-major order, a step at a time of at most
-    SCAN_CELLS cells or one pair; a pair costs one cell per row of its
-    graph plus one.
+    Graph g's rows are C[starts[g]:starts[g + 1]], as scan_configs takes
+    them, and cfgs is the (configurations, 4) role table.  The kept (graph,
+    configuration) pairs are judged in row-major order, a step at a time of
+    at most SCAN_CELLS cells or one pair; a pair costs one cell per row of
+    its graph plus one.
     """
     # A graph without colorings is not universal: its kept pairs are -2.
     height = np.diff(starts)
