@@ -103,13 +103,13 @@ def scan_configs(C, adj, deg, cfgs, arity, use_filter, minimal_mode):
 @lru_cache(maxsize=2)
 def _scan_tables(arity):
     # The words of (pair, coloring row) cells, and the verdicts of a pair's
-    # OR of them; cached and write-protected.  words is indexed by the row's colors of the anchor, the
-    # output and the inputs, read as one base-3 number.  With the colors
-    # shifted so that the anchor is 0, bit t marks input color tuple t and
-    # the tuple with colors 1 and 2 swapped, and bit 3**arity + 2 * p + b
-    # marks Boolean input pattern p with output value b.  verdict is indexed
-    # by the pattern bits: -2 where a pattern has both output values, else
-    # the truth table code.
+    # OR of them; cached and write-protected.  words is indexed by the
+    # row's colors of the anchor, the output and the inputs, read as one
+    # base-3 number.  With the colors shifted so that the anchor is 0, bit t
+    # marks input color tuple t and the tuple with colors 1 and 2 swapped,
+    # and bit 3**arity + 2 * p + b marks Boolean input pattern p with output
+    # value b.  verdict is indexed by the pattern bits: -2 where a pattern
+    # has both output values, else the truth table code.
     a, o, *x = np.indices((3,) * (arity + 2)).reshape(arity + 2, -1)
     y = (np.array(x) - a) % 3
     digits = 3 ** np.arange(arity)[::-1]

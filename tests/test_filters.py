@@ -232,7 +232,7 @@ class TestScanRowContract:
         self, arity, ordered, rng, connected8_path
     ):
         graphs = [g for n in range(1, 7) for g in generate_connected(n)]
-        # Edgeless graphs, whose one-color rows have orbits of three.
+        # Edgeless graphs, whose one-color row has an orbit of three.
         graphs += [Graph.from_edges(n, []) for n in range(2, 6)]
         with open(connected8_path) as fh:
             graphs += [decode_graph6(next(fh).strip()) for _ in range(200)]
