@@ -21,11 +21,12 @@ anything larger arrives as an external one-record-per-line graph6 stream.
 
 A tally is one additive Counter (graphs, configurations, raw hits and bad
 lines) plus, per role-respecting isomorphism class, the least hit in the
-input labeling, so memory grows with distinct hits and reports do not
-depend on worker scheduling or chunking.  Checkpoints save that same
-state before the first block and after merged blocks, and so always cover
-a contiguous prefix of the stream; a resume replays that prefix to check
-its sha256 and keys the saved hits again, once per graph.
+input labeling as a plain row, so memory grows with distinct hits and
+reports do not depend on worker scheduling or chunking; Hit objects are
+built only for the report.  Checkpoints save that same state before the
+first block and after merged blocks, and so always cover a contiguous
+prefix of the stream; a resume replays that prefix to check its sha256
+and folds the saved rows again as the scan does, keyed once per graph.
 Rarity statistics report both the raw and the deduplicated numerator since
 either reading of "one hit in N" is defensible.
 """
@@ -182,21 +183,28 @@ _ORDER_KEYS = ("graphs", "configs_enumerated", "configs_after_filter")
 @dataclass
 class _Tally:
     # Additive counts keyed (name, order) for the _ORDER_KEYS, ("hits",
-    # function, order) and ("bad",); the least Hit per (function,
-    # config_canonical_keys entry); and the block's first undecodable
-    # (lineno, message), which only strict mode reads.  The state grows with
-    # orders and distinct hits, not with lines read.
+    # function, order) and ("bad",); per (function, config_canonical_keys
+    # entry) the least hit as a row (graph6, anchor, output, inputs,
+    # function, bits), whose leading fields are Hit.sort_key's, so rows
+    # scanned or loaded fold with a plain min; and the block's first
+    # undecodable (lineno, message), which only strict mode reads.  The
+    # state grows with orders and distinct hits, not with lines read.
     counts: Counter = field(default_factory=Counter)
     least: dict = field(default_factory=dict)
     first_bad: tuple | None = None
 
     def merge(self, other: "_Tally") -> None:
         self.counts.update(other.counts)
-        for key, hit in other.least.items():
-            self.fold(key, hit)
+        for key, row in other.least.items():
+            self.least[key] = min(row, self.least.get(key, row))
 
-    def fold(self, key: tuple, hit: Hit) -> None:
-        self.least[key] = min(hit, self.least.get(key, hit), key=Hit.sort_key)
+    def fold(self, g6: str, g: Graph, hits: list, ordered_inputs: bool) -> None:
+        # Keys the hits of one graph, each (anchor, output, input...,
+        # function, bits), with one canonical search, and folds them.
+        keys = config_canonical_keys(g, [h[:-2] for h in hits], ordered_inputs)
+        for (a0, th, *inputs, fn, bits), key in zip(hits, keys):
+            row = (g6, a0, th, tuple(inputs), fn, bits)
+            self.least[fn, key] = min(row, self.least.get((fn, key), row))
 
 
 def _scan_chunk(records: list, options: SearchOptions) -> _Tally:
@@ -286,24 +294,18 @@ def _scan_pass(
         *stacked_colorings(adj[live]), keep[live], cfgs, options.arity
     )
     allowed = _allowed_codes(options.targets, options.arity)
+    roles = cfgs[:, : 2 + options.arity].tolist()
     ladget = res >= 0
     found = [
-        (i, c, allowed[code])
+        (i, (*roles[c], *allowed[code]))
         for (i, c), code in zip(np.argwhere(ladget).tolist(), res[ladget].tolist())
         if code in allowed
     ]
-    for i, group in itertools.groupby(found, key=lambda hit: hit[0]):
-        group = list(group)
-        rows = cfgs[[c for _, c, _ in group], : 2 + options.arity]
+    tally.counts.update(("hits", hit[-2], n) for _, hit in found)
+    for i, group in itertools.groupby(found, key=lambda item: item[0]):
         g = Graph(n, tuple(adj[live[i]].tolist()))
-        keys = config_canonical_keys(g, rows, options.ordered_inputs)
-        text = texts[live[i]]
-        for (_, _, (function, bits)), (a0, th, *inputs), key in zip(
-            group, rows.tolist(), keys
-        ):
-            hit = Hit(text, RoleLabeling(a0, inputs, th), function, bits)
-            tally.counts["hits", function, n] += 1
-            tally.fold((function, key), hit)
+        hits = [hit for _, hit in group]
+        tally.fold(texts[live[i]], g, hits, options.ordered_inputs)
 
 
 @dataclass
@@ -449,12 +451,8 @@ class _Checkpoint:
         by_graph: dict[str, list] = {}
         for g6, a0, ins, out, fn, bits in data["hits"]:
             by_graph.setdefault(g6, []).append((a0, out, *ins, fn, bits))
-        for g6, saved in by_graph.items():
-            keys = config_canonical_keys(
-                decode_graph6(g6), [row[:-2] for row in saved], self.ordered_inputs
-            )
-            for (a0, out, *ins, fn, bits), key in zip(saved, keys):
-                t.fold((fn, key), Hit(g6, RoleLabeling(a0, ins, out), fn, bits))
+        for g6, hits in by_graph.items():
+            t.fold(g6, decode_graph6(g6), hits, self.ordered_inputs)
 
     def save(self, done: bool = False) -> None:
         t = self.tally
@@ -465,9 +463,8 @@ class _Checkpoint:
             "prefix_sha256": digest,
             "counts": [[*key, c] for key, c in t.counts.items()],
             "hits": [
-                [h.graph6, h.roles.anchor, h.roles.inputs, h.roles.output,
-                 h.function, h.truth_table]
-                for h in t.least.values()
+                [g6, a0, inputs, th, fn, bits]
+                for g6, a0, th, inputs, fn, bits in t.least.values()
             ],
             "done": done,
         }
@@ -546,8 +543,9 @@ def _build_report(
     tally: _Tally, options: SearchOptions, elapsed: float
 ) -> SearchReport:
     hits: dict[str, list[Hit]] = {}
-    for h in sorted(tally.least.values(), key=lambda h: (h.function, h.sort_key())):
-        hits.setdefault(h.function, []).append(h)
+    rows = sorted(tally.least.values(), key=lambda row: (row[4], row))
+    for g6, a0, th, inputs, fn, bits in rows:
+        hits.setdefault(fn, []).append(Hit(g6, RoleLabeling(a0, inputs, th), fn, bits))
     per_order: dict[int, dict] = {}
     raw_by_order: dict[str, dict[int, int]] = {}
     for (name, *key), count in sorted(tally.counts.items()):

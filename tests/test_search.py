@@ -181,6 +181,39 @@ class TestSmallCensus:
         assert rep.per_order[7]["configs_enumerated"] == 840
 
 
+class TestFilterSoundness:
+    # The structural filter loses no gadget where the census runs: with it
+    # off, the same raw counts and the same least hits.  Without the filter
+    # no NOR, XOR or XNOR configuration exists on 4-8 vertices either.
+    def test_orders_4_to_7_unfiltered_arity2(self):
+        stream = [encode_graph6(g) for n in range(4, 8) for g in generate_connected(n)]
+        rep = search_stream(stream, SearchOptions(targets=(), use_filter=False))
+        assert rep.hits_raw == {"NAND": 3, "tt_1011": 1, "tt_1101": 2}
+
+    def test_order8_arity2_filtered_equals_unfiltered(self, connected8_path):
+        opts = SearchOptions(targets=())
+        filtered = search_stream(str(connected8_path), opts)
+        unfiltered = search_stream(
+            str(connected8_path), replace(opts, use_filter=False)
+        )
+        assert unfiltered.hits_raw == {
+            "AND": 4, "NAND": 115, "OR": 2, "tt_1011": 49, "tt_1101": 62
+        }
+        assert filtered.hits_raw == unfiltered.hits_raw
+        assert filtered.hits == unfiltered.hits
+
+    def test_order8_arity1_unfiltered_equals_filtered_golden(self, connected8_path):
+        entry = GOLDEN["arity1_all_filtered"]
+        opts = SearchOptions(**entry["report"]["options"])
+        assert opts.use_filter
+        lines = connected8_path.read_text().splitlines(keepends=True)
+        got = search_stream(
+            lines[: entry["lines"]], replace(opts, use_filter=False)
+        ).to_json_dict()
+        assert got["hits_raw"] == entry["report"]["hits_raw"]
+        assert got["hits"] == entry["report"]["hits"]
+
+
 class TestBadLines:
     def test_lenient_counts_and_continues(self):
         rep = search_stream(
@@ -296,7 +329,8 @@ class TestBlockDecode:
         assert str(err.value) == "line {}: {}".format(*first)
 
 
-GOLDEN = json.loads((Path(__file__).parent / "data" / "census_golden.json").read_text())
+DATA = Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "census_golden.json").read_text())
 
 
 class TestGoldenReports:
@@ -372,6 +406,21 @@ class TestDedupe:
         raw, hits = self._nand_hits(stream)
         assert raw == 3 and len(hits["NAND"]) == 2
         assert self._nand_hits(stream[::-1]) == (raw, hits)
+
+    def test_roles_built_only_for_reported_hits(self, monkeypatch):
+        # Raw hits are folded as plain rows; a RoleLabeling is built once
+        # per reported hit, not once per raw hit.
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return RoleLabeling(*args)
+
+        monkeypatch.setattr(search, "RoleLabeling", counting)
+        stream = [encode_graph6(g) for g in generate_connected(6)]
+        rep = search_stream(stream, SearchOptions(targets=(), arity=1))
+        reported = sum(len(hs) for hs in rep.hits.values())
+        assert len(built) == reported < sum(rep.hits_raw.values())
 
 
 class TestParallel:
@@ -558,6 +607,32 @@ class TestCheckpoint:
         return SearchOptions(
             targets=("NAND",), checkpoint=str(path), checkpoint_every=1
         )
+
+    def test_format_5_is_pinned_byte_for_byte(
+        self, tmp_path, monkeypatch, connected8_path
+    ):
+        # tests/data/census_checkpoint.json, written by
+        # tools/make_census_golden.py: a fresh run writes it byte for byte,
+        # and resuming it gives the fresh run's report without a block
+        # scanned.  A hit row reordered in both save and load would pass
+        # every round-trip test, but not this one.
+        fixture = (DATA / "census_checkpoint.json").read_bytes()
+        stream, fresh_ck, ck = (
+            tmp_path / "head.g6", tmp_path / "fresh.json", tmp_path / "c.json"
+        )
+        lines = connected8_path.read_text().splitlines(keepends=True)
+        stream.write_text("".join(lines[:300]))
+        opts = SearchOptions(targets=(), arity=1, checkpoint_every=100)
+        fresh = search_stream(str(stream), replace(opts, checkpoint=str(fresh_ck)))
+        assert fresh_ck.read_bytes() == fixture
+        ck.write_bytes(fixture)
+
+        def no_scan(records, options):
+            raise AssertionError("a block was scanned")
+
+        monkeypatch.setattr(search, "_scan_chunk", no_scan)
+        resumed = search_stream(str(stream), replace(opts, checkpoint=str(ck)))
+        assert fresh.hits_raw and _report(resumed) == _report(fresh)
 
     def test_requires_path_source(self, tmp_path):
         ck = tmp_path / "c.json"
