@@ -294,11 +294,12 @@ def _scan_pass(
         *stacked_colorings(adj[live]), keep[live], cfgs, options.arity
     )
     allowed = _allowed_codes(options.targets, options.arity)
-    roles = cfgs[:, : 2 + options.arity].tolist()
     ladget = res >= 0
+    graphs, configs = np.nonzero(ladget)
+    roles = cfgs[configs, : 2 + options.arity].tolist()
     found = [
-        (i, (*roles[c], *allowed[code]))
-        for (i, c), code in zip(np.argwhere(ladget).tolist(), res[ladget].tolist())
+        (i, (*role, *allowed[code]))
+        for i, role, code in zip(graphs.tolist(), roles, res[ladget].tolist())
         if code in allowed
     ]
     tally.counts.update(("hits", hit[-2], n) for _, hit in found)
