@@ -329,8 +329,7 @@ class TestBlockDecode:
         assert str(err.value) == "line {}: {}".format(*first)
 
 
-DATA = Path(__file__).parent / "data"
-GOLDEN = json.loads((DATA / "census_golden.json").read_text())
+GOLDEN = json.loads((Path(__file__).parent / "data" / "census_golden.json").read_text())
 
 
 class TestGoldenReports:
@@ -616,7 +615,7 @@ class TestCheckpoint:
         # and resuming it gives the fresh run's report without a block
         # scanned.  A hit row reordered in both save and load would pass
         # every round-trip test, but not this one.
-        fixture = (DATA / "census_checkpoint.json").read_bytes()
+        fixture = (connected8_path.parent / "census_checkpoint.json").read_bytes()
         stream, fresh_ck, ck = (
             tmp_path / "head.g6", tmp_path / "fresh.json", tmp_path / "c.json"
         )
