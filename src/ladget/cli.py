@@ -173,8 +173,8 @@ def cmd_search(args) -> int:
         hs = report.hits[fn]
         lines.append(f"{fn}: {report.hits_raw.get(fn, 0)} raw, {len(hs)} distinct")
         lines += [
-            f"  {h.graph6}  anchor={h.roles.anchor} "
-            f"inputs={list(h.roles.inputs)} output={h.roles.output}"
+            f"  {h.graph6}  anchor={h.anchor} "
+            f"inputs={list(h.inputs)} output={h.output}"
             for h in hs
         ]
     for row in d["rarity"]:

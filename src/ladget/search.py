@@ -20,13 +20,13 @@ search.  Graphs up to 7 vertices can come from the built-in generator;
 anything larger arrives as an external one-record-per-line graph6 stream.
 
 A tally is one additive Counter (graphs, configurations, raw hits and bad
-lines) plus, per role-respecting isomorphism class, the least hit in the
-input labeling as a plain row, so memory grows with distinct hits and
-reports do not depend on worker scheduling or chunking; Hit objects are
-built only for the report.  Checkpoints save that same state before the
-first block and after merged blocks, and so always cover a contiguous
-prefix of the stream; a resume replays that prefix to check its sha256
-and folds the saved rows again as the scan does, keyed once per graph.
+lines) plus, per role-respecting isomorphism class, the least Hit, the one
+row a hit is from scan to report, so memory grows with distinct hits and
+reports do not depend on worker scheduling or chunking.  Checkpoints save
+that same state before the first block and after merged blocks, and so
+always cover a contiguous prefix of the stream; a resume replays that
+prefix to check its sha256, checks the saved rows' roles and folds them
+again as the scan does, keyed once per graph.
 Rarity statistics report both the raw and the deduplicated numerator since
 either reading of "one hit in N" is defensible.
 """
@@ -43,7 +43,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -61,9 +61,10 @@ from .graphcore import (
 
 CHUNK_RECORDS = 512
 # Graphs x configurations per filter and coloring pass of a block, and so
-# its memory.  At 1 << 16 (78 order-8 graphs at arity 2) the order-8
-# minimal census peaked at 42.8 MB resident against 40.5 MB scanning one
-# graph at a time; 1 << 17 peaked at 44.6 MB and was not measurably faster.
+# its memory.  The order-8 minimal census (median of five in-process runs
+# in five alternating rounds, shared 2-CPU host) took 0.244 s at 1 << 16,
+# 0.188 s at 1 << 17 and 0.163 s in whole-block passes, at 38.2, 38.5 and
+# 42.6 MB peak RSS.  Raising it waits for a benchmark pair of its own.
 PASS_CELLS = 1 << 16
 
 
@@ -112,6 +113,8 @@ class SearchOptions:
             raise ValueError(f"arity must be 1 or 2, got {self.arity}")
         if self.sample_rate is not None and not 0 < self.sample_rate <= 1:
             raise ValueError("sample_rate must be in (0, 1]")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.minimal_mode and not self.use_filter:
@@ -131,12 +134,14 @@ class SearchOptions:
             )
 
 
-@dataclass(frozen=True)
-class Hit:
-    """One verified configuration, in the labeling of the input record."""
+class Hit(NamedTuple):
+    """One verified configuration in the input record's labeling, as a row
+    in the report's order within a function: a class's least hit is a min."""
 
     graph6: str
-    roles: RoleLabeling
+    anchor: int
+    output: int
+    inputs: tuple[int, ...]
     function: str
     truth_table: str
 
@@ -144,19 +149,16 @@ class Hit:
     def n(self) -> int:
         return ord(self.graph6[0]) - 63
 
-    def sort_key(self):
-        return (
-            self.graph6,
-            self.roles.anchor,
-            self.roles.output,
-            self.roles.inputs,
-        )
+    @property
+    def roles(self) -> RoleLabeling:
+        return RoleLabeling(self.anchor, self.inputs, self.output)
 
     def to_json_dict(self) -> dict:
         return {
             "graph6": self.graph6,
             "n": self.n,
-            "roles": self.roles.to_json_dict(),
+            "roles": {"anchor": self.anchor, "inputs": list(self.inputs),
+                      "output": self.output},
             "function": self.function,
             "truth_table": self.truth_table,
         }
@@ -184,27 +186,25 @@ _ORDER_KEYS = ("graphs", "configs_enumerated", "configs_after_filter")
 class _Tally:
     # Additive counts keyed (name, order) for the _ORDER_KEYS, ("hits",
     # function, order) and ("bad",); per (function, config_canonical_keys
-    # entry) the least hit as a row (graph6, anchor, output, inputs,
-    # function, bits), whose leading fields are Hit.sort_key's, so rows
-    # scanned or loaded fold with a plain min; and the block's first
-    # undecodable (lineno, message), which only strict mode reads.  The
-    # state grows with orders and distinct hits, not with lines read.
+    # entry) the least Hit, so hits scanned or loaded fold with a plain min;
+    # and the block's first undecodable (lineno, message), which only strict
+    # mode reads.  The state grows with orders and distinct hits, not with
+    # lines read.
     counts: Counter = field(default_factory=Counter)
     least: dict = field(default_factory=dict)
     first_bad: tuple | None = None
 
     def merge(self, other: "_Tally") -> None:
         self.counts.update(other.counts)
-        for key, row in other.least.items():
-            self.least[key] = min(row, self.least.get(key, row))
+        for key, hit in other.least.items():
+            self.least[key] = min(hit, self.least.get(key, hit))
 
-    def fold(self, g6: str, g: Graph, hits: list, ordered_inputs: bool) -> None:
-        # Keys the hits of one graph, each (anchor, output, input...,
-        # function, bits), with one canonical search, and folds them.
-        keys = config_canonical_keys(g, [h[:-2] for h in hits], ordered_inputs)
-        for (a0, th, *inputs, fn, bits), key in zip(hits, keys):
-            row = (g6, a0, th, tuple(inputs), fn, bits)
-            self.least[fn, key] = min(row, self.least.get((fn, key), row))
+    def fold(self, g: Graph, hits: list, ordered_inputs: bool) -> None:
+        # Keys the hits of one graph with one canonical search and folds them.
+        rows = [(h.anchor, h.output, *h.inputs) for h in hits]
+        for hit, key in zip(hits, config_canonical_keys(g, rows, ordered_inputs)):
+            slot = hit.function, key
+            self.least[slot] = min(hit, self.least.get(slot, hit))
 
 
 def _scan_chunk(records: list, options: SearchOptions) -> _Tally:
@@ -298,15 +298,14 @@ def _scan_pass(
     graphs, configs = np.nonzero(ladget)
     roles = cfgs[configs, : 2 + options.arity].tolist()
     found = [
-        (i, (*role, *allowed[code]))
-        for i, role, code in zip(graphs.tolist(), roles, res[ladget].tolist())
+        (i, Hit(texts[live[i]], a0, th, tuple(ins), *allowed[code]))
+        for i, (a0, th, *ins), code in zip(graphs.tolist(), roles, res[ladget].tolist())
         if code in allowed
     ]
-    tally.counts.update(("hits", hit[-2], n) for _, hit in found)
+    tally.counts.update(("hits", hit.function, n) for _, hit in found)
     for i, group in itertools.groupby(found, key=lambda item: item[0]):
         g = Graph(n, tuple(adj[live[i]].tolist()))
-        hits = [hit for _, hit in group]
-        tally.fold(texts[live[i]], g, hits, options.ordered_inputs)
+        tally.fold(g, [hit for _, hit in group], options.ordered_inputs)
 
 
 @dataclass
@@ -449,11 +448,12 @@ class _Checkpoint:
         self.saved_at = data["lineno"]
         t = self.tally
         t.counts = Counter({tuple(row[:-1]): row[-1] for row in data["counts"]})
-        by_graph: dict[str, list] = {}
+        graphs: dict[str, list] = {}
         for g6, a0, ins, out, fn, bits in data["hits"]:
-            by_graph.setdefault(g6, []).append((a0, out, *ins, fn, bits))
-        for g6, hits in by_graph.items():
-            t.fold(g6, decode_graph6(g6), hits, self.ordered_inputs)
+            RoleLabeling(a0, ins, out)  # a saved row is input: check its roles
+            graphs.setdefault(g6, []).append(Hit(g6, a0, out, tuple(ins), fn, bits))
+        for g6, hits in graphs.items():
+            t.fold(decode_graph6(g6), hits, self.ordered_inputs)
 
     def save(self, done: bool = False) -> None:
         t = self.tally
@@ -544,9 +544,8 @@ def _build_report(
     tally: _Tally, options: SearchOptions, elapsed: float
 ) -> SearchReport:
     hits: dict[str, list[Hit]] = {}
-    rows = sorted(tally.least.values(), key=lambda row: (row[4], row))
-    for g6, a0, th, inputs, fn, bits in rows:
-        hits.setdefault(fn, []).append(Hit(g6, RoleLabeling(a0, inputs, th), fn, bits))
+    for hit in sorted(tally.least.values(), key=lambda hit: (hit.function, hit)):
+        hits.setdefault(hit.function, []).append(hit)
     per_order: dict[int, dict] = {}
     raw_by_order: dict[str, dict[int, int]] = {}
     for (name, *key), count in sorted(tally.counts.items()):

@@ -17,6 +17,6 @@ def connected8_path() -> Path:
     if not path.exists():
         pytest.fail(
             "tests/data/connected8.g6 is missing; regenerate it with "
-            "tools/make_stream8.py"
+            "tools/make_stream.py --order 8"
         )
     return path

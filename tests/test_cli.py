@@ -160,6 +160,19 @@ class TestSearch:
         )
         assert code == 2
 
+    def test_negative_seed_is_refused_before_the_checkpoint(
+        self, capsys, tmp_path
+    ):
+        stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
+        stream.write_text("CN\n")
+        code, out, err = run(
+            capsys, "search", str(stream), "--sample", "0.5", "--seed", "-1",
+            "--checkpoint", str(ck),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "seed must be >= 0" in err
+        assert not ck.exists()
+
     def test_checkpoint_needs_a_file_source(self, capsys, tmp_path):
         ck = tmp_path / "c.json"
         code, _, err = run(capsys, "search", "--gen", "4", "--checkpoint", str(ck))

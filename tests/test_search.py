@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import ladget
 from ladget import _kernels, search
 from ladget.coloring import all_colorings
-from ladget.errors import InvalidGraph6
+from ladget.errors import InvalidGraph6, InvalidRoles
 from ladget.filters import _violations
 from ladget.gadget import TruthTable, classify
 from ladget.graphcore import (
@@ -100,6 +100,7 @@ class TestOptions:
             {"targets": ("NAND", "XNAND")},
             {"use_filter": False, "minimal_mode": True},
             {"targets": ("NAND", "NOT")},
+            {"sample_rate": 0.5, "seed": -1},
         ],
     )
     def test_validation(self, kwargs):
@@ -150,10 +151,8 @@ class TestSmallCensus:
         rep = search_stream(NAND_GRAPHS, SearchOptions(targets=("NAND",)))
         for hs in rep.hits.values():
             for h in hs:
-                assert h.sort_key() == min(
-                    x.sort_key()
-                    for x in rep.hits[h.function]
-                    if x.graph6 == h.graph6
+                assert h == min(
+                    x for x in rep.hits[h.function] if x.graph6 == h.graph6
                 )
 
     def test_filter_off_same_hits(self):
@@ -212,6 +211,48 @@ class TestFilterSoundness:
         ).to_json_dict()
         assert got["hits_raw"] == entry["report"]["hits_raw"]
         assert got["hits"] == entry["report"]["hits"]
+
+
+class TestMinimalMode:
+    # Minimal mode may drop gadgets above a function's least order (NAND
+    # 115 -> 36 raw hits at order 8), but never one at it: every function
+    # keeps its least order and its deduplicated hits there.  Pinned as
+    # function: (least order, distinct hits at that order).
+    @pytest.fixture(scope="class")
+    def orders_4_to_7(self):
+        return [encode_graph6(g) for n in range(4, 8) for g in generate_connected(n)]
+
+    @pytest.mark.parametrize(
+        "arity,ordered,want",
+        [
+            pytest.param(2, False, {
+                "AND": (8, 3), "NAND": (7, 2), "OR": (8, 2),
+                "tt_1011": (7, 1), "tt_1101": (7, 1),
+            }, id="arity2"),
+            pytest.param(2, True, {
+                "AND": (8, 5), "NAND": (7, 4), "OR": (8, 4),
+                "tt_1011": (7, 2), "tt_1101": (7, 2),
+            }, id="arity2-ordered"),
+            pytest.param(1, False, {"MOV": (5, 1), "NOT": (4, 1)}, id="arity1"),
+        ],
+    )
+    def test_keeps_every_least_order_hit(
+        self, orders_4_to_7, connected8_path, arity, ordered, want
+    ):
+        # Arity 1 runs over orders 4-7 only: at order 8 it has 76,240 raw
+        # hits and takes seconds.
+        stream = list(orders_4_to_7)
+        if arity == 2:
+            stream += connected8_path.read_text().splitlines()
+        opts = SearchOptions(targets=(), arity=arity, ordered_inputs=ordered)
+        full = search_stream(stream, opts).hits
+        minimal = search_stream(stream, replace(opts, minimal_mode=True)).hits
+        assert set(minimal) == set(full) == set(want)
+        for fn, (least, count) in want.items():
+            at_least = [h for h in full[fn] if h.n == least]
+            assert min(h.n for h in full[fn]) == least and len(at_least) == count
+            assert min(h.n for h in minimal[fn]) == least
+            assert [h for h in minimal[fn] if h.n == least] == at_least
 
 
 class TestBadLines:
@@ -375,7 +416,7 @@ class TestSampling:
 
 class TestDedupe:
     # The census keeps the least hit per role-respecting isomorphism class.
-    NAND7 = Hit("FCZeO", RoleLabeling(3, (2, 6), 4), "NAND", "1110")
+    NAND7 = Hit("FCZeO", 3, 4, (2, 6), "NAND", "1110")
 
     def _nand_hits(self, stream, **kw):
         rep = search_stream(stream, SearchOptions(targets=("NAND",), **kw))
@@ -395,7 +436,7 @@ class TestDedupe:
         )
         stream = ["FCZeO", swapped]
         assert self._nand_hits(stream) == (2, {"NAND": [self.NAND7]})
-        reversed_inputs = replace(self.NAND7, roles=RoleLabeling(3, (6, 2), 4))
+        reversed_inputs = self.NAND7._replace(inputs=(6, 2))
         assert self._nand_hits(stream, ordered_inputs=True) == (
             4, {"NAND": [self.NAND7, reversed_inputs]}
         )
@@ -407,19 +448,24 @@ class TestDedupe:
         assert self._nand_hits(stream[::-1]) == (raw, hits)
 
     def test_roles_built_only_for_reported_hits(self, monkeypatch):
-        # Raw hits are folded as plain rows; a RoleLabeling is built once
-        # per reported hit, not once per raw hit.
+        # A hit is its row from scan to JSON: neither the census nor its
+        # report builds a RoleLabeling.  Hit.roles builds one on demand.
         built = []
+        check = RoleLabeling.__post_init__
 
-        def counting(*args):
-            built.append(args)
-            return RoleLabeling(*args)
+        def counting(self):
+            built.append(self)
+            check(self)
 
-        monkeypatch.setattr(search, "RoleLabeling", counting)
+        monkeypatch.setattr(RoleLabeling, "__post_init__", counting)
         stream = [encode_graph6(g) for g in generate_connected(6)]
         rep = search_stream(stream, SearchOptions(targets=(), arity=1))
-        reported = sum(len(hs) for hs in rep.hits.values())
-        assert len(built) == reported < sum(rep.hits_raw.values())
+        d = rep.to_json_dict()
+        assert len(d["hits"]["NOT"]) == len(rep.hits["NOT"]) > 1
+        assert built == []
+        roles = rep.hits["NOT"][0].roles
+        assert built == [roles]
+        assert roles.to_json_dict() == d["hits"]["NOT"][0]["roles"]
 
 
 class TestParallel:
@@ -494,7 +540,8 @@ def _reference_census(stream, opt):
                 continue
             bits = fn.truth_table.bitstring()
             name = fn.name if fn.name != "other" else f"tt_{bits}"
-            hits.append(Hit(text, _roles_of(row, opt.arity), name, bits))
+            r = _roles_of(row, opt.arity)
+            hits.append(Hit(text, r.anchor, r.output, r.inputs, name, bits))
     return bad, per_order, hits
 
 
@@ -559,13 +606,13 @@ class TestBlockKernel:
             for fn, by in rep.hits_raw_per_order.items()
             for n, c in by.items()
         } == raw
-        # The least raw hit by sort_key in each (function, role-respecting
-        # isomorphism class), listed by function then sort_key.
+        # The least raw hit in each (function, role-respecting isomorphism
+        # class), listed by function, then in hit order.
         least = {}
-        for h in sorted(hits, key=Hit.sort_key):
+        for h in sorted(hits):
             key = config_canonical_key(decode_graph6(h.graph6), h.roles, True)
             least.setdefault((h.function, key), h)
-        want = sorted(least.values(), key=lambda h: (h.function, h.sort_key()))
+        want = sorted(least.values(), key=lambda h: (h.function, h))
         got = [h for fn in sorted(rep.hits) for h in rep.hits[fn]]
         assert got == want
 
@@ -632,6 +679,27 @@ class TestCheckpoint:
         monkeypatch.setattr(search, "_scan_chunk", no_scan)
         resumed = search_stream(str(stream), replace(opts, checkpoint=str(ck)))
         assert fresh.hits_raw and _report(resumed) == _report(fresh)
+
+    def test_saved_hit_with_a_repeated_vertex_is_refused(
+        self, tmp_path, monkeypatch
+    ):
+        # A checkpoint is input from outside the program: its hit rows are
+        # checked as roles on load, before any is keyed, folded or reported.
+        stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
+        stream.write_text("CN\n")
+        opts = SearchOptions(targets=("NOT",), arity=1, checkpoint=str(ck))
+        search_stream(str(stream), opts)
+        data = json.loads(ck.read_text())
+        (row,) = data["hits"]
+        assert row == ["CN", 0, [2], 1, "NOT", "10"]
+        row[3] = 2  # the output repeats the input
+        ck.write_text(json.dumps(data))
+        monkeypatch.setattr(
+            search, "config_canonical_keys",
+            lambda *a: pytest.fail("a saved hit was keyed"),
+        )
+        with pytest.raises(InvalidRoles, match="distinct"):
+            search_stream(str(stream), opts)
 
     def test_requires_path_source(self, tmp_path):
         ck = tmp_path / "c.json"
