@@ -10,14 +10,16 @@ Each (pair, row) cell looks up one word by the row's role colors, and a
 pair's verdict is read from the OR of its words.  ``SCAN_CELLS`` bounds
 the cells of one step, and so its memory.  The census masks a pass with
 ``_filter_mask_vec`` first and scans only the pairs it keeps;
-``scan_configs`` is the one-graph call, filter included.
+``scan_configs`` is the one-graph call, filter included, on a one-row
+stack; its ``deg`` argument is unused.
 
 ``_filter_mask_vec`` is the census's structural filter.  Each rule reads
 the anchor and one other role, or the anchor and the inputs, so it judges
 the rules once per graph on a small (anchor, output) table and a small
 (anchor, input tuple) table, and each configuration gathers one int8 entry
 of each; the mask is their equality.  ``filters._violations`` is its
-readable reference.
+readable reference.  It takes one shape, a (graphs, n) stack of bitmask
+rows of one order, and reads the degrees off its adjacency table.
 """
 
 from functools import lru_cache
@@ -32,10 +34,9 @@ BACKEND = "numpy"
 SCAN_CELLS = 1 << 14
 
 
-def _filter_mask_vec(adj, deg, cfgs, arity, minimal_mode):
-    # The structural filter, True meaning keep: a (configurations,) mask for
-    # one graph's (n,) bitmask rows and degrees, or a (graphs,
-    # configurations) mask for a stack of (graphs, n) rows of one order.
+def _filter_mask_vec(adj, cfgs, arity, minimal_mode):
+    # The structural filter, True meaning keep: a (graphs, configurations)
+    # mask for a stack of (graphs, n) bitmask rows of one order.
     #
     # out[anchor * n + output] holds OUT_ANCHOR_ADJ and OUT_DEGREE, and
     # tup[anchor * n + i1], or tup[(anchor * n + i1) * n + i2] at arity 2,
@@ -57,13 +58,13 @@ def _filter_mask_vec(adj, deg, cfgs, arity, minimal_mode):
     # and are built with arithmetic because np.where is several times
     # slower on int8.  Rows fit in 32 bits (n <= 32), which halves the
     # traffic of the common-neighbourhood test.
-    rows = np.ascontiguousarray(adj.reshape(-1, adj.shape[-1]).T, np.uint32)
+    rows = np.ascontiguousarray(adj.T, np.uint32)
     n, count = rows.shape
-    deg = np.ascontiguousarray(deg.reshape(count, n).T)
     a0, th, i1, i2 = cfgs.T
     # adjacent[u, v]: u and v are adjacent; apart[u, v]: they are not, and
     # v has degree at least 2.
     adjacent = ((rows[:, None] >> np.arange(n)[:, None]) & 1).astype(bool)
+    deg = adjacent.sum(axis=1)
     apart = ~adjacent & (deg >= 2)
     low = ((deg < 3) & minimal_mode).astype(np.int8)
     out = ((low + 1) * apart - 1).reshape(n * n, count)
@@ -80,7 +81,7 @@ def _filter_mask_vec(adj, deg, cfgs, arity, minimal_mode):
         at = (a0 * n + i1) * n + i2
     tup = ((rest + 2) * ok - 2).reshape(-1, count)
     keep = out[a0 * n + th] == tup[at]
-    return keep[:, 0] if adj.ndim == 1 else np.ascontiguousarray(keep.T)
+    return np.ascontiguousarray(keep.T)
 
 
 def scan_configs(C, adj, deg, cfgs, arity, use_filter, minimal_mode):
@@ -91,13 +92,14 @@ def scan_configs(C, adj, deg, cfgs, arity, use_filter, minimal_mode):
 
     -1: rejected by the structural filter; -2: not a ladget (universality
     or consistency fails); otherwise the truth table code, with input
-    pattern p = b1 * 2 + b2 indexing bit p.
+    pattern p = b1 * 2 + b2 indexing bit p.  `deg` is not read: the filter
+    takes the degrees from `adj`.
     """
     if use_filter:
-        keep = _filter_mask_vec(adj, deg, cfgs, arity, minimal_mode)
+        keep = _filter_mask_vec(adj[None], cfgs, arity, minimal_mode)
     else:
-        keep = np.ones(len(cfgs), bool)
-    return scan_pass(C, np.array([0, len(C)]), keep[None], cfgs, arity)[0]
+        keep = np.ones((1, len(cfgs)), bool)
+    return scan_pass(C, np.array([0, len(C)]), keep, cfgs, arity)[0]
 
 
 @lru_cache(maxsize=2)
@@ -144,22 +146,21 @@ def scan_pass(C, starts, keep, cfgs, arity):
     flat = C.reshape(-1)
     full = (1 << 3**arity) - 1
     words, verdict = _scan_tables(arity)
-    # Graph g holds pairs pstart[g] .. pend[g] - 1 of cost[g] cells each,
-    # cells cstart[g] onwards.
+    # Graph g holds kept[g] pairs of cost[g] cells each, from pair pstart[g]
+    # and cell cstart[g] on; spent counts the cells of the steps so far.
     kept = keep.sum(axis=1)
     cost = height + 1
-    pend = kept.cumsum()
-    pstart = pend - kept
+    pstart = kept.cumsum() - kept
     cend = (kept * cost).cumsum()
     cstart = cend - kept * cost
-    lo = 0
+    lo = spent = 0
     while lo < len(pairs):
-        g = pend.searchsorted(lo, "right")
-        limit = cstart[g] + (lo - pstart[g]) * cost[g] + SCAN_CELLS
+        limit = spent + SCAN_CELLS
         g = cend.searchsorted(limit, "right")
         hi = len(pairs)
         if g < len(kept):
             hi = max(lo + 1, pstart[g] + (limit - cstart[g]) // cost[g])
+            spent = cstart[g] + (hi - pstart[g]) * cost[g]
         step = pairs[lo:hi]
         owner, j = np.divmod(step, q)
         # Per cell: the flat offset of its coloring row, then the row's

@@ -283,9 +283,8 @@ def _scan_pass(
     tally.counts["graphs", n] += count
     tally.counts["configs_enumerated", n] += int(keep.sum())
     if options.use_filter:
-        deg = ((adj[:, :, None] >> np.arange(n)) & 1).sum(axis=2)
         keep &= _kernels._filter_mask_vec(
-            adj, deg, cfgs, options.arity, options.minimal_mode
+            adj, cfgs, options.arity, options.minimal_mode
         )
     after = keep.sum(axis=1)
     tally.counts["configs_after_filter", n] += int(after.sum())
@@ -417,7 +416,7 @@ class _Checkpoint:
 
     def __init__(self, path: str, options: SearchOptions):
         self.path = path
-        self.ordered_inputs = options.ordered_inputs
+        self.options = options
         # A run is the options that shape its report; the stream is pinned
         # by the prefix sha256, so any spelling of its path resumes.  The
         # worker count, the checkpoint's own path and its save interval do
@@ -448,12 +447,25 @@ class _Checkpoint:
         self.saved_at = data["lineno"]
         t = self.tally
         t.counts = Counter({tuple(row[:-1]): row[-1] for row in data["counts"]})
+        # A saved row is input: check its roles, and that this run could
+        # have found it, before any is keyed.
+        allowed = _allowed_codes(self.options.targets, self.options.arity).values()
         graphs: dict[str, list] = {}
         for g6, a0, ins, out, fn, bits in data["hits"]:
-            RoleLabeling(a0, ins, out)  # a saved row is input: check its roles
-            graphs.setdefault(g6, []).append(Hit(g6, a0, out, tuple(ins), fn, bits))
+            RoleLabeling(a0, ins, out)
+            hit = Hit(g6, a0, out, tuple(ins), fn, bits)
+            if (
+                len(ins) != self.options.arity
+                or (fn, bits) not in allowed
+                or not t.counts["graphs", hit.n]
+            ):
+                raise ValueError(
+                    f"checkpoint {self.path} holds a hit this run cannot "
+                    f"find ({fn} on {g6}, inputs {ins}); refusing to resume"
+                )
+            graphs.setdefault(g6, []).append(hit)
         for g6, hits in graphs.items():
-            t.fold(decode_graph6(g6), hits, self.ordered_inputs)
+            t.fold(decode_graph6(g6), hits, self.options.ordered_inputs)
 
     def save(self, done: bool = False) -> None:
         t = self.tally

@@ -253,6 +253,20 @@ class TestSearch:
         assert code == 2
         assert err.startswith("error:") and "different run" in err
 
+    def test_checkpoint_hit_of_an_unseen_order_is_usage_error(self, capsys, tmp_path):
+        # Such a row would fail the report's rarity statistics (exit 1).
+        stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
+        stream.write_text("CN\nDQw\n")
+        argv = ["search", str(stream), "--arity", "1", "--target", "all",
+                "--checkpoint", str(ck)]
+        assert run(capsys, *argv)[0] == 0
+        data = json.loads(ck.read_text())
+        data["hits"].append(["EQjO", 0, [2], 1, "NOT", "10"])
+        ck.write_text(json.dumps(data))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(ck) in err
+
 
 class TestMap:
     def test_fixture_mapping(self, capsys):

@@ -253,11 +253,52 @@ class TestScanRowContract:
         assert -2 in codes and len(codes) > 2  # some ladgets among the verdicts
 
 
+class _Gathers(np.ndarray):
+    # A view of a scan table that records the size of every gather from it.
+    def __getitem__(self, index):
+        self.sizes.append(np.size(index))
+        return np.asarray(self)[index]
+
+
+class TestScanSteps:
+    # scan_pass over a stack of graphs cuts the kept pairs, in row-major
+    # order, into steps of at most SCAN_CELLS cells or exactly one pair,
+    # greedily; a pair costs one cell per coloring row of its graph plus
+    # one.  A step gathers one word per (pair, row) cell and one verdict
+    # per pair, so views of the two tables see every step's size.
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_steps_are_greedy_within_the_budget(self, arity, rng, monkeypatch):
+        graphs = generate_connected(6)
+        C, starts = stacked_colorings(np.array([g.adj for g in graphs]))
+        cfgs = enumerate_configs(6, arity)
+        keep = rng.random((len(graphs), len(cfgs))) < 0.5
+        want = _kernels.scan_pass(C, starts, keep, cfgs, arity)
+        height = np.diff(starts)
+        scanned = keep & (height > 0)[:, None]
+        cost = np.broadcast_to(height[:, None] + 1, keep.shape)[scanned].tolist()
+        assert len(graphs) == 112 and 0 in height and len(cost) > 4000
+        tables = _kernels._scan_tables(arity)
+        for budget in (1, 2, 3, 8, 64, 1000, _kernels.SCAN_CELLS):
+            words, verdict = views = [t.view(_Gathers) for t in tables]
+            words.sizes, verdict.sizes = [], []
+            monkeypatch.setattr(_kernels, "_scan_tables", lambda arity: views)
+            monkeypatch.setattr(_kernels, "SCAN_CELLS", budget)
+            got = _kernels.scan_pass(C, starts, keep, cfgs, arity)
+            assert np.array_equal(got, want), budget
+            assert len(words.sizes) == len(verdict.sizes)
+            lo = 0
+            for rows, pairs in zip(words.sizes, verdict.sizes):
+                cells = sum(cost[lo : lo + pairs])
+                assert cells == rows + pairs
+                assert cells <= budget or pairs == 1, (budget, lo)
+                lo += pairs
+                if lo < len(cost):
+                    assert cells + cost[lo] > budget, ("not greedy", budget, lo)
+            assert lo == len(cost)
+
+
 def _stack(graphs):
-    return (
-        np.array([g.adj_array() for g in graphs]),
-        np.array([g.deg_array() for g in graphs]),
-    )
+    return np.array([g.adj_array() for g in graphs])
 
 
 @st.composite
@@ -284,14 +325,14 @@ class TestStackedFilterMask:
         # exactly the configurations the readable rules pass.
         n = graphs[0].n
         cfgs = enumerate_configs(n, arity, ordered_inputs=True)
-        adj, deg = _stack(graphs)
-        mask = _kernels._filter_mask_vec(adj, deg, cfgs, arity, minimal_mode)
+        adj = _stack(graphs)
+        mask = _kernels._filter_mask_vec(adj, cfgs, arity, minimal_mode)
         assert mask.shape == (len(graphs), len(cfgs))
         for g, row in zip(graphs, mask):
             one = _kernels._filter_mask_vec(
-                g.adj_array(), g.deg_array(), cfgs, arity, minimal_mode
+                g.adj_array()[None], cfgs, arity, minimal_mode
             )
-            assert np.array_equal(row, one)
+            assert np.array_equal(row, one[0])
             want = [
                 not any(_violations(g, _roles_of(c, arity), minimal_mode))
                 for c in cfgs
@@ -311,13 +352,13 @@ class TestFilterMaskExhaustive:
         # Every connected graph up to order 6 and the first 200 order-8
         # records, every configuration, ordered and unordered inputs, minimal
         # mode on and off.  The reference runs once per ordered configuration;
-        # an unordered row is looked up by its roles.  A one-graph call equals
+        # an unordered row is looked up by its roles.  A one-row stack equals
         # its row of the stack.
         lines = connected8_path.read_text().split()[:200]
         by_order = {n: generate_connected(n) for n in range(1, 7)}
         by_order[8] = [decode_graph6(text) for text in lines]
         for n, graphs in by_order.items():
-            adj, deg = _stack(graphs)
+            adj = _stack(graphs)
             rows = enumerate_configs(n, arity, ordered_inputs=True)
             index = {tuple(c): j for j, c in enumerate(rows.tolist())}
             plain = np.array([_passes(g, rows, arity, False) for g in graphs])
@@ -329,30 +370,26 @@ class TestFilterMaskExhaustive:
                 cfgs = enumerate_configs(n, arity, ordered)
                 cols = [index[tuple(c)] for c in cfgs.tolist()]
                 for minimal_mode, want in ((False, plain), (True, minimal)):
-                    mask = _kernels._filter_mask_vec(
-                        adj, deg, cfgs, arity, minimal_mode
-                    )
+                    mask = _kernels._filter_mask_vec(adj, cfgs, arity, minimal_mode)
                     assert mask.dtype == bool
                     assert np.array_equal(mask, want[:, cols]), (n, ordered)
                     for g, row in zip(graphs, mask):
                         one = _kernels._filter_mask_vec(
-                            g.adj_array(), g.deg_array(), cfgs, arity, minimal_mode
+                            g.adj_array()[None], cfgs, arity, minimal_mode
                         )
-                        assert np.array_equal(one, row), g.edges()
+                        assert np.array_equal(one[0], row), g.edges()
 
     @pytest.mark.parametrize("n,arity", [(2, 1), (3, 2)])
     def test_empty_configuration_table(self, n, arity):
         graphs = generate_connected(n)
         cfgs = enumerate_configs(n, arity)
         assert cfgs.shape == (0, 4)
-        adj, deg = _stack(graphs)
+        adj = _stack(graphs)
         for minimal_mode in (False, True):
-            mask = _kernels._filter_mask_vec(adj, deg, cfgs, arity, minimal_mode)
+            mask = _kernels._filter_mask_vec(adj, cfgs, arity, minimal_mode)
             assert mask.shape == (len(graphs), 0) and mask.dtype == bool
-            one = _kernels._filter_mask_vec(
-                adj[0], deg[0], cfgs, arity, minimal_mode
-            )
-            assert one.shape == (0,) and one.dtype == bool
+            one = _kernels._filter_mask_vec(adj[:1], cfgs, arity, minimal_mode)
+            assert one.shape == (1, 0) and one.dtype == bool
 
 
 class TestVerdictShape:

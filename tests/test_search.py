@@ -701,6 +701,35 @@ class TestCheckpoint:
         with pytest.raises(InvalidRoles, match="distinct"):
             search_stream(str(stream), opts)
 
+    @pytest.mark.parametrize("fault", ["arity", "order", "function"])
+    def test_saved_hit_this_run_cannot_find_is_refused(
+        self, tmp_path, monkeypatch, fault
+    ):
+        # A saved row must fit the run: as many inputs as its arity, a
+        # function and truth table it reports, and a graph of an order it
+        # has counted.  Such a row would otherwise be reported as a hit, or
+        # fail the report's rarity statistics.
+        stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
+        stream.write_text("CN\nDQw\n")
+        opts = SearchOptions(targets=(), arity=1, checkpoint=str(ck))
+        search_stream(str(stream), opts)
+        data = json.loads(ck.read_text())
+        hits = data["hits"]
+        assert hits[0] == ["CN", 0, [2], 1, "NOT", "10"]
+        if fault == "arity":
+            hits[0][2] = [2, 3]
+        elif fault == "order":
+            hits.append(["EQjO", 0, [2], 1, "NOT", "10"])
+        else:
+            hits[0][4:] = ["NAND", "1110"]
+        ck.write_text(json.dumps(data))
+        monkeypatch.setattr(
+            search, "config_canonical_keys",
+            lambda *a: pytest.fail("a saved hit was keyed"),
+        )
+        with pytest.raises(ValueError, match=f"checkpoint {ck} holds a hit"):
+            search_stream(str(stream), opts)
+
     def test_requires_path_source(self, tmp_path):
         ck = tmp_path / "c.json"
         with pytest.raises(ValueError, match="path source"):
