@@ -7,8 +7,9 @@ permutations, as ``stacked_colorings`` gives them: a row's permutations
 that color a pair's anchor 0 are the row shifted by the anchor's color and
 that with colors 1 and 2 swapped, and only universality tells them apart.
 Each (pair, row) cell looks up one word by the row's role colors, and a
-pair's verdict is read from the OR of its words.  ``SCAN_CELLS`` bounds
-the cells of one step, and so its memory.  The census masks a pass with
+pair's verdict is read from the OR of its words.  Verdicts are int8: -2,
+-1 or a truth-table code below 16.  ``SCAN_CELLS`` bounds the cells of one
+step, and so its memory.  The census masks a pass with
 ``_filter_mask_vec`` first and scans only the pairs it keeps;
 ``scan_configs`` is the one-graph call, filter included, on a one-row
 stack; its ``deg`` argument is unused.
@@ -120,14 +121,15 @@ def _scan_tables(arity):
     words |= 1 << 3**arity + 2 * pattern + (o != a)
     seen = np.arange(1 << 2 ** (arity + 1))[:, None] >> 2 * np.arange(2**arity) & 3
     code = (seen >> 1) @ (1 << np.arange(2**arity))
-    tables = words.astype(np.uint32), np.where((seen == 3).any(axis=1), -2, code)
+    verdict = np.where((seen == 3).any(axis=1), -2, code).astype(np.int8)
+    tables = words.astype(np.uint32), verdict
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
 def scan_pass(C, starts, keep, cfgs, arity):
-    """scan_configs' verdicts for a pass of graphs of one order: a
+    """scan_configs' verdicts for a pass of graphs of one order: an int8
     (graphs, configurations) matrix, -1 where the mask `keep` is False.
 
     Graph g's rows are C[starts[g]:starts[g + 1]], as scan_configs takes
@@ -138,7 +140,7 @@ def scan_pass(C, starts, keep, cfgs, arity):
     """
     # A graph without colorings is not universal: its kept pairs are -2.
     height = np.diff(starts)
-    res = np.where(keep, -2, -1)
+    res = np.where(keep, np.int8(-2), np.int8(-1))
     keep = keep & (height > 0)[:, None]
     pairs = np.flatnonzero(keep)
     q = keep.shape[1]

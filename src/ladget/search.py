@@ -3,9 +3,9 @@
 The stream is scanned in blocks of CHUNK_RECORDS records, inline or on a
 process pool, and the blocks' tallies are merged in stream order.  A block
 is decoded with numpy, one order at a time, into stacked adjacency rows; a
-record failing any check is counted bad by decode_graph6.  Its graphs,
-grouped by order in stream order, then go in passes of at most PASS_CELLS
-(graph, role assignment) cells through one structural filter over the
+record failing any check is counted bad by decode_graph6.  A pass is a
+block's graphs of one order, in stream order, so the block bounds a pass
+to CHUNK_RECORDS graphs.  It goes through one structural filter over the
 stacked rows, which judges each graph's (anchor, output) pairs and
 (anchor, inputs) tuples once and gathers every assignment's verdict from
 those two tables.  Proper 3-colorings are enumerated, for the whole pass at
@@ -25,8 +25,9 @@ row a hit is from scan to report, so memory grows with distinct hits and
 reports do not depend on worker scheduling or chunking.  Checkpoints save
 that same state before the first block and after merged blocks, and so
 always cover a contiguous prefix of the stream; a resume replays that
-prefix to check its sha256, checks the saved rows' roles and folds them
-again as the scan does, keyed once per graph.
+prefix to check its sha256, checks the saved rows' types and roles, judges
+them again with the census kernel, one pass per block of saved graphs and
+order, and folds them again as the scan does, keyed once per graph.
 Rarity statistics report both the raw and the deduplicated numerator since
 either reading of "one hit in N" is defensible.
 """
@@ -49,7 +50,7 @@ import numpy as np
 
 from . import _kernels
 from .coloring import stacked_colorings
-from .errors import InvalidGraph6
+from .errors import InvalidGraph6, InvalidRoles
 from .gadget import NAMED_FUNCTIONS, TruthTable, classify
 from .graphcore import (
     MAX_VERTICES,
@@ -60,12 +61,6 @@ from .graphcore import (
 )
 
 CHUNK_RECORDS = 512
-# Graphs x configurations per filter and coloring pass of a block, and so
-# its memory.  The order-8 minimal census (median of five in-process runs
-# in five alternating rounds, shared 2-CPU host) took 0.244 s at 1 << 16,
-# 0.188 s at 1 << 17 and 0.163 s in whole-block passes, at 38.2, 38.5 and
-# 42.6 MB peak RSS.  Raising it waits for a benchmark pair of its own.
-PASS_CELLS = 1 << 16
 
 
 @lru_cache(maxsize=128)
@@ -211,10 +206,7 @@ def _scan_chunk(records: list, options: SearchOptions) -> _Tally:
     tally = _Tally()
     for n, (linenos, texts, adj) in _decode_block(records, tally).items():
         cfgs = enumerate_configs(n, options.arity, options.ordered_inputs)
-        step = max(1, PASS_CELLS // max(1, len(cfgs)))
-        for lo in range(0, len(texts), step):
-            part = slice(lo, lo + step)
-            _scan_pass(linenos[part], texts[part], adj[part], cfgs, options, tally)
+        _scan_pass(linenos, texts, adj, cfgs, options, tally)
     return tally
 
 
@@ -410,6 +402,76 @@ def _record_iter(source, prefix=None) -> Iterator[tuple[int, str]]:
         yield from enumerate(source, start=1)
 
 
+def _well_formed(data: dict) -> bool:
+    # The types a resume reads, exactly, so a JSON true is no vertex or
+    # count: a count row is [name, key..., count], typed by its name, and a
+    # hit row is [graph6, anchor, inputs, output, function, truth table].
+    def types(row) -> list | None:
+        return [type(x) for x in row] if isinstance(row, list) else None
+
+    count_rows = {
+        "bad": [str, int],
+        "hits": [str, str, int, int],
+        **dict.fromkeys(_ORDER_KEYS, [str, int, int]),
+    }
+    counts, hits = data.get("counts"), data.get("hits")
+    return (
+        types([data.get("lineno"), data.get("prefix_sha256")]) == [int, str]
+        and data["lineno"] >= 0
+        and isinstance(counts, list)
+        and isinstance(hits, list)
+        and all(
+            (t := types(row)) and t[0] is str and t == count_rows.get(row[0])
+            for row in counts
+        )
+        and all(
+            types(row) == [str, int, list, int, str, str]
+            and row[0]
+            and set(types(row[2])) <= {int}
+            for row in hits
+        )
+    )
+
+
+def _misjudged(graphs: dict, options: SearchOptions) -> Hit | None:
+    # A saved hit the census would not write, or None.  graphs maps each
+    # saved graph6 to its hits, and each graph is judged again as the scan
+    # judges it: the block decoder, then per order one pass of the filter
+    # and the law scan over the saved rows alone, which must get back their
+    # function and truth table.  A row that is not in its order's table of
+    # configurations (unordered inputs out of order, another arity) fails,
+    # and so does every row of a graph6 the decoder does not return as is.
+    allowed = _allowed_codes(options.targets, options.arity)
+    records = list(enumerate(graphs))
+    judged = set()
+    for lo in range(0, len(records), CHUNK_RECORDS):
+        block = _decode_block(records[lo : lo + CHUNK_RECORDS], _Tally())
+        for n, (_, texts, adj) in block.items():
+            cfgs = enumerate_configs(n, options.arity, options.ordered_inputs)
+            index = {tuple(c[: 2 + options.arity]): j
+                     for j, c in enumerate(cfgs.tolist())}
+            rows = [(g, h) for g, text in enumerate(texts)
+                    for h in graphs.get(text, ())]
+            where = [index.get((h.anchor, h.output, *h.inputs)) for _, h in rows]
+            if None in where:
+                return rows[where.index(None)][1]
+            at = [g for g, _ in rows], where
+            keep = np.zeros((len(texts), len(cfgs)), bool)
+            keep[at] = True
+            if options.use_filter:
+                keep &= _kernels._filter_mask_vec(
+                    adj, cfgs, options.arity, options.minimal_mode
+                )
+            res = _kernels.scan_pass(
+                *stacked_colorings(adj), keep, cfgs, options.arity
+            )
+            for (_, h), code in zip(rows, res[at].tolist()):
+                if allowed.get(code) != (h.function, h.truth_table):
+                    return h
+            judged.update(texts)
+    return next((hs[0] for g6, hs in graphs.items() if g6 not in judged), None)
+
+
 class _Checkpoint:
     """Resumable progress of a path-source run: the tally of the first
     lineno lines of the stream, and the sha256 of those lines."""
@@ -438,32 +500,41 @@ class _Checkpoint:
             return
         with open(self.path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        if data.get("fingerprint") != self.fingerprint:
+        if not isinstance(data, dict) or data.get("fingerprint") != self.fingerprint:
             raise ValueError(
                 "checkpoint was written by a different run "
                 "(options or format differ); refusing to resume"
+            )
+        if not _well_formed(data):
+            raise ValueError(
+                f"checkpoint {self.path} is malformed; refusing to resume"
             )
         self.end = (data["lineno"], data["prefix_sha256"])
         self.saved_at = data["lineno"]
         t = self.tally
         t.counts = Counter({tuple(row[:-1]): row[-1] for row in data["counts"]})
-        # A saved row is input: check its roles, and that this run could
-        # have found it, before any is keyed.
-        allowed = _allowed_codes(self.options.targets, self.options.arity).values()
+
+        def refuse(hit: Hit) -> ValueError:
+            return ValueError(
+                f"checkpoint {self.path} holds a hit this run cannot find "
+                f"({hit.function} on {hit.graph6}, inputs {list(hit.inputs)}); "
+                "refusing to resume"
+            )
+
+        # A saved row is input: check its roles, and that this run finds it
+        # on a graph of an order it has counted, before any is keyed.
         graphs: dict[str, list] = {}
         for g6, a0, ins, out, fn, bits in data["hits"]:
             RoleLabeling(a0, ins, out)
             hit = Hit(g6, a0, out, tuple(ins), fn, bits)
-            if (
-                len(ins) != self.options.arity
-                or (fn, bits) not in allowed
-                or not t.counts["graphs", hit.n]
-            ):
-                raise ValueError(
-                    f"checkpoint {self.path} holds a hit this run cannot "
-                    f"find ({fn} on {g6}, inputs {ins}); refusing to resume"
-                )
+            if not t.counts["graphs", hit.n]:
+                raise refuse(hit)
+            if max(a0, out, *ins) >= hit.n:
+                raise InvalidRoles(f"role vertex outside 0..{hit.n - 1}")
             graphs.setdefault(g6, []).append(hit)
+        wrong = _misjudged(graphs, self.options)
+        if wrong is not None:
+            raise refuse(wrong)
         for g6, hits in graphs.items():
             t.fold(decode_graph6(g6), hits, self.options.ordered_inputs)
 

@@ -267,6 +267,21 @@ class TestSearch:
         assert code == 2 and out == ""
         assert err.startswith("error:") and str(ck) in err
 
+    def test_malformed_checkpoint_is_usage_error(self, capsys, tmp_path):
+        # A hit row whose inputs are a number, not a list, is refused by
+        # name, not with a traceback.
+        stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
+        stream.write_text("CN\n")
+        argv = ["search", str(stream), "--arity", "1", "--target", "NOT",
+                "--checkpoint", str(ck)]
+        assert run(capsys, *argv)[0] == 0
+        data = json.loads(ck.read_text())
+        data["hits"][0][2] = 2
+        ck.write_text(json.dumps(data))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(ck) in err and "malformed" in err
+
 
 class TestMap:
     def test_fixture_mapping(self, capsys):

@@ -375,15 +375,15 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "census_golden.json").read
 
 class TestGoldenReports:
     # Reports written by tools/make_census_golden.py, pinned bit for bit
-    # apart from elapsed_s, also with one graph per pass and one
-    # (graph, configuration) pair per scan step.
+    # apart from elapsed_s, also with one record per block, and so one
+    # graph per pass, and one (graph, configuration) pair per scan step.
     @pytest.mark.parametrize("tiny_budgets", [False, True])
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_report_is_pinned(self, monkeypatch, connected8_path, name, tiny_budgets):
         entry = GOLDEN[name]
         if tiny_budgets:
             monkeypatch.setattr(_kernels, "SCAN_CELLS", 1)
-            monkeypatch.setattr(search, "PASS_CELLS", 1)
+            monkeypatch.setattr(search, "CHUNK_RECORDS", 1)
         lines = connected8_path.read_text().splitlines(keepends=True)
         options = SearchOptions(**entry["report"]["options"])
         assert options.jobs == 1
@@ -576,6 +576,32 @@ class TestBlockKernel:
         assert rep.configs_enumerated == 112 * 180
         assert rep.configs_after_filter == 26
 
+    @pytest.mark.parametrize("use_filter", [False, True])
+    def test_one_pass_per_block_order(
+        self, monkeypatch, connected8_path, use_filter
+    ):
+        # A pass is a block's graphs of one order: the first block of the
+        # order-8 stream, 512 graphs at 840 configurations each, is one
+        # filter call when filtered, one coloring call and one law scan,
+        # whose verdicts are int8.
+        lines = connected8_path.read_text().splitlines()[: search.CHUNK_RECORDS]
+        returned = {"stacked_colorings": [], "_filter_mask_vec": [], "scan_pass": []}
+        for module, name in ((search, "stacked_colorings"),
+                             (_kernels, "_filter_mask_vec"), (_kernels, "scan_pass")):
+
+            def call(*args, real=getattr(module, name), out=returned[name]):
+                out.append(real(*args))
+                return out[-1]
+
+            monkeypatch.setattr(module, name, call)
+        rep = search_stream(lines, SearchOptions(targets=(), use_filter=use_filter))
+        assert rep.per_order[8]["graphs"] == len(lines) == 512
+        assert rep.configs_enumerated == 512 * 840
+        assert len(returned["stacked_colorings"]) == 1
+        assert len(returned["_filter_mask_vec"]) == use_filter
+        (res,) = returned["scan_pass"]
+        assert res.dtype == np.int8 and res.shape[1] == 840
+
     @pytest.mark.parametrize("arity", [1, 2])
     @pytest.mark.parametrize("one_graph_passes", [False, True])
     def test_mixed_order_block_matches_per_record_reference(
@@ -583,7 +609,7 @@ class TestBlockKernel:
     ):
         # One block holding orders 1-7 in a shuffled order, between blank
         # and undecodable lines, with sampled ordered inputs; with one
-        # graph per pass too.
+        # record per block, and so one graph per pass, too.
         rng = np.random.default_rng(9)
         graphs = [g for n in range(1, 6) for g in generate_connected(n)[:6]]
         graphs += [random_connected(n, rng) for n in (6, 6, 7, 7, 7)]
@@ -595,7 +621,7 @@ class TestBlockKernel:
                             sample_rate=0.5, seed=7)
         bad, per_order, hits = _reference_census(stream, opt)
         if one_graph_passes:
-            monkeypatch.setattr(search, "PASS_CELLS", 1)
+            monkeypatch.setattr(search, "CHUNK_RECORDS", 1)
         rep = search_stream(stream, opt)
         assert rep.bad_lines == bad > 0
         assert rep.per_order == {n: dict(c) for n, c in per_order.items()}
@@ -701,14 +727,17 @@ class TestCheckpoint:
         with pytest.raises(InvalidRoles, match="distinct"):
             search_stream(str(stream), opts)
 
-    @pytest.mark.parametrize("fault", ["arity", "order", "function"])
+    @pytest.mark.parametrize(
+        "fault", ["arity", "order", "function", "relabelled"]
+    )
     def test_saved_hit_this_run_cannot_find_is_refused(
         self, tmp_path, monkeypatch, fault
     ):
         # A saved row must fit the run: as many inputs as its arity, a
-        # function and truth table it reports, and a graph of an order it
-        # has counted.  Such a row would otherwise be reported as a hit, or
-        # fail the report's rarity statistics.
+        # function and truth table it reports and its graph and roles
+        # compute, and a graph of an order it has counted.  Such a row
+        # would otherwise be reported as a hit, or fail the report's rarity
+        # statistics.
         stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
         stream.write_text("CN\nDQw\n")
         opts = SearchOptions(targets=(), arity=1, checkpoint=str(ck))
@@ -720,14 +749,53 @@ class TestCheckpoint:
             hits[0][2] = [2, 3]
         elif fault == "order":
             hits.append(["EQjO", 0, [2], 1, "NOT", "10"])
-        else:
+        elif fault == "function":
             hits[0][4:] = ["NAND", "1110"]
+        else:
+            hits[0][4:] = ["MOV", "01"]  # reported by the run, but CN is NOT
         ck.write_text(json.dumps(data))
         monkeypatch.setattr(
             search, "config_canonical_keys",
             lambda *a: pytest.fail("a saved hit was keyed"),
         )
         with pytest.raises(ValueError, match=f"checkpoint {ck} holds a hit"):
+            search_stream(str(stream), opts)
+
+    def test_saved_hit_with_unsorted_inputs_is_refused(self, tmp_path):
+        # The scan writes unordered inputs ascending, so a saved NAND row
+        # with its inputs swapped is one it cannot find, though NAND is
+        # symmetric.
+        stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
+        stream.write_text("FCZeO\n")
+        opts = SearchOptions(targets=("NAND",), checkpoint=str(ck))
+        search_stream(str(stream), opts)
+        data = json.loads(ck.read_text())
+        (row,) = data["hits"]
+        assert row == ["FCZeO", 3, [2, 6], 4, "NAND", "1110"]
+        row[2] = [6, 2]
+        ck.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"checkpoint {ck} holds a hit"):
+            search_stream(str(stream), opts)
+
+    @pytest.mark.parametrize("fault", ["inputs", "no_hits", "count_row", "lineno"])
+    def test_malformed_body_is_refused(self, tmp_path, fault):
+        # A body of the right fingerprint but the wrong types is refused by
+        # name, before any of it is read as counts, hits or a line count.
+        stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
+        stream.write_text("CN\n")
+        opts = SearchOptions(targets=("NOT",), arity=1, checkpoint=str(ck))
+        search_stream(str(stream), opts)
+        data = json.loads(ck.read_text())
+        if fault == "inputs":
+            data["hits"][0][2] = 2
+        elif fault == "no_hits":
+            del data["hits"]
+        elif fault == "count_row":
+            data["counts"].append(5)
+        else:
+            data["lineno"] = "x"
+        ck.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"checkpoint {ck} is malformed"):
             search_stream(str(stream), opts)
 
     def test_requires_path_source(self, tmp_path):
