@@ -4,8 +4,10 @@ The stream is scanned in blocks of CHUNK_RECORDS records, inline or on a
 process pool, and the blocks' tallies are merged in stream order.  A block
 is decoded with numpy, one order at a time, into stacked adjacency rows; a
 record failing any check is counted bad by decode_graph6.  A pass is a
-block's graphs of one order, in stream order, so the block bounds a pass
-to CHUNK_RECORDS graphs.  It goes through one structural filter over the
+block's graphs of one order, in stream order, split where they could hold
+more than MAX_MATERIALIZED coloring rows: the whole block through order
+10, one graph from order 16 on.  A pass goes through one structural
+filter over the
 stacked rows, which judges each graph's (anchor, output) pairs and
 (anchor, inputs) tuples once and gathers every assignment's verdict from
 those two tables.  Proper 3-colorings are enumerated, for the whole pass at
@@ -26,8 +28,9 @@ reports do not depend on worker scheduling or chunking.  Checkpoints save
 that same state before the first block and after merged blocks, and so
 always cover a contiguous prefix of the stream; a resume replays that
 prefix to check its sha256, checks the saved rows' types and roles, judges
-them again with the census kernel, one pass per block of saved graphs and
-order, and folds them again as the scan does, keyed once per graph.
+them again with the census kernel, in passes of saved graphs of one order
+as the scan makes them, and folds them again as the scan does, keyed once
+per graph.
 Rarity statistics report both the raw and the deduplicated numerator since
 either reading of "one hit in N" is defensible.
 """
@@ -49,7 +52,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import _kernels
-from .coloring import stacked_colorings
+from .coloring import MAX_MATERIALIZED, stacked_colorings
 from .errors import InvalidGraph6, InvalidRoles
 from .gadget import NAMED_FUNCTIONS, TruthTable, classify
 from .graphcore import (
@@ -206,8 +209,23 @@ def _scan_chunk(records: list, options: SearchOptions) -> _Tally:
     tally = _Tally()
     for n, (linenos, texts, adj) in _decode_block(records, tally).items():
         cfgs = enumerate_configs(n, options.arity, options.ordered_inputs)
-        _scan_pass(linenos, texts, adj, cfgs, options, tally)
+        step = _pass_size(n, cfgs)
+        for lo in range(0, len(texts), step):
+            part = slice(lo, lo + step)
+            _scan_pass(linenos[part], texts[part], adj[part], cfgs, options, tally)
     return tally
+
+
+def _pass_size(n: int, cfgs: np.ndarray) -> int:
+    # Graphs of order n per pass: at most a block, and at most
+    # MAX_MATERIALIZED (graph, configuration) cells and coloring rows.  A
+    # graph has at most (3**(n - 1) + 1) // 2 rows, the restricted-growth
+    # strings of length n over three colors, and no more partial ones, so a
+    # pass never outgrows the bound stacked_colorings enforces unless one
+    # graph does.  Through order 10 a block's graphs of one order are one
+    # pass; from order 16 on a pass is one graph.
+    worst = max(len(cfgs), (3 ** (n - 1) + 1) // 2)
+    return max(1, min(CHUNK_RECORDS, MAX_MATERIALIZED // worst))
 
 
 def _decode_block(records: list, tally: _Tally) -> dict:
@@ -263,9 +281,8 @@ def _scan_pass(
     linenos: list, texts: list, adj: np.ndarray, cfgs: np.ndarray,
     options: SearchOptions, tally: _Tally,
 ) -> None:
-    # One pass over records of one order: the sampled, filtered keep-mask of
-    # every (graph, configuration), then the colorings of the graphs that
-    # keep any and one law scan of every kept (graph, configuration) pair.
+    # One pass over records of one order: the sampled keep-mask of every
+    # (graph, configuration), their verdicts, and the hits keyed per graph.
     count, n = adj.shape
     keep = np.ones((count, len(cfgs)), dtype=bool)
     if options.sample_rate is not None and options.sample_rate < 1.0:
@@ -274,29 +291,40 @@ def _scan_pass(
             keep[i] = rng.random(len(cfgs)) < options.sample_rate
     tally.counts["graphs", n] += count
     tally.counts["configs_enumerated", n] += int(keep.sum())
-    if options.use_filter:
-        keep &= _kernels._filter_mask_vec(
-            adj, cfgs, options.arity, options.minimal_mode
-        )
-    after = keep.sum(axis=1)
-    tally.counts["configs_after_filter", n] += int(after.sum())
-    live = np.flatnonzero(after)
-    res = _kernels.scan_pass(
-        *stacked_colorings(adj[live]), keep[live], cfgs, options.arity
-    )
+    res = _verdicts(adj, keep, cfgs, options)
+    tally.counts["configs_after_filter", n] += int((res != -1).sum())
     allowed = _allowed_codes(options.targets, options.arity)
     ladget = res >= 0
     graphs, configs = np.nonzero(ladget)
     roles = cfgs[configs, : 2 + options.arity].tolist()
     found = [
-        (i, Hit(texts[live[i]], a0, th, tuple(ins), *allowed[code]))
-        for i, (a0, th, *ins), code in zip(graphs.tolist(), roles, res[ladget].tolist())
+        (g, Hit(texts[g], a0, th, tuple(ins), *allowed[code]))
+        for g, (a0, th, *ins), code in zip(graphs.tolist(), roles, res[ladget].tolist())
         if code in allowed
     ]
     tally.counts.update(("hits", hit.function, n) for _, hit in found)
-    for i, group in itertools.groupby(found, key=lambda item: item[0]):
-        g = Graph(n, tuple(adj[live[i]].tolist()))
-        tally.fold(g, [hit for _, hit in group], options.ordered_inputs)
+    for g, group in itertools.groupby(found, key=lambda item: item[0]):
+        tally.fold(Graph(n, tuple(adj[g].tolist())), [hit for _, hit in group],
+                   options.ordered_inputs)
+
+
+def _verdicts(
+    adj: np.ndarray, keep: np.ndarray, cfgs: np.ndarray, options: SearchOptions
+) -> np.ndarray:
+    # The int8 verdict of every (graph, configuration) of a pass, as
+    # scan_pass gives them, and -1 where keep is False or the run's
+    # structural filter rejects.  The graphs that keep some configuration
+    # are colored in one stack, and one law scan judges every kept pair.
+    if options.use_filter:
+        keep = keep & _kernels._filter_mask_vec(
+            adj, cfgs, options.arity, options.minimal_mode
+        )
+    res = np.full(keep.shape, np.int8(-1))
+    live = np.flatnonzero(keep.any(axis=1))
+    res[live] = _kernels.scan_pass(
+        *stacked_colorings(adj[live]), keep[live], cfgs, options.arity
+    )
+    return res
 
 
 @dataclass
@@ -433,45 +461,6 @@ def _well_formed(data: dict) -> bool:
     )
 
 
-def _misjudged(graphs: dict, options: SearchOptions) -> Hit | None:
-    # A saved hit the census would not write, or None.  graphs maps each
-    # saved graph6 to its hits, and each graph is judged again as the scan
-    # judges it: the block decoder, then per order one pass of the filter
-    # and the law scan over the saved rows alone, which must get back their
-    # function and truth table.  A row that is not in its order's table of
-    # configurations (unordered inputs out of order, another arity) fails,
-    # and so does every row of a graph6 the decoder does not return as is.
-    allowed = _allowed_codes(options.targets, options.arity)
-    records = list(enumerate(graphs))
-    judged = set()
-    for lo in range(0, len(records), CHUNK_RECORDS):
-        block = _decode_block(records[lo : lo + CHUNK_RECORDS], _Tally())
-        for n, (_, texts, adj) in block.items():
-            cfgs = enumerate_configs(n, options.arity, options.ordered_inputs)
-            index = {tuple(c[: 2 + options.arity]): j
-                     for j, c in enumerate(cfgs.tolist())}
-            rows = [(g, h) for g, text in enumerate(texts)
-                    for h in graphs.get(text, ())]
-            where = [index.get((h.anchor, h.output, *h.inputs)) for _, h in rows]
-            if None in where:
-                return rows[where.index(None)][1]
-            at = [g for g, _ in rows], where
-            keep = np.zeros((len(texts), len(cfgs)), bool)
-            keep[at] = True
-            if options.use_filter:
-                keep &= _kernels._filter_mask_vec(
-                    adj, cfgs, options.arity, options.minimal_mode
-                )
-            res = _kernels.scan_pass(
-                *stacked_colorings(adj), keep, cfgs, options.arity
-            )
-            for (_, h), code in zip(rows, res[at].tolist()):
-                if allowed.get(code) != (h.function, h.truth_table):
-                    return h
-            judged.update(texts)
-    return next((hs[0] for g6, hs in graphs.items() if g6 not in judged), None)
-
-
 class _Checkpoint:
     """Resumable progress of a path-source run: the tally of the first
     lineno lines of the stream, and the sha256 of those lines."""
@@ -513,14 +502,6 @@ class _Checkpoint:
         self.saved_at = data["lineno"]
         t = self.tally
         t.counts = Counter({tuple(row[:-1]): row[-1] for row in data["counts"]})
-
-        def refuse(hit: Hit) -> ValueError:
-            return ValueError(
-                f"checkpoint {self.path} holds a hit this run cannot find "
-                f"({hit.function} on {hit.graph6}, inputs {list(hit.inputs)}); "
-                "refusing to resume"
-            )
-
         # A saved row is input: check its roles, and that this run finds it
         # on a graph of an order it has counted, before any is keyed.
         graphs: dict[str, list] = {}
@@ -528,15 +509,63 @@ class _Checkpoint:
             RoleLabeling(a0, ins, out)
             hit = Hit(g6, a0, out, tuple(ins), fn, bits)
             if not t.counts["graphs", hit.n]:
-                raise refuse(hit)
+                raise self._refused(hit)
             if max(a0, out, *ins) >= hit.n:
                 raise InvalidRoles(f"role vertex outside 0..{hit.n - 1}")
             graphs.setdefault(g6, []).append(hit)
-        wrong = _misjudged(graphs, self.options)
-        if wrong is not None:
-            raise refuse(wrong)
+        for g, hits in self._rejudged(graphs):
+            t.fold(g, hits, self.options.ordered_inputs)
+
+    def _refused(self, hit: Hit) -> ValueError:
+        return ValueError(
+            f"checkpoint {self.path} holds a hit this run cannot find "
+            f"({hit.function} on {hit.graph6}, inputs {list(hit.inputs)}); "
+            "refusing to resume"
+        )
+
+    def _rejudged(self, graphs: dict) -> list:
+        # (Graph, hits) per saved graph6, once every saved row is judged
+        # again as the scan judges it: the block decoder, then per pass of
+        # an order _verdicts over the saved rows alone, which must get back
+        # their function and truth table.  A row that is not in its order's
+        # table of configurations (unordered inputs out of order, another
+        # arity) is refused, and so is every row of a graph6 the decoder
+        # does not return as it is.
+        options = self.options
+        allowed = _allowed_codes(options.targets, options.arity)
+        by_order: dict[int, list] = {}
         for g6, hits in graphs.items():
-            t.fold(decode_graph6(g6), hits, self.options.ordered_inputs)
+            by_order.setdefault(hits[0].n, []).append(g6)
+        done: dict[str, Graph] = {}
+        for n, g6s in by_order.items():
+            cfgs = enumerate_configs(n, options.arity, options.ordered_inputs)
+            index = {tuple(c[: 2 + options.arity]): j
+                     for j, c in enumerate(cfgs.tolist())}
+            step = _pass_size(n, cfgs)
+            for lo in range(0, len(g6s), step):
+                block = _decode_block(list(enumerate(g6s[lo : lo + step])), _Tally())
+                if n not in block:
+                    continue
+                _, texts, adj = block[n]
+                rows = [(g, h) for g, text in enumerate(texts)
+                        for h in graphs.get(text, ())]
+                where = [index.get((h.anchor, h.output, *h.inputs)) for _, h in rows]
+                if None in where:
+                    raise self._refused(rows[where.index(None)][1])
+                at = [g for g, _ in rows], where
+                keep = np.zeros((len(texts), len(cfgs)), bool)
+                keep[at] = True
+                res = _verdicts(adj, keep, cfgs, options)
+                for (_, h), code in zip(rows, res[at].tolist()):
+                    if allowed.get(code) != (h.function, h.truth_table):
+                        raise self._refused(h)
+                done.update(
+                    (text, Graph(n, tuple(row))) for text, row in zip(texts, adj.tolist())
+                )
+        for g6, hits in graphs.items():
+            if g6 not in done:
+                raise self._refused(hits[0])
+        return [(done[g6], hits) for g6, hits in graphs.items()]
 
     def save(self, done: bool = False) -> None:
         t = self.tally

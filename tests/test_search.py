@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import ladget
 from ladget import _kernels, search
-from ladget.coloring import all_colorings
+from ladget.coloring import MAX_MATERIALIZED, all_colorings
 from ladget.errors import InvalidGraph6, InvalidRoles
 from ladget.filters import _violations
 from ladget.gadget import TruthTable, classify
@@ -601,6 +601,66 @@ class TestBlockKernel:
         assert len(returned["_filter_mask_vec"]) == use_filter
         (res,) = returned["scan_pass"]
         assert res.dtype == np.int8 and res.shape[1] == 840
+
+    def test_block_of_large_graphs_stays_within_the_coloring_bound(
+        self, monkeypatch
+    ):
+        # 512 random trees of order 17 have 2**15 coloring rows each.  The
+        # graphs that keep a sampled configuration hold more rows than one
+        # stacked_colorings call may materialize, so the block's passes
+        # split them, each within the bound.
+        rng = np.random.default_rng(17)
+        stream = [
+            encode_graph6(Graph.from_edges(
+                17, [(int(rng.integers(v)), v) for v in range(1, 17)]
+            ))
+            for _ in range(512)
+        ]
+        rows = []
+        real = search.stacked_colorings
+
+        def counting(adj):
+            C, starts = real(adj)
+            rows.append(len(C))
+            return C, starts
+
+        monkeypatch.setattr(search, "stacked_colorings", counting)
+        rep = search_stream(stream, SearchOptions(
+            targets=(), arity=1, use_filter=False, sample_rate=2 / 4080, seed=1
+        ))
+        assert rep.graphs_seen == 512
+        assert rep.configs_after_filter == rep.configs_enumerated > 0
+        assert sum(rows) > MAX_MATERIALIZED >= max(rows)
+
+    def test_split_passes_match_whole_block_passes(
+        self, monkeypatch, connected8_path, tmp_path
+    ):
+        # With the bound lowered to 100 worst-case order-8 colorings, a
+        # block's order-8 graphs go in passes of 100: the sampled arity-1
+        # census and a resume of its checkpoint, whose hit graphs are judged
+        # again in passes of 100, give the whole-block report.
+        lines = connected8_path.read_text().splitlines()[:1500]
+        stream = tmp_path / "s.g6"
+        stream.write_text("\n".join(lines) + "\n")
+        opts = SearchOptions(targets=(), arity=1, sample_rate=0.5, seed=3)
+        whole = search_stream(str(stream), opts).to_json_dict()
+        calls = []
+        real = _kernels._filter_mask_vec
+
+        def counting(adj, *args):
+            calls.append(len(adj))
+            return real(adj, *args)
+
+        monkeypatch.setattr(_kernels, "_filter_mask_vec", counting)
+        monkeypatch.setattr(search, "MAX_MATERIALIZED", 100 * (3**7 + 1) // 2)
+        ck = replace(opts, checkpoint=str(tmp_path / "ck.json"))
+        for _ in range(2):
+            split = search_stream(str(stream), ck).to_json_dict()
+            assert {**split, "elapsed_s": 0, "options": 0} == {
+                **whole, "elapsed_s": 0, "options": 0
+            }
+        # 17 passes over the three blocks, then more than one on resuming.
+        assert max(calls) == 100 and len(calls) > 18
 
     @pytest.mark.parametrize("arity", [1, 2])
     @pytest.mark.parametrize("one_graph_passes", [False, True])
