@@ -1,18 +1,19 @@
 """Census kernel: the structural filter and the law scan, vectorized with numpy.
 
 ``scan_pass`` judges a pass of graphs of one order against their stacked
-colorings: every kept (graph, configuration) pair, a step of pairs per
-numpy pass.  The colorings may hold one row per orbit of the six color
-permutations, as ``stacked_colorings`` gives them: a row's permutations
-that color a pair's anchor 0 are the row shifted by the anchor's color and
-that with colors 1 and 2 swapped, and only universality tells them apart.
-Each (pair, row) cell looks up one word by the row's role colors, and a
-pair's verdict is read from the OR of its words.  Verdicts are int8: -2,
--1 or a truth-table code below 16.  ``SCAN_CELLS`` bounds the cells of one
-step, and so its memory.  The census masks a pass with
+colorings: the pass's kept (graph, configuration) pairs, given as one
+ascending array of g * configurations + j, a step of pairs per numpy pass.
+The colorings may hold one row per orbit of the six color permutations,
+as ``stacked_colorings`` gives them: a row's permutations that color a
+pair's anchor 0 are the row shifted by the anchor's color and that with
+colors 1 and 2 swapped, and only universality tells them apart.  Each
+(pair, row) cell looks up one word by the row's role colors, and a pair's
+verdict is read from the OR of its words.  Verdicts are int8, one per
+pair: -2, -1 or a truth-table code below 16.  ``SCAN_CELLS`` bounds the
+cells of one step, and so its memory.  The census masks a pass with
 ``_filter_mask_vec`` first and scans only the pairs it keeps;
 ``scan_configs`` is the one-graph call, filter included, on a one-row
-stack; its ``deg`` argument is unused.
+stack, with one verdict per configuration; its ``deg`` argument is unused.
 
 ``_filter_mask_vec`` is the census's structural filter.  Each rule reads
 the anchor and one other role, or the anchor and the inputs, so it judges
@@ -20,7 +21,9 @@ the rules once per graph on a small (anchor, output) table and a small
 (anchor, input tuple) table, and each configuration gathers one int8 entry
 of each; the mask is their equality.  ``filters._violations`` is its
 readable reference.  It takes one shape, a (graphs, n) stack of bitmask
-rows of one order, and reads the degrees off its adjacency table.
+rows of one order, reads the degrees off its adjacency table and returns
+the (graphs, configurations) mask as the transposed view of a
+configuration-major comparison, which the census reads without a copy.
 """
 
 from functools import lru_cache
@@ -37,7 +40,8 @@ SCAN_CELLS = 1 << 14
 
 def _filter_mask_vec(adj, cfgs, arity, minimal_mode):
     # The structural filter, True meaning keep: a (graphs, configurations)
-    # mask for a stack of (graphs, n) bitmask rows of one order.
+    # mask for a stack of (graphs, n) bitmask rows of one order, returned
+    # as the transpose of a configuration-major comparison, not copied.
     #
     # out[anchor * n + output] holds OUT_ANCHOR_ADJ and OUT_DEGREE, and
     # tup[anchor * n + i1], or tup[(anchor * n + i1) * n + i2] at arity 2,
@@ -81,8 +85,7 @@ def _filter_mask_vec(adj, cfgs, arity, minimal_mode):
         rest = left[:, None, None] - low[:, None] - low
         at = (a0 * n + i1) * n + i2
     tup = ((rest + 2) * ok - 2).reshape(-1, count)
-    keep = out[a0 * n + th] == tup[at]
-    return np.ascontiguousarray(keep.T)
+    return (out[a0 * n + th] == tup[at]).T
 
 
 def scan_configs(C, adj, deg, cfgs, arity, use_filter, minimal_mode):
@@ -96,11 +99,12 @@ def scan_configs(C, adj, deg, cfgs, arity, use_filter, minimal_mode):
     pattern p = b1 * 2 + b2 indexing bit p.  `deg` is not read: the filter
     takes the degrees from `adj`.
     """
+    keep = np.ones(len(cfgs), bool)
     if use_filter:
-        keep = _filter_mask_vec(adj[None], cfgs, arity, minimal_mode)
-    else:
-        keep = np.ones((1, len(cfgs)), bool)
-    return scan_pass(C, np.array([0, len(C)]), keep, cfgs, arity)[0]
+        keep = _filter_mask_vec(adj[None], cfgs, arity, minimal_mode)[0]
+    res = np.full(len(cfgs), np.int8(-1))
+    res[keep] = scan_pass(C, np.array([0, len(C)]), np.flatnonzero(keep), cfgs, arity)
+    return res
 
 
 @lru_cache(maxsize=2)
@@ -128,43 +132,52 @@ def _scan_tables(arity):
     return tables
 
 
-def scan_pass(C, starts, keep, cfgs, arity):
-    """scan_configs' verdicts for a pass of graphs of one order: an int8
-    (graphs, configurations) matrix, -1 where the mask `keep` is False.
+def scan_pass(C, starts, pairs, cfgs, arity):
+    """scan_configs' verdicts for a pass of graphs of one order: one int8
+    per kept (graph, configuration) pair.
 
     Graph g's rows are C[starts[g]:starts[g + 1]], as scan_configs takes
-    them, and cfgs is the (configurations, 4) role table.  The kept (graph,
-    configuration) pairs are judged in row-major order, a step at a time of
-    at most SCAN_CELLS cells or one pair; a pair costs one cell per row of
-    its graph plus one.
+    them, and cfgs is the (configurations, 4) role table.  pairs holds the
+    kept pairs g * len(cfgs) + j, ascending.  They are judged in that
+    order, a step at a time of at most SCAN_CELLS cells or one pair; a pair
+    costs one cell per row of its graph plus one.  A graph without rows is
+    not universal: its pairs are -2 and are not scanned.
     """
-    # A graph without colorings is not universal: its kept pairs are -2.
     height = np.diff(starts)
-    res = np.where(keep, np.int8(-2), np.int8(-1))
-    keep = keep & (height > 0)[:, None]
-    pairs = np.flatnonzero(keep)
-    q = keep.shape[1]
+    q = len(cfgs)
     n = C.shape[1]
     flat = C.reshape(-1)
     full = (1 << 3**arity) - 1
     words, verdict = _scan_tables(arity)
-    # Graph g holds kept[g] pairs of cost[g] cells each, from pair pstart[g]
-    # and cell cstart[g] on; spent counts the cells of the steps so far.
-    kept = keep.sum(axis=1)
+    # Graph g's pairs are pairs[bounds[g]:bounds[g + 1]], and kept[g] of
+    # them are scanned, cost[g] cells each.  Counted over scanned pairs
+    # only, they are pair pstart[g] on and cell cstart[g] on; skip[g] pairs
+    # before graph g are not scanned.  done and spent count the scanned
+    # pairs and cells of the steps so far.
+    bounds = pairs.searchsorted(np.arange(len(height) + 1) * q)
+    kept = np.diff(bounds) * (height > 0)
     cost = height + 1
     pstart = kept.cumsum() - kept
     cend = (kept * cost).cumsum()
     cstart = cend - kept * cost
-    lo = spent = 0
-    while lo < len(pairs):
+    skip = bounds[:-1] - pstart
+    res = np.full(len(pairs), np.int8(-2))
+    total = kept.sum()
+    lo = done = spent = 0
+    while done < total:
         limit = spent + SCAN_CELLS
         g = cend.searchsorted(limit, "right")
-        hi = len(pairs)
+        end, hi = total, len(pairs)
         if g < len(kept):
-            hi = max(lo + 1, pstart[g] + (limit - cstart[g]) // cost[g])
-            spent = cstart[g] + (hi - pstart[g]) * cost[g]
-        step = pairs[lo:hi]
-        owner, j = np.divmod(step, q)
+            end = max(done + 1, pstart[g] + (limit - cstart[g]) // cost[g])
+            spent = cstart[g] + (end - pstart[g]) * cost[g]
+            hi = skip[g] + end
+        at = slice(lo, hi)
+        owner, j = np.divmod(pairs[at], q)
+        if hi - lo > end - done:
+            # The step passes over the pairs of graphs without rows.
+            live = np.flatnonzero(height[owner])
+            owner, j, at = owner[live], j[live], lo + live
         # Per cell: the flat offset of its coloring row, then the row's
         # colors of the pair's anchor, output and inputs, gathered in uint8
         # and read as one base-3 number, the index of its word.
@@ -176,8 +189,6 @@ def scan_pass(C, starts, keep, cfgs, arity):
         for role in cfgs[j, : 2 + arity].T:
             cell = cell * 3 + flat[row + role.repeat(rows)]
         seen = np.bitwise_or.reduceat(words[cell], first)
-        res.reshape(-1)[step] = np.where(
-            seen & full == full, verdict[seen >> 3**arity], -2
-        )
-        lo = hi
+        res[at] = np.where(seen & full == full, verdict[seen >> 3**arity], -2)
+        lo, done = hi, end
     return res

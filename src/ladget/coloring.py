@@ -9,9 +9,9 @@ Two enumerators, one per workload shape, both in lexicographic row order:
   graphs of one order together, one vertex at a time with numpy, and is
   what the census runs.  It returns one coloring per orbit of the six
   color permutations, the one in restricted-growth form, in one matrix for
-  the stack with each graph's row offsets.  Over the 152 passes of the
+  the stack with each graph's row offsets.  Over the 22 passes of the
   order-8 minimal census over tests/data/connected8.g6 it builds 14,721
-  rows, standing for 88,326 colorings, in 0.06-0.08 s (2-CPU host, numpy
+  rows, standing for 88,326 colorings, in 0.03-0.04 s (2-CPU host, numpy
   2.4).  Extended to all colorings, fixed vertices and any k, the same
   method took 1.3-1.4 s for the 1,623 one-graph enumerations of one
   perfbench verify-table repetition against the backtracker's 0.14-0.21 s,
@@ -123,7 +123,7 @@ def stacked_colorings(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         free = (masks & adj[owner, v][:, None]) == 0
         # Restricted growth: color c only once color c - 1 is in use.
         free[:, 1:] &= masks[:, :2] != 0
-        row, color = np.nonzero(free)
+        row, color = np.divmod(np.flatnonzero(free), 3)
         if len(row) > MAX_MATERIALIZED:
             raise TooLarge(
                 f"more than {MAX_MATERIALIZED} colorings; refusing to materialize"

@@ -7,17 +7,19 @@ record failing any check is counted bad by decode_graph6.  A pass is a
 block's graphs of one order, in stream order, split where they could hold
 more than MAX_MATERIALIZED coloring rows: the whole block through order
 10, one graph from order 16 on.  A pass goes through one structural
-filter over the
-stacked rows, which judges each graph's (anchor, output) pairs and
-(anchor, inputs) tuples once and gathers every assignment's verdict from
-those two tables.  Proper 3-colorings are enumerated, for the whole pass at
-once, only for the graphs that keep some role assignment (configuration),
-and only one per orbit of the six color permutations: colors 1 and 2 both
-mean true, and the anchor is moved back to color 0.  One law scan of the
-pass rebuilds each pair's anchor-0 colorings from those rows, checks
-universality and consistency and reads the truth table of every kept
-(graph, configuration) pair.  A Graph is built, from its pass row, only for
-a graph with a hit, and all of its hits are keyed with one canonical
+filter over the stacked rows, which judges each graph's (anchor, output)
+pairs and (anchor, inputs) tuples once and gathers every assignment's
+verdict from those two tables.  From then on a pass is its kept (graph,
+configuration) pairs, one sorted int64 array of g * configurations + j:
+those the filter keeps among the sampled ones, or all of them.  Proper
+3-colorings are enumerated, for the whole pass at once, only for the
+graphs with a kept pair, and only one per orbit of the six color
+permutations: colors 1 and 2 both mean true, and the anchor is moved back
+to color 0.  One law scan of the pass rebuilds each pair's anchor-0
+colorings from those rows, checks universality and consistency and reads
+one int8 verdict per kept pair; the counts are array lengths, and hits are
+the pairs with a truth table.  A Graph is built, from its pass row, only
+for a graph with a hit, and all of its hits are keyed with one canonical
 search.  Graphs up to 7 vertices can come from the built-in generator;
 anything larger arrives as an external one-record-per-line graph6 stream.
 
@@ -27,10 +29,11 @@ row a hit is from scan to report, so memory grows with distinct hits and
 reports do not depend on worker scheduling or chunking.  Checkpoints save
 that same state before the first block and after merged blocks, and so
 always cover a contiguous prefix of the stream; a resume replays that
-prefix to check its sha256, checks the saved rows' types and roles, judges
-them again with the census kernel, in passes of saved graphs of one order
-as the scan makes them, and folds them again as the scan does, keyed once
-per graph.
+prefix to check its sha256, checks the saved rows' types and roles and
+that the counts fit the covered lines, judges the saved rows again with
+the census kernel, as pairs in passes of saved graphs of one order as the
+scan makes them, and folds them again as the scan does, keyed once per
+graph.
 Rarity statistics report both the raw and the deduplicated numerator since
 either reading of "one hit in N" is defensible.
 """
@@ -281,21 +284,24 @@ def _scan_pass(
     linenos: list, texts: list, adj: np.ndarray, cfgs: np.ndarray,
     options: SearchOptions, tally: _Tally,
 ) -> None:
-    # One pass over records of one order: the sampled keep-mask of every
-    # (graph, configuration), their verdicts, and the hits keyed per graph.
+    # One pass over records of one order: the sampled pairs, if sampled, the
+    # kept pairs and their verdicts, and the hits keyed per graph.
     count, n = adj.shape
-    keep = np.ones((count, len(cfgs)), dtype=bool)
+    q = len(cfgs)
+    pairs = None
     if options.sample_rate is not None and options.sample_rate < 1.0:
+        sample = np.empty((count, q), dtype=bool)
         for i, lineno in enumerate(linenos):
             rng = np.random.default_rng((options.seed or 0, lineno))
-            keep[i] = rng.random(len(cfgs)) < options.sample_rate
+            sample[i] = rng.random(q) < options.sample_rate
+        pairs = np.flatnonzero(sample)
     tally.counts["graphs", n] += count
-    tally.counts["configs_enumerated", n] += int(keep.sum())
-    res = _verdicts(adj, keep, cfgs, options)
-    tally.counts["configs_after_filter", n] += int((res != -1).sum())
+    tally.counts["configs_enumerated", n] += count * q if pairs is None else len(pairs)
+    pairs, res = _verdicts(adj, pairs, cfgs, options)
+    tally.counts["configs_after_filter", n] += len(pairs)
     allowed = _allowed_codes(options.targets, options.arity)
     ladget = res >= 0
-    graphs, configs = np.nonzero(ladget)
+    graphs, configs = np.divmod(pairs[ladget], q)
     roles = cfgs[configs, : 2 + options.arity].tolist()
     found = [
         (g, Hit(texts[g], a0, th, tuple(ins), *allowed[code]))
@@ -309,22 +315,29 @@ def _scan_pass(
 
 
 def _verdicts(
-    adj: np.ndarray, keep: np.ndarray, cfgs: np.ndarray, options: SearchOptions
-) -> np.ndarray:
-    # The int8 verdict of every (graph, configuration) of a pass, as
-    # scan_pass gives them, and -1 where keep is False or the run's
-    # structural filter rejects.  The graphs that keep some configuration
-    # are colored in one stack, and one law scan judges every kept pair.
+    adj: np.ndarray, pairs: np.ndarray | None, cfgs: np.ndarray,
+    options: SearchOptions,
+) -> tuple[np.ndarray, np.ndarray]:
+    # The pairs g * len(cfgs) + j of a pass that the run's structural
+    # filter keeps, ascending, among the given ascending pairs or all of
+    # them, and the int8 verdict of each as scan_pass gives them.  The
+    # graphs with a kept pair are colored in one stack, and one law scan
+    # judges every kept pair.
+    count, q = len(adj), len(cfgs)
     if options.use_filter:
-        keep = keep & _kernels._filter_mask_vec(
+        mask = _kernels._filter_mask_vec(
             adj, cfgs, options.arity, options.minimal_mode
         )
-    res = np.full(keep.shape, np.int8(-1))
-    live = np.flatnonzero(keep.any(axis=1))
-    res[live] = _kernels.scan_pass(
-        *stacked_colorings(adj[live]), keep[live], cfgs, options.arity
-    )
-    return res
+        j, g = np.divmod(np.flatnonzero(mask.T), count)
+        kept = np.sort(g * q + j)
+        pairs = kept if pairs is None else kept[np.isin(kept, pairs)]
+    elif pairs is None:
+        pairs = np.arange(count * q)
+    live = np.flatnonzero(np.diff(pairs.searchsorted(np.arange(count + 1) * q)))
+    C, starts = stacked_colorings(adj[live])
+    # Every graph of the pass gets its range of rows, empty if not colored.
+    starts = starts[live.searchsorted(np.arange(count + 1))]
+    return pairs, _kernels.scan_pass(C, starts, pairs, cfgs, options.arity)
 
 
 @dataclass
@@ -461,6 +474,28 @@ def _well_formed(data: dict) -> bool:
     )
 
 
+def _counts_fit(counts: Counter, lineno: int, options: SearchOptions) -> bool:
+    # Counts that the covered lines can hold: none negative, no more graphs
+    # and bad lines than lines and, per order, no more configurations than
+    # its graphs' tables, filtered configurations than configurations, or
+    # raw hits of a function than filtered configurations.
+    below = {"configs_after_filter": "configs_enumerated",
+             "hits": "configs_after_filter"}
+    for (name, *key), c in counts.items():
+        n = key[-1] if key else None
+        if name == "configs_enumerated":
+            cap = 0
+            if 0 < n <= MAX_VERTICES:
+                cfgs = enumerate_configs(n, options.arity, options.ordered_inputs)
+                cap = counts["graphs", n] * len(cfgs)
+        else:
+            cap = counts[below[name], n] if name in below else c
+        if not 0 <= c <= cap:
+            return False
+    graphs = sum(c for key, c in counts.items() if key[0] == "graphs")
+    return graphs + counts["bad",] <= lineno
+
+
 class _Checkpoint:
     """Resumable progress of a path-source run: the tally of the first
     lineno lines of the stream, and the sha256 of those lines."""
@@ -487,21 +522,28 @@ class _Checkpoint:
     def load(self) -> None:
         if not os.path.exists(self.path):
             return
-        with open(self.path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        malformed = ValueError(
+            f"checkpoint {self.path} is malformed; refusing to resume"
+        )
+        try:
+            with open(self.path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except ValueError:  # not UTF-8, or not JSON
+            raise malformed from None
         if not isinstance(data, dict) or data.get("fingerprint") != self.fingerprint:
             raise ValueError(
                 "checkpoint was written by a different run "
                 "(options or format differ); refusing to resume"
             )
         if not _well_formed(data):
-            raise ValueError(
-                f"checkpoint {self.path} is malformed; refusing to resume"
-            )
+            raise malformed
+        counts = Counter({tuple(row[:-1]): row[-1] for row in data["counts"]})
+        if not _counts_fit(counts, data["lineno"], self.options):
+            raise malformed
         self.end = (data["lineno"], data["prefix_sha256"])
         self.saved_at = data["lineno"]
         t = self.tally
-        t.counts = Counter({tuple(row[:-1]): row[-1] for row in data["counts"]})
+        t.counts = counts
         # A saved row is input: check its roles, and that this run finds it
         # on a graph of an order it has counted, before any is keyed.
         graphs: dict[str, list] = {}
@@ -526,11 +568,11 @@ class _Checkpoint:
     def _rejudged(self, graphs: dict) -> list:
         # (Graph, hits) per saved graph6, once every saved row is judged
         # again as the scan judges it: the block decoder, then per pass of
-        # an order _verdicts over the saved rows alone, which must get back
-        # their function and truth table.  A row that is not in its order's
-        # table of configurations (unordered inputs out of order, another
-        # arity) is refused, and so is every row of a graph6 the decoder
-        # does not return as it is.
+        # an order _verdicts over the saved rows' pairs alone, which must
+        # get back their function and truth table.  A row that is not in its
+        # order's table of configurations (unordered inputs out of order,
+        # another arity) is refused, and so is every row of a graph6 the
+        # decoder does not return as it is.
         options = self.options
         allowed = _allowed_codes(options.targets, options.arity)
         by_order: dict[int, list] = {}
@@ -552,12 +594,13 @@ class _Checkpoint:
                 where = [index.get((h.anchor, h.output, *h.inputs)) for _, h in rows]
                 if None in where:
                     raise self._refused(rows[where.index(None)][1])
-                at = [g for g, _ in rows], where
-                keep = np.zeros((len(texts), len(cfgs)), bool)
-                keep[at] = True
-                res = _verdicts(adj, keep, cfgs, options)
-                for (_, h), code in zip(rows, res[at].tolist()):
-                    if allowed.get(code) != (h.function, h.truth_table):
+                cells = [g * len(cfgs) + j for (g, _), j in zip(rows, where)]
+                kept, res = _verdicts(
+                    adj, np.unique(np.array(cells, np.int64)), cfgs, options
+                )
+                codes = dict(zip(kept.tolist(), res.tolist()))
+                for (_, h), cell in zip(rows, cells):
+                    if allowed.get(codes.get(cell)) != (h.function, h.truth_table):
                         raise self._refused(h)
                 done.update(
                     (text, Graph(n, tuple(row))) for text, row in zip(texts, adj.tolist())

@@ -283,6 +283,15 @@ class TestSearch:
         assert err.startswith("error:") and str(ck) in err and "malformed" in err
 
 
+    def test_checkpoint_that_is_not_json_is_usage_error(self, capsys, tmp_path):
+        stream, ck = tmp_path / "s.g6", tmp_path / "bad.json"
+        stream.write_text("CN\n")
+        ck.write_text("not json")
+        code, out, err = run(capsys, "search", str(stream), "--arity", "1",
+                             "--target", "all", "--checkpoint", str(ck))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(ck) in err and "malformed" in err
+
 class TestMap:
     def test_fixture_mapping(self, capsys):
         code, out, _ = run(capsys, "map", "--fixture", "ROT")

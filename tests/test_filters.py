@@ -261,29 +261,39 @@ class _Gathers(np.ndarray):
 
 
 class TestScanSteps:
-    # scan_pass over a stack of graphs cuts the kept pairs, in row-major
-    # order, into steps of at most SCAN_CELLS cells or exactly one pair,
-    # greedily; a pair costs one cell per coloring row of its graph plus
-    # one.  A step gathers one word per (pair, row) cell and one verdict
-    # per pair, so views of the two tables see every step's size.
+    # scan_pass over a stack of graphs cuts the kept pairs of graphs with
+    # colorings, ascending, into steps of at most SCAN_CELLS cells or
+    # exactly one pair, greedily; a pair costs one cell per coloring row of
+    # its graph plus one.  A step gathers one word per (pair, row) cell and
+    # one verdict per pair, so views of the two tables see every step's
+    # size.  The pairs of a graph without colorings are -2 and not scanned.
     @pytest.mark.parametrize("arity", [1, 2])
     def test_steps_are_greedy_within_the_budget(self, arity, rng, monkeypatch):
         graphs = generate_connected(6)
         C, starts = stacked_colorings(np.array([g.adj for g in graphs]))
         cfgs = enumerate_configs(6, arity)
         keep = rng.random((len(graphs), len(cfgs))) < 0.5
-        want = _kernels.scan_pass(C, starts, keep, cfgs, arity)
+        kept = np.flatnonzero(keep)
+        want = _kernels.scan_pass(C, starts, kept, cfgs, arity)
         height = np.diff(starts)
         scanned = keep & (height > 0)[:, None]
         cost = np.broadcast_to(height[:, None] + 1, keep.shape)[scanned].tolist()
         assert len(graphs) == 112 and 0 in height and len(cost) > 4000
+        # One verdict per pair: its graph's one-graph verdict, and -2 for
+        # the pairs of graphs without colorings.
+        assert want.dtype == np.int8 and len(want) == len(kept)
+        assert (want[~scanned[keep]] == -2).all()
+        for g, row in enumerate(keep):
+            one = scan_configs(C[starts[g] : starts[g + 1]], graphs[g].adj_array(),
+                               graphs[g].deg_array(), cfgs, arity, False, False)
+            assert np.array_equal(want[kept // len(cfgs) == g], one[row]), g
         tables = _kernels._scan_tables(arity)
         for budget in (1, 2, 3, 8, 64, 1000, _kernels.SCAN_CELLS):
             words, verdict = views = [t.view(_Gathers) for t in tables]
             words.sizes, verdict.sizes = [], []
             monkeypatch.setattr(_kernels, "_scan_tables", lambda arity: views)
             monkeypatch.setattr(_kernels, "SCAN_CELLS", budget)
-            got = _kernels.scan_pass(C, starts, keep, cfgs, arity)
+            got = _kernels.scan_pass(C, starts, kept, cfgs, arity)
             assert np.array_equal(got, want), budget
             assert len(words.sizes) == len(verdict.sizes)
             lo = 0

@@ -583,7 +583,7 @@ class TestBlockKernel:
         # A pass is a block's graphs of one order: the first block of the
         # order-8 stream, 512 graphs at 840 configurations each, is one
         # filter call when filtered, one coloring call and one law scan,
-        # whose verdicts are int8.
+        # whose verdicts are int8, one per configuration the filter keeps.
         lines = connected8_path.read_text().splitlines()[: search.CHUNK_RECORDS]
         returned = {"stacked_colorings": [], "_filter_mask_vec": [], "scan_pass": []}
         for module, name in ((search, "stacked_colorings"),
@@ -600,7 +600,7 @@ class TestBlockKernel:
         assert len(returned["stacked_colorings"]) == 1
         assert len(returned["_filter_mask_vec"]) == use_filter
         (res,) = returned["scan_pass"]
-        assert res.dtype == np.int8 and res.shape[1] == 840
+        assert res.dtype == np.int8 and len(res) == rep.configs_after_filter
 
     def test_block_of_large_graphs_stays_within_the_coloring_bound(
         self, monkeypatch
@@ -854,6 +854,38 @@ class TestCheckpoint:
             data["counts"].append(5)
         else:
             data["lineno"] = "x"
+        ck.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"checkpoint {ck} is malformed"):
+            search_stream(str(stream), opts)
+
+    @pytest.mark.parametrize(
+        "bound", ["lines", "configs_enumerated", "configs_after_filter", "hits"]
+    )
+    def test_counts_the_covered_lines_cannot_hold_are_refused(
+        self, tmp_path, bound
+    ):
+        # Each count row is bounded by what the covered lines can hold:
+        # graphs plus bad lines by the line count, an order's configurations
+        # by its graphs times its table (24 at order 4, arity 1), filtered
+        # configurations by configurations and raw hits by filtered ones.
+        # One count over its bound is refused by name.
+        stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
+        stream.write_text("CN\nDQw\n")
+        opts = SearchOptions(targets=(), arity=1, checkpoint=str(ck))
+        search_stream(str(stream), opts)
+        data = json.loads(ck.read_text())
+        counts = {tuple(row[:-1]): row for row in data["counts"]}
+        assert data["lineno"] == 2 and counts["graphs", 4][-1] == 1
+        assert counts["configs_enumerated", 4][-1] == 24
+        if bound == "lines":
+            counts["graphs", 4][-1] = counts["graphs", 5][-1] = 2000
+        elif bound == "configs_enumerated":
+            counts[bound, 4][-1] = 25
+        elif bound == "configs_after_filter":
+            counts[bound, 4][-1] = 25
+            assert counts["configs_enumerated", 4][-1] == 24
+        else:
+            counts["hits", "NOT", 4][-1] = counts["configs_after_filter", 4][-1] + 1
         ck.write_text(json.dumps(data))
         with pytest.raises(ValueError, match=f"checkpoint {ck} is malformed"):
             search_stream(str(stream), opts)
