@@ -149,35 +149,32 @@ def scan_pass(C, starts, pairs, cfgs, arity):
     flat = C.reshape(-1)
     full = (1 << 3**arity) - 1
     words, verdict = _scan_tables(arity)
-    # Graph g's pairs are pairs[bounds[g]:bounds[g + 1]], and kept[g] of
-    # them are scanned, cost[g] cells each.  Counted over scanned pairs
-    # only, they are pair pstart[g] on and cell cstart[g] on; skip[g] pairs
-    # before graph g are not scanned.  done and spent count the scanned
-    # pairs and cells of the steps so far.
+    # Graph g's pairs are pairs[bounds[g]:bounds[g + 1]]; kept[g] of them
+    # are scanned, none if it has no rows, cost[g] cells each.  Counted over
+    # the scanned pairs only, graph g's are pair pstart[g] on and cell
+    # cstart[g] on; done and spent count the scanned pairs and cells of the
+    # steps so far.  When some pairs are not scanned, scanned holds the
+    # positions in pairs of those that are.
     bounds = pairs.searchsorted(np.arange(len(height) + 1) * q)
     kept = np.diff(bounds) * (height > 0)
     cost = height + 1
     pstart = kept.cumsum() - kept
     cend = (kept * cost).cumsum()
     cstart = cend - kept * cost
-    skip = bounds[:-1] - pstart
     res = np.full(len(pairs), np.int8(-2))
     total = kept.sum()
-    lo = done = spent = 0
+    if total < len(pairs):
+        scanned = np.flatnonzero(np.repeat(height > 0, np.diff(bounds)))
+    done = spent = 0
     while done < total:
         limit = spent + SCAN_CELLS
         g = cend.searchsorted(limit, "right")
-        end, hi = total, len(pairs)
+        end = total
         if g < len(kept):
             end = max(done + 1, pstart[g] + (limit - cstart[g]) // cost[g])
             spent = cstart[g] + (end - pstart[g]) * cost[g]
-            hi = skip[g] + end
-        at = slice(lo, hi)
+        at = slice(done, end) if total == len(pairs) else scanned[done:end]
         owner, j = np.divmod(pairs[at], q)
-        if hi - lo > end - done:
-            # The step passes over the pairs of graphs without rows.
-            live = np.flatnonzero(height[owner])
-            owner, j, at = owner[live], j[live], lo + live
         # Per cell: the flat offset of its coloring row, then the row's
         # colors of the pair's anchor, output and inputs, gathered in uint8
         # and read as one base-3 number, the index of its word.
@@ -190,5 +187,5 @@ def scan_pass(C, starts, pairs, cfgs, arity):
             cell = cell * 3 + flat[row + role.repeat(rows)]
         seen = np.bitwise_or.reduceat(words[cell], first)
         res[at] = np.where(seen & full == full, verdict[seen >> 3**arity], -2)
-        lo, done = hi, end
+        done = end
     return res
