@@ -152,9 +152,8 @@ def scan_pass(C, starts, pairs, cfgs, arity):
     # Graph g's pairs are pairs[bounds[g]:bounds[g + 1]]; kept[g] of them
     # are scanned, none if it has no rows, cost[g] cells each.  Counted over
     # the scanned pairs only, graph g's are pair pstart[g] on and cell
-    # cstart[g] on; done and spent count the scanned pairs and cells of the
-    # steps so far.  When some pairs are not scanned, scanned holds the
-    # positions in pairs of those that are.
+    # cstart[g] on; scanned holds their positions in pairs, and done and
+    # spent count the scanned pairs and cells of the steps so far.
     bounds = pairs.searchsorted(np.arange(len(height) + 1) * q)
     kept = np.diff(bounds) * (height > 0)
     cost = height + 1
@@ -162,18 +161,16 @@ def scan_pass(C, starts, pairs, cfgs, arity):
     cend = (kept * cost).cumsum()
     cstart = cend - kept * cost
     res = np.full(len(pairs), np.int8(-2))
-    total = kept.sum()
-    if total < len(pairs):
-        scanned = np.flatnonzero(np.repeat(height > 0, np.diff(bounds)))
+    scanned = np.flatnonzero(np.repeat(height > 0, np.diff(bounds)))
     done = spent = 0
-    while done < total:
+    while done < len(scanned):
         limit = spent + SCAN_CELLS
         g = cend.searchsorted(limit, "right")
-        end = total
+        end = len(scanned)
         if g < len(kept):
             end = max(done + 1, pstart[g] + (limit - cstart[g]) // cost[g])
             spent = cstart[g] + (end - pstart[g]) * cost[g]
-        at = slice(done, end) if total == len(pairs) else scanned[done:end]
+        at = scanned[done:end]
         owner, j = np.divmod(pairs[at], q)
         # Per cell: the flat offset of its coloring row, then the row's
         # colors of the pair's anchor, output and inputs, gathered in uint8

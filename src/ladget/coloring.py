@@ -11,8 +11,8 @@ Two enumerators, one per workload shape, both in lexicographic row order:
   color permutations, the one in restricted-growth form, in one matrix for
   the stack with each graph's row offsets.  Over the 22 passes of the
   order-8 minimal census over tests/data/connected8.g6 it builds 14,721
-  rows, standing for 88,326 colorings, in 0.03-0.04 s (2-CPU host, numpy
-  2.4).  Extended to all colorings, fixed vertices and any k, the same
+  rows, standing for 88,326 colorings, in about 0.03 s (median of 11
+  runs, 2-CPU host, numpy 2.4).  Extended to all colorings, fixed vertices and any k, the same
   method took 1.3-1.4 s for the 1,623 one-graph enumerations of one
   perfbench verify-table repetition against the backtracker's 0.14-0.21 s,
   1.0 s of it on the order-13 embeddings at k=6.  So both stay.
