@@ -12,10 +12,11 @@ Two enumerators, one per workload shape, both in lexicographic row order:
   the stack with each graph's row offsets.  Over the 22 passes of the
   order-8 minimal census over tests/data/connected8.g6 it builds 14,721
   rows, standing for 88,326 colorings, in about 0.03 s (median of 11
-  runs, 2-CPU host, numpy 2.4).  Extended to all colorings, fixed vertices and any k, the same
-  method took 1.3-1.4 s for the 1,623 one-graph enumerations of one
-  perfbench verify-table repetition against the backtracker's 0.14-0.21 s,
-  1.0 s of it on the order-13 embeddings at k=6.  So both stay.
+  runs, 2-CPU host, numpy 2.4).  Extended to all colorings, fixed vertices
+  and any k, the same method took 1.3-1.4 s for the 1,623 one-graph
+  enumerations of one perfbench verify-table repetition against the
+  backtracker's 0.14-0.21 s, 1.0 s of it on the order-13 embeddings at
+  k=6.  So both stay.
 
 Both are checked in tests against the exhaustive oracle in tests/oracles.py,
 which tries every one of the k**n assignments with no pruning at all.
