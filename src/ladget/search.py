@@ -25,15 +25,16 @@ anything larger arrives as an external one-record-per-line graph6 stream.
 
 A tally is one additive Counter (graphs, configurations, raw hits and bad
 lines) plus, per role-respecting isomorphism class, the least Hit, the one
-row a hit is from scan to report, so memory grows with distinct hits and
-reports do not depend on worker scheduling or chunking.  Checkpoints save
-that same state before the first block and after merged blocks, and so
-always cover a contiguous prefix of the stream; a resume replays that
-prefix to check its sha256, checks the saved rows' types and roles and
-that the counts fit the covered lines, judges the saved rows again with
-the census kernel, as pairs in passes of saved graphs of one order as the
-scan makes them, and folds them again as the scan does, keyed once per
-graph.
+row a hit is from scan to report, with the line and configuration index it
+was found at, so memory grows with distinct hits and reports do not depend
+on worker scheduling or chunking.  Checkpoints save that state before the
+first block and after merged blocks, a hit as its (line, configuration
+index) cell, and so always cover a contiguous prefix of the stream.  A
+resume checks that the counts fit the covered lines, reads that prefix
+again to check its sha256, keeping the saved cells' lines, and judges
+exactly those cells with the census's own pass, which derives each hit's
+graph6, roles and function from the stream; it refuses the checkpoint
+unless every cell is a hit the saved counts hold.
 Rarity statistics report both the raw and the deduplicated numerator since
 either reading of "one hit in N" is defensible.
 """
@@ -56,7 +57,7 @@ import numpy as np
 
 from . import _kernels
 from .coloring import MAX_MATERIALIZED, stacked_colorings
-from .errors import InvalidGraph6, InvalidRoles
+from .errors import InvalidGraph6
 from .gadget import NAMED_FUNCTIONS, TruthTable, classify
 from .graphcore import (
     MAX_VERTICES,
@@ -187,35 +188,47 @@ _ORDER_KEYS = ("graphs", "configs_enumerated", "configs_after_filter")
 class _Tally:
     # Additive counts keyed (name, order) for the _ORDER_KEYS, ("hits",
     # function, order) and ("bad",); per (function, config_canonical_keys
-    # entry) the least Hit, so hits scanned or loaded fold with a plain min;
-    # and the block's first undecodable (lineno, message), which only strict
-    # mode reads.  The state grows with orders and distinct hits, not with
-    # lines read.
+    # entry) the least (Hit, lineno, j), so hits fold with a plain min and
+    # the line breaks ties between repeated records; and the block's first
+    # undecodable (lineno, message), which only strict mode reads.  The
+    # state grows with orders and distinct hits, not with lines read.
     counts: Counter = field(default_factory=Counter)
     least: dict = field(default_factory=dict)
     first_bad: tuple | None = None
 
     def merge(self, other: "_Tally") -> None:
         self.counts.update(other.counts)
-        for key, hit in other.least.items():
-            self.least[key] = min(hit, self.least.get(key, hit))
+        for key, entry in other.least.items():
+            self.least[key] = min(entry, self.least.get(key, entry))
 
-    def fold(self, g: Graph, hits: list, ordered_inputs: bool) -> None:
-        # Keys the hits of one graph with one canonical search and folds them.
-        rows = [(h.anchor, h.output, *h.inputs) for h in hits]
-        for hit, key in zip(hits, config_canonical_keys(g, rows, ordered_inputs)):
-            slot = hit.function, key
-            self.least[slot] = min(hit, self.least.get(slot, hit))
+    def fold(self, g: Graph, entries: list, ordered_inputs: bool) -> None:
+        # Keys the (Hit, lineno, j) entries of one graph with one canonical
+        # search and folds them.
+        rows = [(h.anchor, h.output, *h.inputs) for h, _, _ in entries]
+        for entry, key in zip(entries, config_canonical_keys(g, rows, ordered_inputs)):
+            slot = entry[0].function, key
+            self.least[slot] = min(entry, self.least.get(slot, entry))
 
 
-def _scan_chunk(records: list, options: SearchOptions) -> _Tally:
+def _scan_chunk(
+    records: list, options: SearchOptions, cells: dict | None = None
+) -> _Tally:
+    # The tally of a block; or, given a checkpoint's {lineno: [j, ...]},
+    # of just those cells of its records, each j in its order's table.
     tally = _Tally()
     for n, (linenos, texts, adj) in _decode_block(records, tally).items():
         cfgs = enumerate_configs(n, options.arity, options.ordered_inputs)
+        q = len(cfgs)
         step = _pass_size(n, cfgs)
         for lo in range(0, len(texts), step):
             part = slice(lo, lo + step)
-            _scan_pass(linenos[part], texts[part], adj[part], cfgs, options, tally)
+            pairs = None
+            if cells is not None:
+                pairs = np.unique(np.array(
+                    [g * q + j for g, lineno in enumerate(linenos[part])
+                     for j in cells[lineno] if 0 <= j < q], np.int64))
+            _scan_pass(linenos[part], texts[part], adj[part], cfgs, options,
+                       tally, pairs)
     return tally
 
 
@@ -282,19 +295,20 @@ def _decode_block(records: list, tally: _Tally) -> dict:
 
 def _scan_pass(
     linenos: list, texts: list, adj: np.ndarray, cfgs: np.ndarray,
-    options: SearchOptions, tally: _Tally,
+    options: SearchOptions, tally: _Tally, pairs: np.ndarray | None = None,
 ) -> None:
-    # One pass over records of one order: the sampled pairs, if sampled, the
-    # kept pairs and their verdicts, and the hits keyed per graph.
+    # One pass over records of one order, over the given ascending pairs or
+    # all of them: the sampled ones, if sampled, the kept ones and their
+    # verdicts, and the hits keyed per graph.
     count, n = adj.shape
     q = len(cfgs)
-    pairs = None
     if options.sample_rate is not None and options.sample_rate < 1.0:
         sample = np.empty((count, q), dtype=bool)
         for i, lineno in enumerate(linenos):
             rng = np.random.default_rng((options.seed or 0, lineno))
             sample[i] = rng.random(q) < options.sample_rate
-        pairs = np.flatnonzero(sample)
+        sampled = sample.ravel()
+        pairs = np.flatnonzero(sampled) if pairs is None else pairs[sampled[pairs]]
     tally.counts["graphs", n] += count
     tally.counts["configs_enumerated", n] += count * q if pairs is None else len(pairs)
     pairs, res = _verdicts(adj, pairs, cfgs, options)
@@ -304,13 +318,15 @@ def _scan_pass(
     graphs, configs = np.divmod(pairs[ladget], q)
     roles = cfgs[configs, : 2 + options.arity].tolist()
     found = [
-        (g, Hit(texts[g], a0, th, tuple(ins), *allowed[code]))
-        for g, (a0, th, *ins), code in zip(graphs.tolist(), roles, res[ladget].tolist())
+        (g, (Hit(texts[g], a0, th, tuple(ins), *allowed[code]), linenos[g], j))
+        for g, j, (a0, th, *ins), code in zip(
+            graphs.tolist(), configs.tolist(), roles, res[ladget].tolist()
+        )
         if code in allowed
     ]
-    tally.counts.update(("hits", hit.function, n) for _, hit in found)
+    tally.counts.update(("hits", entry[0].function, n) for _, entry in found)
     for g, group in itertools.groupby(found, key=lambda item: item[0]):
-        tally.fold(Graph(n, tuple(adj[g].tolist())), [hit for _, hit in group],
+        tally.fold(Graph(n, tuple(adj[g].tolist())), [entry for _, entry in group],
                    options.ordered_inputs)
 
 
@@ -444,9 +460,9 @@ def _record_iter(source, prefix=None) -> Iterator[tuple[int, str]]:
 
 
 def _well_formed(data: dict) -> bool:
-    # The types a resume reads, exactly, so a JSON true is no vertex or
+    # The types a resume reads, exactly, so a JSON true is no line or
     # count: a count row is [name, key..., count], typed by its name, and a
-    # hit row is [graph6, anchor, inputs, output, function, truth table].
+    # hit row is [lineno, j], a cell of the covered lines.
     def types(row) -> list | None:
         return [type(x) for x in row] if isinstance(row, list) else None
 
@@ -465,12 +481,7 @@ def _well_formed(data: dict) -> bool:
             (t := types(row)) and t[0] is str and t == count_rows.get(row[0])
             for row in counts
         )
-        and all(
-            types(row) == [str, int, list, int, str, str]
-            and row[0]
-            and set(types(row[2])) <= {int}
-            for row in hits
-        )
+        and all(types(row) == [int, int] for row in hits)
     )
 
 
@@ -498,7 +509,8 @@ def _counts_fit(counts: Counter, lineno: int, options: SearchOptions) -> bool:
 
 class _Checkpoint:
     """Resumable progress of a path-source run: the tally of the first
-    lineno lines of the stream, and the sha256 of those lines."""
+    lineno lines of the stream, its hits as cells of those lines, and the
+    sha256 of those lines."""
 
     def __init__(self, path: str, options: SearchOptions):
         self.path = path
@@ -513,11 +525,12 @@ class _Checkpoint:
         opts = asdict(options)
         for key in ("jobs", "checkpoint", "checkpoint_every"):
             del opts[key]
-        self.fingerprint = json.loads(json.dumps({"options": opts, "version": 5}))
+        self.fingerprint = json.loads(json.dumps({"options": opts, "version": 6}))
         self.prefix = hashlib.sha256()
         self.end = (0, self.prefix.hexdigest())
         self.saved_at = 0
         self.tally = _Tally()
+        self.rows: list = []
 
     def load(self) -> None:
         if not os.path.exists(self.path):
@@ -542,73 +555,37 @@ class _Checkpoint:
             raise malformed
         self.end = (data["lineno"], data["prefix_sha256"])
         self.saved_at = data["lineno"]
-        t = self.tally
-        t.counts = counts
-        # A saved row is input: check its roles, and that this run finds it
-        # on a graph of an order it has counted, before any is keyed.
-        graphs: dict[str, list] = {}
-        for g6, a0, ins, out, fn, bits in data["hits"]:
-            RoleLabeling(a0, ins, out)
-            hit = Hit(g6, a0, out, tuple(ins), fn, bits)
-            if not t.counts["graphs", hit.n]:
-                raise self._refused(hit)
-            if max(a0, out, *ins) >= hit.n:
-                raise InvalidRoles(f"role vertex outside 0..{hit.n - 1}")
-            graphs.setdefault(g6, []).append(hit)
-        for g, hits in self._rejudged(graphs):
-            t.fold(g, hits, self.options.ordered_inputs)
+        self.tally.counts = counts
+        self.rows = data["hits"]
 
-    def _refused(self, hit: Hit) -> ValueError:
-        return ValueError(
-            f"checkpoint {self.path} holds a hit this run cannot find "
-            f"({hit.function} on {hit.graph6}, inputs {list(hit.inputs)}); "
-            "refusing to resume"
-        )
-
-    def _rejudged(self, graphs: dict) -> list:
-        # (Graph, hits) per saved graph6, once every saved row is judged
-        # again as the scan judges it: the block decoder, then per pass of
-        # an order _verdicts over the saved rows' pairs alone, which must
-        # get back their function and truth table.  A row that is not in its
-        # order's table of configurations (unordered inputs out of order,
-        # another arity) is refused, and so is every row of a graph6 the
-        # decoder does not return as it is.
-        options = self.options
-        allowed = _allowed_codes(options.targets, options.arity)
-        by_order: dict[int, list] = {}
-        for g6, hits in graphs.items():
-            by_order.setdefault(hits[0].n, []).append(g6)
-        done: dict[str, Graph] = {}
-        for n, g6s in by_order.items():
-            cfgs = enumerate_configs(n, options.arity, options.ordered_inputs)
-            index = {tuple(c[: 2 + options.arity]): j
-                     for j, c in enumerate(cfgs.tolist())}
-            step = _pass_size(n, cfgs)
-            for lo in range(0, len(g6s), step):
-                block = _decode_block(list(enumerate(g6s[lo : lo + step])), _Tally())
-                if n not in block:
-                    continue
-                _, texts, adj = block[n]
-                rows = [(g, h) for g, text in enumerate(texts)
-                        for h in graphs.get(text, ())]
-                where = [index.get((h.anchor, h.output, *h.inputs)) for _, h in rows]
-                if None in where:
-                    raise self._refused(rows[where.index(None)][1])
-                cells = [g * len(cfgs) + j for (g, _), j in zip(rows, where)]
-                kept, res = _verdicts(
-                    adj, np.unique(np.array(cells, np.int64)), cfgs, options
-                )
-                codes = dict(zip(kept.tolist(), res.tolist()))
-                for (_, h), cell in zip(rows, cells):
-                    if allowed.get(codes.get(cell)) != (h.function, h.truth_table):
-                        raise self._refused(h)
-                done.update(
-                    (text, Graph(n, tuple(row))) for text, row in zip(texts, adj.tolist())
-                )
-        for g6, hits in graphs.items():
-            if g6 not in done:
-                raise self._refused(hits[0])
-        return [(done[g6], hits) for g6, hits in graphs.items()]
+    def resume(self, records: Iterator, source) -> None:
+        # Reads the covered lines again, which feeds them to the prefix
+        # hasher, keeping the saved rows' lines.  Once the prefix is the
+        # saved one, the census's own pass judges exactly the saved cells:
+        # each must be a distinct hit, of a function and order of which the
+        # saved counts hold that many.  A row off the covered lines, on a
+        # blank or bad line, out of its order's table, repeated, unsampled,
+        # filtered out or not reported loses its hit.
+        lineno, digest = self.end
+        cells: dict[int, list] = {}
+        for at, j in self.rows:
+            cells.setdefault(at, []).append(j)
+        lines = [rec for rec in itertools.islice(records, lineno) if rec[0] in cells]
+        if self.prefix.hexdigest() != digest:
+            raise ValueError(
+                f"the first {lineno} lines of {source} changed since the "
+                "checkpoint was written; refusing to resume"
+            )
+        if not self.rows:
+            return
+        found = _scan_chunk(lines, self.options, cells)
+        hits = Counter({key: c for key, c in found.counts.items() if key[0] == "hits"})
+        if sum(hits.values()) != len(self.rows) or hits - self.tally.counts:
+            raise ValueError(
+                f"checkpoint {self.path} holds a hit this run cannot find; "
+                "refusing to resume"
+            )
+        self.tally.least = found.least
 
     def save(self, done: bool = False) -> None:
         t = self.tally
@@ -618,10 +595,7 @@ class _Checkpoint:
             "lineno": lineno,
             "prefix_sha256": digest,
             "counts": [[*key, c] for key, c in t.counts.items()],
-            "hits": [
-                [g6, a0, inputs, th, fn, bits]
-                for g6, a0, th, inputs, fn, bits in t.least.values()
-            ],
+            "hits": [[at, j] for _, at, j in t.least.values()],
             "done": done,
         }
         tmp = self.path + ".tmp"
@@ -650,14 +624,7 @@ def search_stream(source, options: SearchOptions) -> SearchReport:
     prefix = ckpt.prefix if ckpt else None
     records = _record_iter(source, prefix)
     if ckpt is not None:
-        # Reading the covered lines again feeds them to the prefix hasher.
-        lineno, digest = ckpt.end
-        deque(itertools.islice(records, lineno), maxlen=0)
-        if prefix.hexdigest() != digest:
-            raise ValueError(
-                f"the first {lineno} lines of {source} changed since the "
-                "checkpoint was written; refusing to resume"
-            )
+        ckpt.resume(records, source)
         # An unwritable checkpoint path fails here, not blocks into the scan.
         ckpt.save()
     blocks = iter(lambda: list(itertools.islice(records, CHUNK_RECORDS)), [])
@@ -699,7 +666,8 @@ def _build_report(
     tally: _Tally, options: SearchOptions, elapsed: float
 ) -> SearchReport:
     hits: dict[str, list[Hit]] = {}
-    for hit in sorted(tally.least.values(), key=lambda hit: (hit.function, hit)):
+    least = [hit for hit, _, _ in tally.least.values()]
+    for hit in sorted(least, key=lambda hit: (hit.function, hit)):
         hits.setdefault(hit.function, []).append(hit)
     per_order: dict[int, dict] = {}
     raw_by_order: dict[str, dict[int, int]] = {}

@@ -254,34 +254,51 @@ class TestSearch:
         assert err.startswith("error:") and "different run" in err
 
     def test_checkpoint_hit_of_an_unseen_order_is_usage_error(self, capsys, tmp_path):
-        # Such a row would fail the report's rarity statistics (exit 1).
+        # A row on DQw with no order-5 counts saved would fail the report's
+        # rarity statistics (exit 1).
         stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
         stream.write_text("CN\nDQw\n")
         argv = ["search", str(stream), "--arity", "1", "--target", "all",
                 "--checkpoint", str(ck)]
         assert run(capsys, *argv)[0] == 0
         data = json.loads(ck.read_text())
-        data["hits"].append(["EQjO", 0, [2], 1, "NOT", "10"])
+        assert [lineno for lineno, _ in data["hits"]] == [1, 2]  # CN, DQw
+        data["counts"] = [row for row in data["counts"] if row[-2] != 5]
         ck.write_text(json.dumps(data))
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and str(ck) in err
 
     def test_malformed_checkpoint_is_usage_error(self, capsys, tmp_path):
-        # A hit row whose inputs are a number, not a list, is refused by
-        # name, not with a traceback.
+        # A hit row whose configuration index is a string, not a number, is
+        # refused by name, not with a traceback.
         stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
         stream.write_text("CN\n")
         argv = ["search", str(stream), "--arity", "1", "--target", "NOT",
                 "--checkpoint", str(ck)]
         assert run(capsys, *argv)[0] == 0
         data = json.loads(ck.read_text())
-        data["hits"][0][2] = 2
+        data["hits"][0][1] = "0"
         ck.write_text(json.dumps(data))
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and str(ck) in err and "malformed" in err
 
+    def test_checkpoint_row_out_of_range_is_usage_error(self, capsys, tmp_path):
+        # A row naming configuration 24 of an order-4 graph, whose arity-1
+        # table has 24 rows, is refused with the checkpoint's path.
+        stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
+        stream.write_text("CN\n")
+        argv = ["search", str(stream), "--arity", "1", "--target", "NOT",
+                "--checkpoint", str(ck)]
+        assert run(capsys, *argv)[0] == 0
+        data = json.loads(ck.read_text())
+        assert data["hits"] == [[1, 0]]
+        data["hits"][0][1] = 24
+        ck.write_text(json.dumps(data))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(ck) in err and "holds a hit" in err
 
     def test_checkpoint_that_is_not_json_is_usage_error(self, capsys, tmp_path):
         stream, ck = tmp_path / "s.g6", tmp_path / "bad.json"

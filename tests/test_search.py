@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import ladget
 from ladget import _kernels, search
 from ladget.coloring import MAX_MATERIALIZED, all_colorings
-from ladget.errors import InvalidGraph6, InvalidRoles
+from ladget.errors import InvalidGraph6
 from ladget.filters import _violations
 from ladget.gadget import TruthTable, classify
 from ladget.graphcore import (
@@ -734,20 +734,38 @@ def _interrupt_after_first_save(monkeypatch, stream, opts, lines=1) -> dict:
     return json.loads(Path(opts.checkpoint).read_text())
 
 
+def _scan_only_saved_cells(monkeypatch, ck) -> list:
+    # Replaces _scan_chunk with one that fails on any block scanned, and
+    # lets through a resume's call with cells that reads only the lines the
+    # checkpoint ck, if any, names.  Returns those calls' line numbers.
+    rows = json.loads(ck.read_text())["hits"] if ck.exists() else []
+    saved = {lineno for lineno, _ in rows}
+    real, calls = search._scan_chunk, []
+
+    def scan(records, options, cells=None):
+        assert cells is not None, "a block was scanned"
+        calls.append([lineno for lineno, _ in records])
+        assert set(calls[-1]) == saved == set(cells)
+        return real(records, options, cells)
+
+    monkeypatch.setattr(search, "_scan_chunk", scan)
+    return calls
+
+
 class TestCheckpoint:
     def _opts(self, path):
         return SearchOptions(
             targets=("NAND",), checkpoint=str(path), checkpoint_every=1
         )
 
-    def test_format_5_is_pinned_byte_for_byte(
+    def test_format_6_is_pinned_byte_for_byte(
         self, tmp_path, monkeypatch, connected8_path
     ):
         # tests/data/census_checkpoint.json, written by
         # tools/make_census_golden.py: a fresh run writes it byte for byte,
-        # and resuming it gives the fresh run's report without a block
-        # scanned.  A hit row reordered in both save and load would pass
-        # every round-trip test, but not this one.
+        # and resuming it gives the fresh run's report with only the saved
+        # cells judged again.  A hit row reordered in both save and load
+        # would pass every round-trip test, but not this one.
         fixture = (connected8_path.parent / "census_checkpoint.json").read_bytes()
         stream, fresh_ck, ck = (
             tmp_path / "head.g6", tmp_path / "fresh.json", tmp_path / "c.json"
@@ -758,86 +776,99 @@ class TestCheckpoint:
         fresh = search_stream(str(stream), replace(opts, checkpoint=str(fresh_ck)))
         assert fresh_ck.read_bytes() == fixture
         ck.write_bytes(fixture)
-
-        def no_scan(records, options):
-            raise AssertionError("a block was scanned")
-
-        monkeypatch.setattr(search, "_scan_chunk", no_scan)
+        calls = _scan_only_saved_cells(monkeypatch, ck)
         resumed = search_stream(str(stream), replace(opts, checkpoint=str(ck)))
         assert fresh.hits_raw and _report(resumed) == _report(fresh)
+        assert len(calls) == 1
 
-    def test_saved_hit_with_a_repeated_vertex_is_refused(
+    def test_saved_hit_with_a_configuration_out_of_range_is_refused(
         self, tmp_path, monkeypatch
     ):
-        # A checkpoint is input from outside the program: its hit rows are
-        # checked as roles on load, before any is keyed, folded or reported.
+        # A checkpoint is input from outside the program: a row's
+        # configuration index must be one of its order's table, 24 rows at
+        # order 4 and arity 1, and no row is keyed, folded or reported
+        # before every row is found again.
         stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
         stream.write_text("CN\n")
         opts = SearchOptions(targets=("NOT",), arity=1, checkpoint=str(ck))
         search_stream(str(stream), opts)
         data = json.loads(ck.read_text())
         (row,) = data["hits"]
-        assert row == ["CN", 0, [2], 1, "NOT", "10"]
-        row[3] = 2  # the output repeats the input
-        ck.write_text(json.dumps(data))
+        assert row == [1, 0] and len(enumerate_configs(4, 1)) == 24
         monkeypatch.setattr(
             search, "config_canonical_keys",
             lambda *a: pytest.fail("a saved hit was keyed"),
         )
-        with pytest.raises(InvalidRoles, match="distinct"):
-            search_stream(str(stream), opts)
+        for j in (24, -1):
+            row[1] = j
+            ck.write_text(json.dumps(data))
+            with pytest.raises(ValueError, match=f"checkpoint {ck} holds a hit"):
+                search_stream(str(stream), opts)
 
     @pytest.mark.parametrize(
-        "fault", ["arity", "order", "function", "relabelled"]
+        "fault",
+        ["past_prefix", "line_zero", "blank_line", "duplicate", "non_hit", "order"],
     )
-    def test_saved_hit_this_run_cannot_find_is_refused(
-        self, tmp_path, monkeypatch, fault
-    ):
-        # A saved row must fit the run: as many inputs as its arity, a
-        # function and truth table it reports and its graph and roles
-        # compute, and a graph of an order it has counted.  Such a row
-        # would otherwise be reported as a hit, or fail the report's rarity
-        # statistics.
+    def test_saved_hit_this_run_cannot_find_is_refused(self, tmp_path, fault):
+        # A saved row must name a distinct hit cell of the covered lines
+        # that this run reports, on a graph of an order of which the saved
+        # counts hold that hit.  Such a row would otherwise be reported as a
+        # hit, or fail the report's rarity statistics.
         stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
-        stream.write_text("CN\nDQw\n")
-        opts = SearchOptions(targets=(), arity=1, checkpoint=str(ck))
+        stream.write_text("CN\n\nDQw\n")
+        # A repeated row is judged unfiltered, where no filter mask can
+        # drop the repeat.
+        opts = SearchOptions(
+            targets=(), arity=1, use_filter=fault != "duplicate",
+            checkpoint=str(ck),
+        )
         search_stream(str(stream), opts)
         data = json.loads(ck.read_text())
         hits = data["hits"]
-        assert hits[0] == ["CN", 0, [2], 1, "NOT", "10"]
-        if fault == "arity":
-            hits[0][2] = [2, 3]
-        elif fault == "order":
-            hits.append(["EQjO", 0, [2], 1, "NOT", "10"])
-        elif fault == "function":
-            hits[0][4:] = ["NAND", "1110"]
+        assert data["lineno"] == 3 and hits[0] == [1, 0]
+        if fault == "past_prefix":
+            hits[0][0] = 4
+        elif fault == "line_zero":
+            hits[0][0] = 0
+        elif fault == "blank_line":
+            hits[0][0] = 2
+        elif fault == "duplicate":
+            hits.append(list(hits[0]))
+        elif fault == "non_hit":
+            # Anchor 0, output 3: CN's vertex 3 is adjacent to the anchor,
+            # so the output is constant.
+            assert enumerate_configs(4, 1)[4].tolist() == [0, 3, 1, -1]
+            hits[0][1] = 4
         else:
-            hits[0][4:] = ["MOV", "01"]  # reported by the run, but CN is NOT
+            assert [lineno for lineno, _ in hits] == [1, 3]  # CN, DQw
+            data["counts"] = [row for row in data["counts"] if row[-2] != 5]
         ck.write_text(json.dumps(data))
-        monkeypatch.setattr(
-            search, "config_canonical_keys",
-            lambda *a: pytest.fail("a saved hit was keyed"),
-        )
         with pytest.raises(ValueError, match=f"checkpoint {ck} holds a hit"):
             search_stream(str(stream), opts)
 
-    def test_saved_hit_with_unsorted_inputs_is_refused(self, tmp_path):
-        # The scan writes unordered inputs ascending, so a saved NAND row
-        # with its inputs swapped is one it cannot find, though NAND is
-        # symmetric.
+    def test_sampled_hit_the_sample_never_drew_is_refused(self, tmp_path):
+        # E?lw's MOV cell (anchor 0, input 3, output 2) is a hit of the
+        # full census, but the 30 % sample of seed 3 does not draw it, so a
+        # sampled run cannot have found it.
         stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
-        stream.write_text("FCZeO\n")
-        opts = SearchOptions(targets=("NAND",), checkpoint=str(ck))
+        records = [encode_graph6(g) for g in generate_connected(6)[:40]]
+        stream.write_text("\n".join(records) + "\n")
+        lineno = records.index("E?lw") + 1
+        full = search_stream(str(stream), SearchOptions(targets=(), arity=1))
+        assert Hit("E?lw", 0, 2, (3,), "MOV", "01") in full.hits["MOV"]
+        opts = SearchOptions(
+            targets=(), arity=1, sample_rate=0.3, seed=3, checkpoint=str(ck)
+        )
         search_stream(str(stream), opts)
         data = json.loads(ck.read_text())
-        (row,) = data["hits"]
-        assert row == ["FCZeO", 3, [2, 6], 4, "NAND", "1110"]
-        row[2] = [6, 2]
+        j = enumerate_configs(6, 1).tolist().index([0, 2, 3, -1])
+        assert [lineno, j] not in data["hits"]
+        data["hits"].append([lineno, j])
         ck.write_text(json.dumps(data))
         with pytest.raises(ValueError, match=f"checkpoint {ck} holds a hit"):
             search_stream(str(stream), opts)
 
-    @pytest.mark.parametrize("fault", ["inputs", "no_hits", "count_row", "lineno"])
+    @pytest.mark.parametrize("fault", ["row_field", "no_hits", "count_row", "lineno"])
     def test_malformed_body_is_refused(self, tmp_path, fault):
         # A body of the right fingerprint but the wrong types is refused by
         # name, before any of it is read as counts, hits or a line count.
@@ -846,17 +877,22 @@ class TestCheckpoint:
         opts = SearchOptions(targets=("NOT",), arity=1, checkpoint=str(ck))
         search_stream(str(stream), opts)
         data = json.loads(ck.read_text())
-        if fault == "inputs":
-            data["hits"][0][2] = 2
+        bodies = []
+        if fault == "row_field":
+            for field, value in itertools.product((0, 1), ("1", True, [1])):
+                row = list(data["hits"][0])
+                row[field] = value
+                bodies.append(dict(data, hits=[row]))
         elif fault == "no_hits":
             del data["hits"]
         elif fault == "count_row":
             data["counts"].append(5)
         else:
             data["lineno"] = "x"
-        ck.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match=f"checkpoint {ck} is malformed"):
-            search_stream(str(stream), opts)
+        for body in bodies or [data]:
+            ck.write_text(json.dumps(body))
+            with pytest.raises(ValueError, match=f"checkpoint {ck} is malformed"):
+                search_stream(str(stream), opts)
 
     @pytest.mark.parametrize(
         "bound", ["lines", "configs_enumerated", "configs_after_filter", "hits"]
@@ -898,11 +934,10 @@ class TestCheckpoint:
     def test_unwritable_path_fails_before_the_scan(self, tmp_path, monkeypatch):
         stream, ck = tmp_path / "s.g6", tmp_path / "missing" / "c.json"
         stream.write_text("CN\n")
-        monkeypatch.setattr(
-            search, "_scan_chunk", lambda *a: pytest.fail("a block was scanned")
-        )
+        calls = _scan_only_saved_cells(monkeypatch, ck)
         with pytest.raises(OSError):
             search_stream(str(stream), self._opts(ck))
+        assert calls == []
 
     def test_line_zero_checkpoint_resumes_as_a_fresh_run(
         self, tmp_path, monkeypatch
@@ -1006,10 +1041,14 @@ class TestCheckpoint:
         data = json.loads(ck.read_text())
         # The same progress under the version-3 and version-4 fingerprints,
         # which also named the source; version 4 stored a byte offset too.
-        for version, extra in ((3, {}), (4, {"offset": 9})):
-            fingerprint = dict(
-                data["fingerprint"], source=str(stream), version=version
-            )
+        # Version 5 named no source but saved each hit as its Hit row.
+        v5_hits = [["FCZeO", 3, [2, 6], 4, "NAND", "1110"]]
+        for version, source, extra in (
+            (3, {"source": str(stream)}, {}),
+            (4, {"source": str(stream)}, {"offset": 9}),
+            (5, {}, {"hits": v5_hits}),
+        ):
+            fingerprint = dict(data["fingerprint"], version=version, **source)
             ck.write_text(json.dumps(dict(data, fingerprint=fingerprint, **extra)))
             with pytest.raises(ValueError, match="different run"):
                 search_stream(str(stream), self._opts(ck))
@@ -1048,13 +1087,9 @@ class TestCheckpoint:
             source = "./s.g6"
         else:
             source = str(tmp_path / "s.g6")
-
-        def no_scan(records, options):
-            raise AssertionError("a block was scanned")
-
-        monkeypatch.setattr(search, "_scan_chunk", no_scan)
+        calls = _scan_only_saved_cells(monkeypatch, Path(opts.checkpoint))
         resumed = search_stream(source, opts)
-        assert _report(resumed) == _report(first)
+        assert _report(resumed) == _report(first) and len(calls) == 1
 
     def test_refuses_unterminated_last_line_that_grew(self, tmp_path):
         # Resuming after the unterminated last line gained its newline would
@@ -1130,12 +1165,13 @@ class TestCheckpoint:
         killed = ck.read_text()
         saved = json.loads(killed)
         assert saved["lineno"] == 21 and saved["done"] is False
-        # Format 5: no byte offset, source path or canonical keys.
+        # Format 6: no byte offset, source path or canonical keys, and a
+        # hit is its (line, configuration index) cell.
         assert set(saved) == {
             "fingerprint", "lineno", "prefix_sha256", "counts", "hits", "done"
         }
         assert set(saved["fingerprint"]) == {"options", "version"}
-        assert all(len(row) == 6 for row in saved["hits"])
+        assert saved["hits"] and all(len(row) == 2 for row in saved["hits"])
 
         fresh = search_stream(str(stream), SearchOptions(targets=(), arity=1))
         for jobs in (1, 2):
