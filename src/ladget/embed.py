@@ -9,9 +9,10 @@ still behaves as a 3-coloring gadget and the Boolean function is preserved.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import OrderOverflow, TooManyInputs
-from .gadget import GadgetConfig, TruthTable, VerificationReport, verify_ladget
+from .gadget import GadgetConfig, TruthTable, VerificationReport, _verify
 from .graphcore import MAX_VERTICES, Graph
 
 
@@ -21,6 +22,12 @@ class EmbeddedLadget:
 
     config: GadgetConfig
     package: tuple[int, ...]
+
+    @cached_property
+    def colorings(self):
+        """config.colorings(), enumerated once for verify_embedding and
+        package_color_profile."""
+        return self.config.colorings()
 
 
 def embed_to_k(config: GadgetConfig, k_target: int) -> EmbeddedLadget:
@@ -65,7 +72,7 @@ def verify_embedding(
     function is still the expected one.  Returns the full staged report with
     the table comparison recorded in target / target_matched; callers read
     report.ok."""
-    report = verify_ladget(embedded.config)
+    report = _verify(embedded.config, embedded.colorings, None, False)
     matched = report.truth_table == expected
     return replace(report, target=expected.bitstring(), target_matched=matched)
 
@@ -80,7 +87,7 @@ def package_color_profile(embedded: EmbeddedLadget) -> dict:
     cfg = embedded.config
     pkg = embedded.package
     n0 = cfg.graph.n - len(pkg)
-    C = cfg.colorings()
+    C = embedded.colorings
     profile = {
         "colorings": int(C.shape[0]),
         "package_distinct_ok": True,

@@ -340,8 +340,14 @@ def verify_ladget(
     against a named target function.  Degenerate functions never match a
     named target.
     """
+    return _verify(config, config.colorings(), target, minimal_mode)
+
+
+def _verify(
+    config: GadgetConfig, C, target: str | None, minimal_mode: bool
+) -> VerificationReport:
+    # verify_ladget over the given colorings C of config.
     structural = structural_filter(config, minimal_mode=minimal_mode)
-    C = config.colorings()
     mapping = _mapping_from(config, C)
     universality = check_universality(config, mapping)
     consistency = None

@@ -4,10 +4,12 @@ Vertices are 0-based ints.  A graph stores one int per vertex whose bit u
 is set when the vertex is adjacent to u; the cap of 32 vertices keeps every
 row inside a machine word for the census kernel.  The module also carries the
 graph6 codec (bare records only, no header), exhaustive generation of small
-connected graphs, and role-respecting isomorphism via canonical labelings:
-one canonical search per graph keys all of its configurations at once, each
-as the graph's canonical key plus the least image of its role tuple under
-the canonical labelings, which differ by exactly the graph's automorphisms.
+connected graphs, and role-respecting isomorphism via canonical labelings.
+One recursive search, _canonical, finds them from bare adjacency rows, so the
+generator keys each extension without building a Graph.  One search per
+graph keys all of its configurations at once, each as the graph's canonical
+key plus the least image of its role tuple under the canonical labelings,
+which differ by exactly the graph's automorphisms.
 """
 
 from __future__ import annotations
@@ -204,16 +206,15 @@ class RoleLabeling:
                 raise InvalidRoles(f"role vertex {v} outside 0..{g.n - 1}")
 
 
-def _refine_classes(g: Graph) -> list[int]:
+def _refine_classes(adj: tuple[int, ...]) -> list[int]:
     # Neighborhood color refinement to a fixpoint, from one class.  Class ids
     # are the rank of the (previous id, sorted neighbor ids) key, so
     # isomorphic graphs get matching refined classes.
-    cls = [0] * g.n
-    nbrs = [g.neighbors(v) for v in range(g.n)]
+    n = len(adj)
+    cls = [0] * n
+    nbrs = [[u for u in range(n) if row >> u & 1] for row in adj]
     while True:
-        keys = [
-            (cls[v], tuple(sorted(cls[u] for u in nbrs[v]))) for v in range(g.n)
-        ]
+        keys = [(cls[v], tuple(sorted(cls[u] for u in nbrs[v]))) for v in range(n)]
         order = {k: i for i, k in enumerate(sorted(set(keys)))}
         new = [order[k] for k in keys]
         if new == cls:
@@ -221,82 +222,67 @@ def _refine_classes(g: Graph) -> list[int]:
         cls = new
 
 
-def _canon_columns(
-    adj: tuple[int, ...], classes: list[int], hold: bool = False
-) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Canonical adjacency columns under class-preserving relabelings.
+def _canonical(
+    adj: tuple[int, ...], hold: bool
+) -> tuple[tuple, list[tuple[int, ...]]]:
+    """canonical_key of the graph with these adjacency rows and, with hold,
+    every labeling that reaches it.
 
-    Positions 0..n-1 are owned by class ids in ascending order; vertices may
-    only occupy positions of their own class.  The column code of position t
-    is sum(bit(i, t) << i for i < t) against already placed vertices, and the
-    canonical form is the lexicographically least column vector, found by
-    depth-first search with prefix pruning.
+    After refinement, positions 0..n-1 are owned by class ids in ascending
+    order, and a vertex may only take a position of its own class.  The
+    column code of position t is sum(bit(perm[i], perm[t]) << i for i < t)
+    against the vertices already placed, and the canonical form is the
+    lexicographically least column vector, found by depth-first search that
+    tries each position's class members in ascending order.
 
     The search prunes only prefixes whose column exceeds the best one, so it
     reaches every labeling (perm[t] = vertex at position t) of the least
-    vector.  With hold it returns them all, dropping those held whenever the
-    best vector improves; they are one coset of the automorphism group.
+    vector, |Aut| leaves: they are one coset of the automorphism group.  With
+    hold it returns them all in the order reached, dropping those held
+    whenever the best vector improves; without it the list stays empty, so
+    keying K9 holds none of its 362,880 labelings.
     """
     n = len(adj)
-    big = 1 << 62
-    cls_sorted = sorted(classes)
-    best = [big] * n
+    classes = _refine_classes(adj)
+    layout = sorted(classes)
+    members = {c: [v for v in range(n) if classes[v] == c] for c in set(classes)}
+    top = 1 << n  # above every column code
+    best = [top] * n
     held: list[tuple[int, ...]] = []
-    perm = [0] * n
-    used = [False] * n
-    cand = [-1] * n
-    t = 0
-    while t >= 0:
-        req = cls_sorted[t]
-        v = cand[t] + 1
-        advanced = False
-        while v < n:
-            if not used[v] and classes[v] == req:
-                row = adj[v]
-                col = 0
-                for i in range(t):
-                    if (row >> perm[i]) & 1:
-                        col |= 1 << i
-                if col <= best[t]:
-                    if col < best[t]:
-                        best[t] = col
-                        best[t + 1 :] = [big] * (n - t - 1)
-                        held.clear()
-                    cand[t] = v
-                    perm[t] = v
-                    used[v] = True
-                    advanced = True
-                    break
-            v += 1
-        if not advanced:
-            cand[t] = -1
-            t -= 1
-            if t >= 0:
-                used[perm[t]] = False
-            continue
-        if t == n - 1:
-            if hold:
+    perm: list[int] = []
+
+    def extend(t: int, used: int) -> None:
+        for v in members[layout[t]]:
+            if used >> v & 1:
+                continue
+            row = adj[v]
+            col = 0
+            for i, u in enumerate(perm):
+                if row >> u & 1:
+                    col |= 1 << i
+            if col > best[t]:
+                continue
+            if col < best[t]:
+                best[t:] = [col] + [top] * (n - t - 1)
+                held.clear()
+            perm.append(v)
+            if t + 1 < n:
+                extend(t + 1, used | 1 << v)
+            elif hold:
                 held.append(tuple(perm))
-            used[perm[t]] = False
-            continue
-        t += 1
-    return best, held
+            perm.pop()
 
-
-def _canonical(g: Graph, hold: bool) -> tuple[tuple, list[tuple[int, ...]]]:
-    # canonical_key(g) and, with hold, every labeling that reaches it.
-    cls = _refine_classes(g)
-    cols, held = _canon_columns(g.adj, cls, hold)
+    extend(0, 0)
     code = 0
-    for t in range(1, g.n):
-        code = (code << t) | cols[t]
-    return (g.n, tuple(sorted(cls)), code), held
+    for t in range(1, n):
+        code = (code << t) | best[t]
+    return (n, tuple(layout), code), held
 
 
 def canonical_key(g: Graph) -> tuple:
     """Hashable key equal across isomorphic graphs: (n, sorted refined
     class layout, packed canonical adjacency code)."""
-    return _canonical(g, False)[0]
+    return _canonical(g.adj, False)[0]
 
 
 def graph_from_canonical_code(n: int, code: int) -> Graph:
@@ -329,7 +315,7 @@ def config_canonical_keys(g: Graph, rows, inputs_ordered: bool = False) -> list:
         return []
     if rows.min() < 0 or rows.max() >= g.n:
         raise InvalidRoles(f"role vertex outside 0..{g.n - 1}")
-    key, held = _canonical(g, True)
+    key, held = _canonical(g.adj, True)
     pos = np.empty((len(held), g.n), np.int64)
     pos[np.arange(len(held))[:, None], held] = np.arange(g.n)
     weights = g.n ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
@@ -370,25 +356,18 @@ def roles_isomorphic(
     )
 
 
-def _attach_vertex(g: Graph, mask: int) -> Graph:
-    rows = list(g.adj)
-    for v in range(g.n):
-        if (mask >> v) & 1:
-            rows[v] |= 1 << g.n
-    rows.append(mask)
-    return Graph(g.n + 1, tuple(rows))
-
-
 def _extend_connected(parents: list[Graph]) -> list[Graph]:
     # Every connected graph on m vertices arises from a connected graph on
     # m-1 vertices by adding one vertex with a nonempty neighborhood (remove
-    # a non-cut vertex, e.g. a spanning-tree leaf).  Dedup by canonical key
-    # and emit canonical representatives in ascending key order.
+    # a non-cut vertex, e.g. a spanning-tree leaf).  Dedup by canonical key,
+    # keyed straight from each extension's rows, and emit canonical
+    # representatives in ascending key order.
     seen = set()
     m = parents[0].n
     for p in parents:
         for mask in range(1, 1 << m):
-            seen.add(canonical_key(_attach_vertex(p, mask)))
+            rows = [row | (mask >> v & 1) << m for v, row in enumerate(p.adj)]
+            seen.add(_canonical((*rows, mask), False)[0])
     return [graph_from_canonical_code(m + 1, key[2]) for key in sorted(seen)]
 
 

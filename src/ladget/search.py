@@ -311,8 +311,25 @@ def _scan_pass(
         pairs = np.flatnonzero(sampled) if pairs is None else pairs[sampled[pairs]]
     tally.counts["graphs", n] += count
     tally.counts["configs_enumerated", n] += count * q if pairs is None else len(pairs)
-    pairs, res = _verdicts(adj, pairs, cfgs, options)
+    # The pairs g * q + j that the run's structural filter keeps, ascending,
+    # among the given ascending pairs or all of them.  The graphs with a kept
+    # pair are colored in one stack, and one law scan gives each kept pair
+    # its int8 verdict.
+    if options.use_filter:
+        mask = _kernels._filter_mask_vec(
+            adj, cfgs, options.arity, options.minimal_mode
+        )
+        j, g = np.divmod(np.flatnonzero(mask.T), count)
+        kept = np.sort(g * q + j)
+        pairs = kept if pairs is None else kept[np.isin(kept, pairs)]
+    elif pairs is None:
+        pairs = np.arange(count * q)
     tally.counts["configs_after_filter", n] += len(pairs)
+    live = np.flatnonzero(np.diff(pairs.searchsorted(np.arange(count + 1) * q)))
+    C, starts = stacked_colorings(adj[live])
+    # Every graph of the pass gets its range of rows, empty if not colored.
+    starts = starts[live.searchsorted(np.arange(count + 1))]
+    res = _kernels.scan_pass(C, starts, pairs, cfgs, options.arity)
     allowed = _allowed_codes(options.targets, options.arity)
     ladget = res >= 0
     graphs, configs = np.divmod(pairs[ladget], q)
@@ -328,32 +345,6 @@ def _scan_pass(
     for g, group in itertools.groupby(found, key=lambda item: item[0]):
         tally.fold(Graph(n, tuple(adj[g].tolist())), [entry for _, entry in group],
                    options.ordered_inputs)
-
-
-def _verdicts(
-    adj: np.ndarray, pairs: np.ndarray | None, cfgs: np.ndarray,
-    options: SearchOptions,
-) -> tuple[np.ndarray, np.ndarray]:
-    # The pairs g * len(cfgs) + j of a pass that the run's structural
-    # filter keeps, ascending, among the given ascending pairs or all of
-    # them, and the int8 verdict of each as scan_pass gives them.  The
-    # graphs with a kept pair are colored in one stack, and one law scan
-    # judges every kept pair.
-    count, q = len(adj), len(cfgs)
-    if options.use_filter:
-        mask = _kernels._filter_mask_vec(
-            adj, cfgs, options.arity, options.minimal_mode
-        )
-        j, g = np.divmod(np.flatnonzero(mask.T), count)
-        kept = np.sort(g * q + j)
-        pairs = kept if pairs is None else kept[np.isin(kept, pairs)]
-    elif pairs is None:
-        pairs = np.arange(count * q)
-    live = np.flatnonzero(np.diff(pairs.searchsorted(np.arange(count + 1) * q)))
-    C, starts = stacked_colorings(adj[live])
-    # Every graph of the pass gets its range of rows, empty if not colored.
-    starts = starts[live.searchsorted(np.arange(count + 1))]
-    return pairs, _kernels.scan_pass(C, starts, pairs, cfgs, options.arity)
 
 
 @dataclass

@@ -1,5 +1,7 @@
 import pytest
 
+from ladget import gadget
+from ladget.cli import main
 from ladget.embed import EmbeddedLadget, embed_to_k, package_color_profile, verify_embedding
 from ladget.errors import OrderOverflow, TooManyInputs
 from ladget.gadget import GadgetConfig, TruthTable, builtin, verify_ladget
@@ -104,6 +106,33 @@ class TestPackageProfile:
         anchored = all_colorings(emb.config.graph, {emb.config.roles.anchor: 0}, 3)
         assert profile["colorings"] == anchored.shape[0]
         assert profile["package_distinct_ok"]
+
+
+class TestColorsOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # The graphs gadget.all_colorings is called on, in call order.
+        seen = []
+        enumerate_all = gadget.all_colorings
+
+        def counted(g, *args, **kwargs):
+            seen.append(g)
+            return enumerate_all(g, *args, **kwargs)
+
+        monkeypatch.setattr(gadget, "all_colorings", counted)
+        return seen
+
+    def test_verify_and_profile_share_one_enumeration(self, calls):
+        emb = embed_to_k(builtin("NAND7"), 5)
+        assert verify_embedding(emb, NAND_TT).ok
+        assert package_color_profile(emb)["original_within_three"]
+        assert calls == [emb.config.graph]
+
+    def test_cli_embed_colors_base_and_embedding_once_each(self, calls, capsys):
+        assert main(["embed", "--fixture", "NAND7", "--k", "5"]) == 0
+        assert "function preserved: yes" in capsys.readouterr().out
+        base = builtin("NAND7").graph
+        assert calls == [base, embed_to_k(builtin("NAND7"), 5).config.graph]
 
 
 class TestCorruptedEmbedding:

@@ -15,6 +15,7 @@ from ladget.errors import (
 from ladget import _kernels
 from ladget.graphcore import (
     GENERATION_CAP,
+    MAX_VERTICES,
     Graph,
     RoleLabeling,
     _canonical,
@@ -192,6 +193,26 @@ class TestCanonicalKey:
             h = graph_from_canonical_code(n, code)
             assert canonical_key(h) == canonical_key(g)
 
+    @pytest.mark.parametrize("shape", ["path", "random"])
+    def test_keys_at_the_vertex_cap(self, rng, shape):
+        # The deepest search and the longest code, 496 bits.  No regular
+        # graph: without automorphism pruning C32 does not key in minutes.
+        n = MAX_VERTICES
+        if shape == "path":
+            g = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+        else:
+            g = random_connected(n, np.random.default_rng(32))
+        perm = rng.permutation(n)
+        h = permuted(g, perm.tolist())
+        key = canonical_key(g)
+        assert canonical_key(h) == key
+        assert canonical_key(graph_from_canonical_code(n, key[2])) == key
+        rows = np.array([rng.permutation(n)[:4] for _ in range(50)])
+        for ordered in (False, True):
+            assert config_canonical_keys(
+                h, perm[rows], ordered
+            ) == config_canonical_keys(g, rows, ordered)
+
 
 class TestGeneration:
     def test_counts(self):
@@ -367,7 +388,7 @@ class TestConfigCanonicalKeys:
 
     def test_search_holds_one_labeling_per_automorphism(self, small):
         for g, auts in small:
-            key, held = _canonical(g, True)
+            key, held = _canonical(g.adj, True)
             assert key == canonical_key(g)
             assert len(held) == len(set(held)) == len(auts)
 

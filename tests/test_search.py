@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ladget
-from ladget import _kernels, search
+from ladget import _kernels, appendix, search
 from ladget.coloring import MAX_MATERIALIZED, all_colorings
 from ladget.errors import InvalidGraph6
 from ladget.filters import _violations
@@ -26,6 +26,7 @@ from ladget.graphcore import (
     decode_graph6,
     encode_graph6,
     generate_connected,
+    roles_isomorphic,
 )
 from ladget.search import (
     Hit,
@@ -253,6 +254,51 @@ class TestMinimalMode:
             assert min(h.n for h in full[fn]) == least and len(at_least) == count
             assert min(h.n for h in minimal[fn]) == least
             assert [h for h in minimal[fn] if h.n == least] == at_least
+
+
+class TestAppendixOrder10:
+    # The census over the appendix's order-10 graphs, the graphs of the
+    # paper's headline claim: every mode finds exactly the table's 20 NOR,
+    # 4 XOR and 2 XNOR classes, the same under one and two workers.
+    TABLE = {"NOR": 20, "XOR": 4, "XNOR": 2}
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        entries, meta = appendix.load_table()
+        assert meta["index_base"] == 0
+        rows = [e for e in entries if decode_graph6(e.graph6).n == 10]
+        assert Counter(e.function for e in rows) == self.TABLE
+        return rows
+
+    @pytest.fixture(scope="class")
+    def stream(self, rows):
+        stream = list(dict.fromkeys(e.graph6 for e in rows))
+        assert len(stream) == 24
+        return stream
+
+    @pytest.mark.parametrize("kw", [
+        pytest.param({}, id="filtered"),
+        pytest.param({"use_filter": False}, id="unfiltered"),
+        pytest.param({"minimal_mode": True}, id="minimal"),
+    ])
+    def test_finds_the_table_classes(self, stream, kw):
+        opts = SearchOptions(targets=tuple(self.TABLE), **kw)
+        rep = search_stream(stream, opts)
+        assert {fn: len(hs) for fn, hs in rep.hits.items()} == self.TABLE
+        assert _report(search_stream(stream, replace(opts, jobs=2))) == _report(rep)
+
+    def test_each_minimal_hit_is_one_table_row(self, rows, stream):
+        opts = SearchOptions(targets=tuple(self.TABLE), minimal_mode=True)
+        hits = [h for hs in search_stream(stream, opts).hits.values() for h in hs]
+        configs = [e.config() for e in rows]
+        matched = []
+        for h in hits:
+            g = decode_graph6(h.graph6)
+            (i,) = [i for i, c in enumerate(configs)
+                    if roles_isomorphic(g, h.roles, c.graph, c.roles)]
+            assert rows[i].function == h.function
+            matched.append(i)
+        assert sorted(matched) == list(range(len(rows)))
 
 
 class TestBadLines:
