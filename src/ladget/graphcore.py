@@ -5,15 +5,21 @@ is set when the vertex is adjacent to u; the cap of 32 vertices keeps every
 row inside a machine word for the census kernel.  The module also carries the
 graph6 codec (bare records only, no header), exhaustive generation of small
 connected graphs, and role-respecting isomorphism via canonical labelings.
-One recursive search, _canonical, finds them from bare adjacency rows, so the
-generator keys each extension without building a Graph.  One search per
-graph keys all of its configurations at once, each as the graph's canonical
-key plus the least image of its role tuple under the canonical labelings,
-which differ by exactly the graph's automorphisms.
+One numpy colour refinement, _refine, refines a (graphs, n) stack of
+adjacency rows at once, and one recursive search, _canonical, finds a
+graph's canonical labelings from its rows and refined classes; a single
+graph is a one-graph stack.  The generator refines each parent's extensions
+as one stack and keys them without building a Graph.  stacked_config_keys
+keys a stack's configurations, a census pass's hits, with one search per
+graph: each is the graph's canonical key plus the least image of its role
+tuple under the canonical labelings, which differ by exactly the graph's
+automorphisms, taken by one stepped minimum over (configuration, labeling)
+cells.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,34 +212,71 @@ class RoleLabeling:
                 raise InvalidRoles(f"role vertex {v} outside 0..{g.n - 1}")
 
 
-def _refine_classes(adj: tuple[int, ...]) -> list[int]:
-    # Neighborhood color refinement to a fixpoint, from one class.  Class ids
-    # are the rank of the (previous id, sorted neighbor ids) key, so
-    # isomorphic graphs get matching refined classes.
-    n = len(adj)
-    cls = [0] * n
-    nbrs = [[u for u in range(n) if row >> u & 1] for row in adj]
+def _dense_rank(key: np.ndarray) -> np.ndarray:
+    # Each entry's rank among the distinct values of key.
+    order = np.argsort(key)
+    ranks = np.empty_like(key)
+    ranks[order[0]] = 0
+    ranks[order[1:]] = (np.diff(key[order]) != 0).cumsum()
+    return ranks
+
+
+def _refine(adj: np.ndarray) -> np.ndarray:
+    """Colour refinement of a (graphs, n) stack of bitmask rows of one order:
+    each graph's vertex classes at its fixpoint, from one class.
+
+    In a round a vertex's key is its class, then its neighbours' classes
+    sorted ascending and padded with -1 after them, so that a shorter tuple
+    sorts first, as in Python's tuple order.  Its new class is the dense rank
+    of its key within its graph, so isomorphic graphs get matching classes.
+    The stack takes rounds in lockstep until no class changes; a graph
+    already stable stays stable, since its keys sort by class first.
+
+    A key is ranked as the graph index followed by n + 1 digits base n + 1:
+    the class, then the neighbour classes shifted up by one, 0 the padding.
+    The digits are packed into int64 words, and one argsort ranks each word
+    after the ranks of those before it; a stack of 512 graphs of order up
+    to 12 takes one word.
+    """
+    count, n = adj.shape
+    bits = ((adj[:, :, None] >> np.arange(n)) & 1).astype(bool)
+    base = n + 1
+    width = 1
+    while count * n * base ** (width + 1) < 1 << 63:
+        width += 1
+    words = [
+        (lo, base ** np.arange(min(width, n + 1 - lo) - 1, -1, -1, dtype=np.int64))
+        for lo in range(0, n + 1, width)
+    ]
+    graph = np.arange(count).repeat(n)
+    cls = np.zeros((count, n), np.int64)
     while True:
-        keys = [(cls[v], tuple(sorted(cls[u] for u in nbrs[v]))) for v in range(n)]
-        order = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new = [order[k] for k in keys]
-        if new == cls:
+        nbrs = np.where(bits, cls[:, None, :], n)
+        nbrs.sort(axis=2)
+        digits = np.column_stack((cls.reshape(-1), (nbrs.reshape(-1, n) + 1) % base))
+        rank = graph
+        for lo, weights in words:
+            part = digits[:, lo : lo + len(weights)] @ weights
+            rank = _dense_rank(rank * (weights[0] * base) + part)
+        rank = rank.reshape(count, n)
+        new = rank - rank.min(axis=1, keepdims=True)
+        if np.array_equal(new, cls):
             return cls
         cls = new
 
 
 def _canonical(
-    adj: tuple[int, ...], hold: bool
+    adj: Sequence[int], classes: list[int], hold: bool
 ) -> tuple[tuple, list[tuple[int, ...]]]:
-    """canonical_key of the graph with these adjacency rows and, with hold,
-    every labeling that reaches it.
+    """canonical_key of the graph with these adjacency rows and refined
+    classes (its _refine row) and, with hold, every labeling that reaches it.
 
-    After refinement, positions 0..n-1 are owned by class ids in ascending
-    order, and a vertex may only take a position of its own class.  The
-    column code of position t is sum(bit(perm[i], perm[t]) << i for i < t)
-    against the vertices already placed, and the canonical form is the
-    lexicographically least column vector, found by depth-first search that
-    tries each position's class members in ascending order.
+    Positions 0..n-1 are owned by class ids in ascending order, and a vertex
+    may only take a position of its own class.  The column code of position
+    t is sum(bit(perm[i], perm[t]) << i for i < t) against the vertices
+    already placed, and the canonical form is the lexicographically least
+    column vector, found by depth-first search that tries each position's
+    class members in ascending order.
 
     The search prunes only prefixes whose column exceeds the best one, so it
     reaches every labeling (perm[t] = vertex at position t) of the least
@@ -243,7 +286,6 @@ def _canonical(
     keying K9 holds none of its 362,880 labelings.
     """
     n = len(adj)
-    classes = _refine_classes(adj)
     layout = sorted(classes)
     members = {c: [v for v in range(n) if classes[v] == c] for c in set(classes)}
     top = 1 << n  # above every column code
@@ -282,7 +324,8 @@ def _canonical(
 def canonical_key(g: Graph) -> tuple:
     """Hashable key equal across isomorphic graphs: (n, sorted refined
     class layout, packed canonical adjacency code)."""
-    return _canonical(g.adj, False)[0]
+    classes = _refine(np.array([g.adj], np.int64))[0].tolist()
+    return _canonical(g.adj, classes, False)[0]
 
 
 def graph_from_canonical_code(n: int, code: int) -> Graph:
@@ -298,35 +341,67 @@ def graph_from_canonical_code(n: int, code: int) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def config_canonical_keys(g: Graph, rows, inputs_ordered: bool = False) -> list:
-    """One role-respecting isomorphism key per configuration row of g.
+def stacked_config_keys(
+    adj: np.ndarray, owner: np.ndarray, rows: np.ndarray, inputs_ordered: bool
+) -> tuple[list, np.ndarray]:
+    """Role-respecting isomorphism keys of configurations on a (graphs, n)
+    stack of bitmask rows of one order: each stack row's canonical_key, and
+    each configuration's role code.
 
-    A row is (anchor, output, input...) in g's vertex ids, all rows of one
-    arity.  Two configurations are role-isomorphic exactly when their graphs
-    are isomorphic and an automorphism maps one role tuple onto the other,
-    so a key is (canonical_key(g), role code): the least packed (anchor,
-    output, inputs) position tuple over every canonical labeling of g, inputs
-    sorted unless ordered.  One canonical search serves all rows; the
-    minimum runs over the labelings in steps of at most SCAN_CELLS
-    (labeling, row) cells.
+    Configuration i is rows[i], (anchor, output, input...) in the vertex ids
+    of stack row owner[i]; owner is ascending.  Two configurations are
+    role-isomorphic exactly when their graphs are isomorphic and an
+    automorphism maps one role tuple onto the other, so the role code is the
+    least packed (anchor, output, inputs) position tuple over every
+    canonical labeling of its graph, inputs sorted unless ordered.  The
+    stack is refined at once and searched once per graph; the minimum runs
+    over (configuration, labeling) cells, at most SCAN_CELLS or one
+    configuration's per step.
     """
+    count, n = adj.shape
+    keys, perms = [], []
+    start = np.zeros(count + 1, np.int64)
+    for g, (row, classes) in enumerate(zip(adj.tolist(), _refine(adj).tolist())):
+        key, held = _canonical(row, classes, True)
+        keys.append(key)
+        perms += held
+        start[g + 1] = len(perms)
+    perms = np.array(perms, np.int64).reshape(-1, n)
+    pos = np.empty_like(perms)
+    pos[np.arange(len(perms))[:, None], perms] = np.arange(n)
+    weights = n ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+    cells = np.diff(start)[owner]
+    ends = cells.cumsum()
+    codes = np.empty(len(rows), np.int64)
+    done = 0
+    while done < len(rows):
+        limit = ends[done] - cells[done] + _kernels.SCAN_CELLS
+        end = max(done + 1, ends.searchsorted(limit, "right"))
+        own, width = owner[done:end], cells[done:end]
+        first = width.cumsum() - width
+        at = np.arange(first[-1] + width[-1]) + (start[own] - first).repeat(width)
+        placed = pos[at[:, None], rows[done:end].repeat(width, axis=0)]
+        if not inputs_ordered:
+            placed[:, 2:].sort(axis=1)
+        codes[done:end] = np.minimum.reduceat(placed @ weights, first)
+        done = end
+    return keys, codes
+
+
+def config_canonical_keys(g: Graph, rows, inputs_ordered: bool = False) -> list:
+    """One role-respecting isomorphism key per configuration row of g, all
+    rows of one arity: (canonical_key(g), role code), as stacked_config_keys
+    gives them on a one-graph stack."""
     rows = np.asarray(rows, dtype=np.int64)
     if not len(rows):
         return []
     if rows.min() < 0 or rows.max() >= g.n:
         raise InvalidRoles(f"role vertex outside 0..{g.n - 1}")
-    key, held = _canonical(g.adj, True)
-    pos = np.empty((len(held), g.n), np.int64)
-    pos[np.arange(len(held))[:, None], held] = np.arange(g.n)
-    weights = g.n ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
-    least = np.full(len(rows), np.iinfo(np.int64).max)
-    step = max(1, _kernels.SCAN_CELLS // len(rows))
-    for lo in range(0, len(held), step):
-        placed = pos[lo : lo + step, rows]
-        if not inputs_ordered:
-            placed[:, :, 2:].sort(axis=2)
-        np.minimum(least, (placed @ weights).min(axis=0), out=least)
-    return [(key, code) for code in least.tolist()]
+    (key,), codes = stacked_config_keys(
+        np.array([g.adj], np.int64), np.zeros(len(rows), np.int64), rows,
+        inputs_ordered,
+    )
+    return [(key, code) for code in codes.tolist()]
 
 
 def config_canonical_key(
@@ -360,14 +435,17 @@ def _extend_connected(parents: list[Graph]) -> list[Graph]:
     # Every connected graph on m vertices arises from a connected graph on
     # m-1 vertices by adding one vertex with a nonempty neighborhood (remove
     # a non-cut vertex, e.g. a spanning-tree leaf).  Dedup by canonical key,
-    # keyed straight from each extension's rows, and emit canonical
-    # representatives in ascending key order.
+    # keyed straight from the extensions' rows, one refined stack of the
+    # 2**m - 1 extensions per parent, and emit canonical representatives in
+    # ascending key order.
     seen = set()
     m = parents[0].n
+    masks = np.arange(1, 1 << m)
+    grown = (masks[:, None] >> np.arange(m) & 1) << m
     for p in parents:
-        for mask in range(1, 1 << m):
-            rows = [row | (mask >> v & 1) << m for v, row in enumerate(p.adj)]
-            seen.add(_canonical((*rows, mask), False)[0])
+        rows = np.column_stack((np.array(p.adj, np.int64) | grown, masks))
+        for row, classes in zip(rows.tolist(), _refine(rows).tolist()):
+            seen.add(_canonical(row, classes, False)[0])
     return [graph_from_canonical_code(m + 1, key[2]) for key in sorted(seen)]
 
 

@@ -18,23 +18,25 @@ permutations: colors 1 and 2 both mean true, and the anchor is moved back
 to color 0.  One law scan of the pass rebuilds each pair's anchor-0
 colorings from those rows, checks universality and consistency and reads
 one int8 verdict per kept pair; the counts are array lengths, and hits are
-the pairs with a truth table.  A Graph is built, from its pass row, only
-for a graph with a hit, and all of its hits are keyed with one canonical
-search.  Graphs up to 7 vertices can come from the built-in generator;
+the pairs with a reported truth table.  A pass folds its hits as arrays:
+its hit graphs are refined as one stack and searched once each, every
+hit's role code comes from one stepped minimum, and one lexsort picks the
+least hit of each role-respecting isomorphism class, which alone reaches
+the tally.  Graphs up to 7 vertices can come from the built-in generator;
 anything larger arrives as an external one-record-per-line graph6 stream.
 
 A tally is one additive Counter (graphs, configurations, raw hits and bad
-lines) plus, per role-respecting isomorphism class, the least Hit, the one
-row a hit is from scan to report, with the line and configuration index it
-was found at, so memory grows with distinct hits and reports do not depend
-on worker scheduling or chunking.  Checkpoints save that state before the
-first block and after merged blocks, a hit as its (line, configuration
-index) cell, and so always cover a contiguous prefix of the stream.  A
-resume checks that the counts fit the covered lines, reads that prefix
-again to check its sha256, keeping the saved cells' lines, and judges
-exactly those cells with the census's own pass, which derives each hit's
-graph6, roles and function from the stream; it refuses the checkpoint
-unless every cell is a hit the saved counts hold.
+lines) plus, per role-respecting isomorphism class, the least (graph6,
+configuration index, line, truth-table code) of its hits, so memory grows
+with distinct hits and reports do not depend on worker scheduling or
+chunking; the report builds one Hit per class.  Checkpoints save that state
+before the first block and after merged blocks, a hit as its (line,
+configuration index) cell, and so always cover a contiguous prefix of the
+stream.  A resume checks that the counts fit the covered lines, reads that
+prefix again to check its sha256, keeping the saved cells' lines, and
+judges exactly those cells with the census's own pass, which derives each
+hit's graph6, roles and function from the stream; it refuses the
+checkpoint unless every cell is a hit the saved counts hold.
 Rarity statistics report both the raw and the deduplicated numerator since
 either reading of "one hit in N" is defensible.
 """
@@ -61,10 +63,9 @@ from .errors import InvalidGraph6
 from .gadget import NAMED_FUNCTIONS, TruthTable, classify
 from .graphcore import (
     MAX_VERTICES,
-    Graph,
     RoleLabeling,
-    config_canonical_keys,
     decode_graph6,
+    stacked_config_keys,
 )
 
 CHUNK_RECORDS = 512
@@ -138,7 +139,8 @@ class SearchOptions:
 
 class Hit(NamedTuple):
     """One verified configuration in the input record's labeling, as a row
-    in the report's order within a function: a class's least hit is a min."""
+    in the report's order within a function, which is the (graph6,
+    configuration index) order a class's least hit is the min of."""
 
     graph6: str
     anchor: int
@@ -181,17 +183,28 @@ def _allowed_codes(targets: tuple[str, ...], arity: int) -> dict:
     return out
 
 
+@lru_cache(maxsize=32)
+def _reported(targets: tuple[str, ...], arity: int) -> np.ndarray:
+    # Indexed by a verdict + 2: True where _allowed_codes reports its truth
+    # table, so never for the verdicts -2 and -1.
+    table = np.zeros(2 + (1 << (1 << arity)), bool)
+    table[[2 + code for code in _allowed_codes(targets, arity)]] = True
+    table.setflags(write=False)
+    return table
+
+
 _ORDER_KEYS = ("graphs", "configs_enumerated", "configs_after_filter")
 
 
 @dataclass
 class _Tally:
     # Additive counts keyed (name, order) for the _ORDER_KEYS, ("hits",
-    # function, order) and ("bad",); per (function, config_canonical_keys
-    # entry) the least (Hit, lineno, j), so hits fold with a plain min and
-    # the line breaks ties between repeated records; and the block's first
-    # undecodable (lineno, message), which only strict mode reads.  The
-    # state grows with orders and distinct hits, not with lines read.
+    # function, order) and ("bad",); per (truth-table code, canonical_key,
+    # role code) class the least (graph6, j, lineno, code) of its hits, so
+    # hits fold with a plain min in the report's order, the line breaking
+    # ties between repeated records; and the block's first undecodable
+    # (lineno, message), which only strict mode reads.  The state grows
+    # with orders and distinct hits, not with lines read.
     counts: Counter = field(default_factory=Counter)
     least: dict = field(default_factory=dict)
     first_bad: tuple | None = None
@@ -200,14 +213,6 @@ class _Tally:
         self.counts.update(other.counts)
         for key, entry in other.least.items():
             self.least[key] = min(entry, self.least.get(key, entry))
-
-    def fold(self, g: Graph, entries: list, ordered_inputs: bool) -> None:
-        # Keys the (Hit, lineno, j) entries of one graph with one canonical
-        # search and folds them.
-        rows = [(h.anchor, h.output, *h.inputs) for h, _, _ in entries]
-        for entry, key in zip(entries, config_canonical_keys(g, rows, ordered_inputs)):
-            slot = entry[0].function, key
-            self.least[slot] = min(entry, self.least.get(slot, entry))
 
 
 def _scan_chunk(
@@ -224,9 +229,9 @@ def _scan_chunk(
             part = slice(lo, lo + step)
             pairs = None
             if cells is not None:
-                pairs = np.unique(np.array(
-                    [g * q + j for g, lineno in enumerate(linenos[part])
-                     for j in cells[lineno] if 0 <= j < q], np.int64))
+                pairs = np.array(sorted(
+                    {g * q + j for g, lineno in enumerate(linenos[part])
+                     for j in cells[lineno] if 0 <= j < q}), np.int64)
             _scan_pass(linenos[part], texts[part], adj[part], cfgs, options,
                        tally, pairs)
     return tally
@@ -299,7 +304,7 @@ def _scan_pass(
 ) -> None:
     # One pass over records of one order, over the given ascending pairs or
     # all of them: the sampled ones, if sampled, the kept ones and their
-    # verdicts, and the hits keyed per graph.
+    # verdicts, and the reported hits folded into the tally.
     count, n = adj.shape
     q = len(cfgs)
     if options.sample_rate is not None and options.sample_rate < 1.0:
@@ -330,21 +335,57 @@ def _scan_pass(
     # Every graph of the pass gets its range of rows, empty if not colored.
     starts = starts[live.searchsorted(np.arange(count + 1))]
     res = _kernels.scan_pass(C, starts, pairs, cfgs, options.arity)
+    hit = np.flatnonzero(_reported(options.targets, options.arity)[res + 2])
+    if len(hit):
+        _fold_hits(linenos, texts, adj, cfgs, options, tally, pairs[hit], res[hit])
+
+
+def _fold_hits(
+    linenos: list, texts: list, adj: np.ndarray, cfgs: np.ndarray,
+    options: SearchOptions, tally: _Tally, pairs: np.ndarray, codes: np.ndarray,
+) -> None:
+    # Folds a pass's hits, its ascending pairs with their truth-table codes,
+    # into the tally: the hit graphs are keyed as one stack, and one lexsort
+    # picks the least hit of each (code, canonical_key, role code) class by
+    # (graph6, j, lineno).  Counts and classes enter the tally in the order
+    # of their first hit, as the checkpoint writes them.
+    n = adj.shape[1]
+    g, j = np.divmod(pairs, len(cfgs))
+    new = np.ones(len(g), bool)
+    new[1:] = g[1:] != g[:-1]
+    owner = new.cumsum() - 1
+    graphs = g[new].tolist()
+    keys, roles = stacked_config_keys(
+        adj[graphs], owner, cfgs[j, : 2 + options.arity], options.ordered_inputs
+    )
+    ids: dict = {}
+    key_id = np.array([ids.setdefault(key, len(ids)) for key in keys])[owner]
+    # Each hit graph's place in graph6 order; within a pass, g ascends with
+    # lineno.
+    by_text = sorted(range(len(graphs)), key=[texts[i] for i in graphs].__getitem__)
+    rank = np.empty(len(graphs), np.int64)
+    rank[by_text] = np.arange(len(graphs))
+    order = np.lexsort((g, j, rank[owner], roles, key_id, codes))
+    cls = np.stack((codes, key_id, roles))[:, order]
+    edge = np.ones(len(order), bool)
+    edge[1:] = (cls[:, 1:] != cls[:, :-1]).any(axis=0)
+    bounds = np.flatnonzero(edge)
+    best = order[bounds[np.argsort(np.minimum.reduceat(order, bounds))]]
+    raw = np.bincount(codes).tolist()
     allowed = _allowed_codes(options.targets, options.arity)
-    ladget = res >= 0
-    graphs, configs = np.divmod(pairs[ladget], q)
-    roles = cfgs[configs, : 2 + options.arity].tolist()
-    found = [
-        (g, (Hit(texts[g], a0, th, tuple(ins), *allowed[code]), linenos[g], j))
-        for g, j, (a0, th, *ins), code in zip(
-            graphs.tolist(), configs.tolist(), roles, res[ladget].tolist()
-        )
-        if code in allowed
-    ]
-    tally.counts.update(("hits", entry[0].function, n) for _, entry in found)
-    for g, group in itertools.groupby(found, key=lambda item: item[0]):
-        tally.fold(Graph(n, tuple(adj[g].tolist())), [entry for _, entry in group],
-                   options.ordered_inputs)
+    counted = set()
+    for gi, ji, code, oi, role in zip(
+        g[best].tolist(), j[best].tolist(), codes[best].tolist(),
+        owner[best].tolist(), roles[best].tolist(),
+    ):
+        if code not in counted:
+            counted.add(code)
+            tally.counts["hits", allowed[code][0], n] += raw[code]
+        slot = code, keys[oi], role
+        entry = texts[gi], ji, linenos[gi], code
+        held = tally.least.get(slot)
+        if held is None or entry < held:
+            tally.least[slot] = entry
 
 
 @dataclass
@@ -586,7 +627,7 @@ class _Checkpoint:
             "lineno": lineno,
             "prefix_sha256": digest,
             "counts": [[*key, c] for key, c in t.counts.items()],
-            "hits": [[at, j] for _, at, j in t.least.values()],
+            "hits": [[at, j] for _, j, at, _ in t.least.values()],
             "done": done,
         }
         tmp = self.path + ".tmp"
@@ -656,10 +697,21 @@ def search_stream(source, options: SearchOptions) -> SearchReport:
 def _build_report(
     tally: _Tally, options: SearchOptions, elapsed: float
 ) -> SearchReport:
+    # One Hit per reported class, from its row of its order's table, listed
+    # by function and then in Hit order, which is (graph6, j) order.
+    allowed = _allowed_codes(options.targets, options.arity)
+    tables: dict[int, list] = {}
     hits: dict[str, list[Hit]] = {}
-    least = [hit for hit, _, _ in tally.least.values()]
-    for hit in sorted(least, key=lambda hit: (hit.function, hit)):
-        hits.setdefault(hit.function, []).append(hit)
+    least = sorted(
+        (allowed[code], graph6, j) for graph6, j, _, code in tally.least.values()
+    )
+    for (fn, bits), graph6, j in least:
+        n = ord(graph6[0]) - 63
+        if n not in tables:
+            cfgs = enumerate_configs(n, options.arity, options.ordered_inputs)
+            tables[n] = [(a0, th, tuple(ins)) for a0, th, *ins in
+                         cfgs[:, : 2 + options.arity].tolist()]
+        hits.setdefault(fn, []).append(Hit(graph6, *tables[n][j], fn, bits))
     per_order: dict[int, dict] = {}
     raw_by_order: dict[str, dict[int, int]] = {}
     for (name, *key), count in sorted(tally.counts.items()):

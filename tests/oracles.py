@@ -80,6 +80,22 @@ def random_connected(n: int, rng: np.random.Generator, p: float = 0.5) -> Graph:
             return g
 
 
+def refine_classes(adj) -> list[int]:
+    """Neighborhood colour refinement of one graph's bitmask rows to a
+    fixpoint, from one class: class ids are the ranks of the (previous id,
+    sorted neighbor ids) keys, so isomorphic graphs get matching classes."""
+    n = len(adj)
+    cls = [0] * n
+    nbrs = [[u for u in range(n) if row >> u & 1] for row in adj]
+    while True:
+        keys = [(cls[v], tuple(sorted(cls[u] for u in nbrs[v]))) for v in range(n)]
+        order = {k: i for i, k in enumerate(sorted(set(keys)))}
+        new = [order[k] for k in keys]
+        if new == cls:
+            return cls
+        cls = new
+
+
 def permuted(g: Graph, perm) -> Graph:
     """Relabel: vertex v becomes perm[v]."""
     rows = [0] * g.n

@@ -19,6 +19,7 @@ from ladget.graphcore import (
     Graph,
     RoleLabeling,
     _canonical,
+    _refine,
     canonical_key,
     config_canonical_key,
     config_canonical_keys,
@@ -27,11 +28,13 @@ from ladget.graphcore import (
     generate_connected,
     graph_from_canonical_code,
     roles_isomorphic,
+    stacked_config_keys,
 )
 from ladget.search import enumerate_configs
 from oracles import bfs_connected, brute_automorphisms, brute_isomorphic
 from oracles import brute_role_orbit, brute_roles_isomorphic
 from oracles import is_connected, permuted, random_connected, random_graph
+from oracles import refine_classes
 
 
 @st.composite
@@ -47,6 +50,17 @@ def graphs(draw, min_n=1, max_n=10):
                 edges.append((u, v))
             t += 1
     return Graph.from_edges(n, edges)
+
+
+@st.composite
+def stacks(draw, max_n=12, max_graphs=4):
+    # A few graphs of one order, as _refine takes them.
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    return draw(st.lists(graphs(min_n=n, max_n=n), min_size=1, max_size=max_graphs))
+
+
+def _stack(gs) -> np.ndarray:
+    return np.array([g.adj for g in gs], np.int64)
 
 
 class TestGraph:
@@ -212,6 +226,36 @@ class TestCanonicalKey:
             assert config_canonical_keys(
                 h, perm[rows], ordered
             ) == config_canonical_keys(g, rows, ordered)
+
+
+class TestRefine:
+    # The stacked refinement against the one-graph oracle: the same class
+    # ids, so no canonical_key changes.
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_each_small_order_as_one_stack(self, n):
+        gs = generate_connected(n)
+        assert _refine(_stack(gs)).tolist() == [refine_classes(g.adj) for g in gs]
+
+    def test_order_8_stream_as_one_stack(self, connected8_path):
+        gs = [decode_graph6(r) for r in connected8_path.read_text().split()]
+        assert _refine(_stack(gs)).tolist() == [refine_classes(g.adj) for g in gs]
+
+    @settings(deadline=None)
+    @given(stacks())
+    def test_matches_oracle(self, gs):
+        assert _refine(_stack(gs)).tolist() == [refine_classes(g.adj) for g in gs]
+
+    @pytest.mark.parametrize("n", [12, MAX_VERTICES])
+    def test_slow_and_stable_graphs_in_one_stack(self, rng, n):
+        # A path refines for n // 2 rounds; a cycle and the empty graph are
+        # stable at once and must stay so while the path goes on.  At 32
+        # vertices a key spans several packed words.
+        path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+        cycle = Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+        gs = [cycle, path, Graph.from_edges(n, []), random_connected(n, rng)]
+        want = [refine_classes(g.adj) for g in gs]
+        assert want[0] == want[2] == [0] * n and len(set(want[1])) == n // 2
+        assert _refine(_stack(gs)).tolist() == want
 
 
 class TestGeneration:
@@ -388,7 +432,7 @@ class TestConfigCanonicalKeys:
 
     def test_search_holds_one_labeling_per_automorphism(self, small):
         for g, auts in small:
-            key, held = _canonical(g.adj, True)
+            key, held = _canonical(g.adj, refine_classes(g.adj), True)
             assert key == canonical_key(g)
             assert len(held) == len(set(held)) == len(auts)
 
@@ -429,3 +473,34 @@ class TestConfigCanonicalKeys:
         for rows, ordered, want in cases:
             assert config_canonical_keys(g, rows, ordered) == want
             assert len(set(want)) < len(want)  # the graph has symmetry to use
+
+
+class TestStackedConfigKeys:
+    # Keys of a multi-graph stack against the one-graph call, graph by
+    # graph: no configuration's minimum may reach into another graph's
+    # labelings, under any step budget.
+    @pytest.mark.parametrize("cells", [None, 1])
+    @pytest.mark.parametrize("arity,ordered", SHAPES)
+    def test_stack_matches_one_graph_calls(
+        self, rng, monkeypatch, arity, ordered, cells
+    ):
+        if cells is not None:
+            monkeypatch.setattr(_kernels, "SCAN_CELLS", cells)
+        gs = [SYMMETRIC["K3,3"], SYMMETRIC["C6"], *generate_connected(6)[::9]]
+        gs.append(permuted(gs[-1], rng.permutation(6).tolist()))
+        table = enumerate_configs(6, arity, ordered)[:, : 2 + arity]
+        picks = [table] + [
+            table[np.sort(rng.choice(len(table), int(k), replace=False))]
+            for k in rng.integers(1, 12, len(gs) - 1)
+        ]
+        owner = np.repeat(np.arange(len(gs)), [len(rows) for rows in picks])
+        keys, codes = stacked_config_keys(
+            _stack(gs), owner, np.concatenate(picks), ordered
+        )
+        assert keys == [canonical_key(g) for g in gs]
+        got = [(keys[g], code) for g, code in zip(owner.tolist(), codes.tolist())]
+        want = [key for g, rows in zip(gs, picks)
+                for key in config_canonical_keys(g, rows, ordered)]
+        assert got == want
+        assert len(set(want)) < len(want)
+

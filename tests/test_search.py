@@ -842,7 +842,7 @@ class TestCheckpoint:
         (row,) = data["hits"]
         assert row == [1, 0] and len(enumerate_configs(4, 1)) == 24
         monkeypatch.setattr(
-            search, "config_canonical_keys",
+            search, "stacked_config_keys",
             lambda *a: pytest.fail("a saved hit was keyed"),
         )
         for j in (24, -1):
@@ -1168,11 +1168,13 @@ class TestCheckpoint:
         )
         assert _interrupt_after_first_save(monkeypatch, stream, opts)["lineno"] == 7
 
-        real_keys = search.config_canonical_keys
-        monkeypatch.setattr(
-            search, "config_canonical_keys",
-            lambda *a: [("v2", key) for key in real_keys(*a)],
-        )
+        real_keys = search.stacked_config_keys
+
+        def keys_v2(*args):
+            keys, codes = real_keys(*args)
+            return [("v2", key) for key in keys], codes
+
+        monkeypatch.setattr(search, "stacked_config_keys", keys_v2)
         resumed = search_stream(str(stream), opts)
         fresh = search_stream(str(stream), SearchOptions(targets=(), arity=1))
         assert resumed.hits_raw and _report(resumed) == _report(fresh)
@@ -1228,6 +1230,36 @@ class TestCheckpoint:
             )
             resumed = search_stream(str(stream), opts)
             assert resumed.hits_raw and _report(resumed) == _report(fresh)
+
+    def test_census_and_resume_do_not_import_numpy_ma(
+        self, tmp_path, connected8_path
+    ):
+        # numpy 2.4 imports numpy.ma on the first bare np.unique, about
+        # 13 ms and 1.4 MB of resident memory that neither a census nor a
+        # resume of its finished checkpoint, which judges thousands of
+        # saved cells again, has any use for.
+        stream, ck = tmp_path / "head.g6", tmp_path / "c.json"
+        lines = connected8_path.read_text().splitlines(keepends=True)
+        stream.write_text("".join(lines[:300]))
+        child = """if True:
+            import sys
+            from ladget.search import SearchOptions, search_stream
+            opts = SearchOptions(
+                targets=(), arity=1, checkpoint=sys.argv[2], checkpoint_every=100
+            )
+            fresh = search_stream(sys.argv[1], opts)
+            resumed = search_stream(sys.argv[1], opts)
+            assert fresh.hits and resumed.hits == fresh.hits
+            print("numpy.ma" in sys.modules)
+        """
+        src = os.path.dirname(os.path.dirname(ladget.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(stream), str(ck)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestReport:
