@@ -503,4 +503,3 @@ class TestStackedConfigKeys:
                 for key in config_canonical_keys(g, rows, ordered)]
         assert got == want
         assert len(set(want)) < len(want)
-
