@@ -212,15 +212,6 @@ class RoleLabeling:
                 raise InvalidRoles(f"role vertex {v} outside 0..{g.n - 1}")
 
 
-def _dense_rank(key: np.ndarray) -> np.ndarray:
-    # Each entry's rank among the distinct values of key.
-    order = np.argsort(key)
-    ranks = np.empty_like(key)
-    ranks[order[0]] = 0
-    ranks[order[1:]] = (np.diff(key[order]) != 0).cumsum()
-    return ranks
-
-
 def _refine(adj: np.ndarray) -> np.ndarray:
     """Colour refinement of a (graphs, n) stack of bitmask rows of one order:
     each graph's vertex classes at its fixpoint, from one class.
@@ -228,38 +219,27 @@ def _refine(adj: np.ndarray) -> np.ndarray:
     In a round a vertex's key is its class, then its neighbours' classes
     sorted ascending and padded with -1 after them, so that a shorter tuple
     sorts first, as in Python's tuple order.  Its new class is the dense rank
-    of its key within its graph, so isomorphic graphs get matching classes.
-    The stack takes rounds in lockstep until no class changes; a graph
-    already stable stays stable, since its keys sort by class first.
-
-    A key is ranked as the graph index followed by n + 1 digits base n + 1:
-    the class, then the neighbour classes shifted up by one, 0 the padding.
-    The digits are packed into int64 words, and one argsort ranks each word
-    after the ranks of those before it; a stack of 512 graphs of order up
-    to 12 takes one word.
+    of its key within its graph, from one lexsort with the graph index first,
+    so isomorphic graphs get matching classes.  The stack takes rounds in
+    lockstep until no class changes; a graph already stable stays stable,
+    since its keys sort by class first.
     """
     count, n = adj.shape
     bits = ((adj[:, :, None] >> np.arange(n)) & 1).astype(bool)
-    base = n + 1
-    width = 1
-    while count * n * base ** (width + 1) < 1 << 63:
-        width += 1
-    words = [
-        (lo, base ** np.arange(min(width, n + 1 - lo) - 1, -1, -1, dtype=np.int64))
-        for lo in range(0, n + 1, width)
-    ]
     graph = np.arange(count).repeat(n)
     cls = np.zeros((count, n), np.int64)
     while True:
         nbrs = np.where(bits, cls[:, None, :], n)
         nbrs.sort(axis=2)
-        digits = np.column_stack((cls.reshape(-1), (nbrs.reshape(-1, n) + 1) % base))
-        rank = graph
-        for lo, weights in words:
-            part = digits[:, lo : lo + len(weights)] @ weights
-            rank = _dense_rank(rank * (weights[0] * base) + part)
-        rank = rank.reshape(count, n)
-        new = rank - rank.min(axis=1, keepdims=True)
+        nbrs[nbrs == n] = -1
+        keys = np.vstack((nbrs.reshape(-1, n).T[::-1], cls.reshape(-1), graph))
+        order = np.lexsort(keys)
+        ranked = keys[:, order]
+        rank = np.zeros(count * n, np.int64)
+        rank[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0).cumsum()
+        new = np.empty_like(cls)
+        # Sorted by graph first, each graph's n keys are adjacent.
+        new.reshape(-1)[order] = rank - rank[::n].repeat(n)
         if np.array_equal(new, cls):
             return cls
         cls = new
@@ -426,9 +406,15 @@ def roles_isomorphic(
         raise ArityMismatch(f"arity {r1.arity} vs {r2.arity}")
     if g1.n != g2.n:
         return False
-    return config_canonical_key(g1, r1, inputs_ordered) == config_canonical_key(
-        g2, r2, inputs_ordered
+    r1.validate_for(g1)
+    r2.validate_for(g2)
+    # Both graphs are keyed as one two-graph stack.
+    keys, codes = stacked_config_keys(
+        np.array([g1.adj, g2.adj], np.int64), np.arange(2),
+        np.array([(r.anchor, r.output, *r.inputs) for r in (r1, r2)], np.int64),
+        inputs_ordered,
     )
+    return keys[0] == keys[1] and codes[0] == codes[1]
 
 
 def _extend_connected(parents: list[Graph]) -> list[Graph]:

@@ -183,16 +183,6 @@ def _allowed_codes(targets: tuple[str, ...], arity: int) -> dict:
     return out
 
 
-@lru_cache(maxsize=32)
-def _reported(targets: tuple[str, ...], arity: int) -> np.ndarray:
-    # Indexed by a verdict + 2: True where _allowed_codes reports its truth
-    # table, so never for the verdicts -2 and -1.
-    table = np.zeros(2 + (1 << (1 << arity)), bool)
-    table[[2 + code for code in _allowed_codes(targets, arity)]] = True
-    table.setflags(write=False)
-    return table
-
-
 _ORDER_KEYS = ("graphs", "configs_enumerated", "configs_after_filter")
 
 
@@ -335,7 +325,11 @@ def _scan_pass(
     # Every graph of the pass gets its range of rows, empty if not colored.
     starts = starts[live.searchsorted(np.arange(count + 1))]
     res = _kernels.scan_pass(C, starts, pairs, cfgs, options.arity)
-    hit = np.flatnonzero(_reported(options.targets, options.arity)[res + 2])
+    allowed = _allowed_codes(options.targets, options.arity)
+    # np.isin makes int64 copies of what it looks up, so it gets only the
+    # ladgets, the pairs with a truth table, not every verdict of the pass.
+    hit = np.flatnonzero(res >= 0)
+    hit = hit[np.isin(res[hit], list(allowed))]
     if len(hit):
         _fold_hits(linenos, texts, adj, cfgs, options, tally, pairs[hit], res[hit])
 
@@ -348,8 +342,11 @@ def _fold_hits(
     # into the tally: the hit graphs are keyed as one stack, and one lexsort
     # picks the least hit of each (code, canonical_key, role code) class by
     # (graph6, j, lineno).  Counts and classes enter the tally in the order
-    # of their first hit, as the checkpoint writes them.
+    # of their first hit, as the checkpoint writes them.  Only int64 keys are
+    # sorted, all with lexsort's stable kernel: int8 codes or a default
+    # argsort would load more of numpy's sort code, which counts in peak RSS.
     n = adj.shape[1]
+    codes = codes.astype(np.int64)
     g, j = np.divmod(pairs, len(cfgs))
     new = np.ones(len(g), bool)
     new[1:] = g[1:] != g[:-1]
@@ -360,17 +357,18 @@ def _fold_hits(
     )
     ids: dict = {}
     key_id = np.array([ids.setdefault(key, len(ids)) for key in keys])[owner]
-    # Each hit graph's place in graph6 order; within a pass, g ascends with
-    # lineno.
-    by_text = sorted(range(len(graphs)), key=[texts[i] for i in graphs].__getitem__)
-    rank = np.empty(len(graphs), np.int64)
-    rank[by_text] = np.arange(len(graphs))
+    # Each hit graph's rank in graph6 order, one rank per text so that
+    # repeated records fall through to j; within a pass, g ascends with lineno.
+    hit_texts = [texts[i] for i in graphs]
+    at = {text: r for r, text in enumerate(sorted(set(hit_texts)))}
+    rank = np.array([at[text] for text in hit_texts])
     order = np.lexsort((g, j, rank[owner], roles, key_id, codes))
     cls = np.stack((codes, key_id, roles))[:, order]
     edge = np.ones(len(order), bool)
     edge[1:] = (cls[:, 1:] != cls[:, :-1]).any(axis=0)
     bounds = np.flatnonzero(edge)
-    best = order[bounds[np.argsort(np.minimum.reduceat(order, bounds))]]
+    first = np.minimum.reduceat(order, bounds)
+    best = order[bounds[np.argsort(first, kind="stable")]]
     raw = np.bincount(codes).tolist()
     allowed = _allowed_codes(options.targets, options.arity)
     counted = set()

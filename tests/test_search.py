@@ -493,6 +493,24 @@ class TestDedupe:
         assert raw == 3 and len(hits["NAND"]) == 2
         assert self._nand_hits(stream[::-1]) == (raw, hits)
 
+    def test_sampled_repeats_keep_the_least_hit_in_one_pass(self, monkeypatch):
+        # At seed 7 the two copies of CN draw different configurations, so
+        # a class's least hit is on line 1 or on line 2.  It is the least by
+        # (graph6, configuration index), then line, whether the copies share
+        # a pass or each is a block of its own.
+        opt = SearchOptions(targets=(), arity=1, sample_rate=0.5, seed=7)
+        stream = ["CN", "CN"]
+        _, _, hits = _reference_census(stream, opt)
+        least = {}
+        for h in sorted(hits):
+            key = config_canonical_key(decode_graph6(h.graph6), h.roles)
+            least.setdefault((h.function, key), h)
+        want = sorted(least.values(), key=lambda h: (h.function, h))
+        rep = search_stream(stream, opt)
+        assert [h for fn in sorted(rep.hits) for h in rep.hits[fn]] == want
+        monkeypatch.setattr(search, "CHUNK_RECORDS", 1)
+        assert search_stream(stream, opt).hits == rep.hits
+
     def test_roles_built_only_for_reported_hits(self, monkeypatch):
         # A hit is its row from scan to JSON: neither the census nor its
         # report builds a RoleLabeling.  Hit.roles builds one on demand.
