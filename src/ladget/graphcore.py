@@ -408,7 +408,6 @@ def roles_isomorphic(
         return False
     r1.validate_for(g1)
     r2.validate_for(g2)
-    # Both graphs are keyed as one two-graph stack.
     keys, codes = stacked_config_keys(
         np.array([g1.adj, g2.adj], np.int64), np.arange(2),
         np.array([(r.anchor, r.output, *r.inputs) for r in (r1, r2)], np.int64),
