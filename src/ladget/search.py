@@ -33,10 +33,12 @@ chunking; the report builds one Hit per class.  Checkpoints save that state
 before the first block and after merged blocks, a hit as its (line,
 configuration index) cell, and so always cover a contiguous prefix of the
 stream.  A resume checks that the counts fit the covered lines, reads that
-prefix again to check its sha256, keeping the saved cells' lines, and
-judges exactly those cells with the census's own pass, which derives each
-hit's graph6, roles and function from the stream; it refuses the
-checkpoint unless every cell is a hit the saved counts hold.
+prefix again to check its sha256, keeping the lines the saved cells name,
+and censuses those lines with the census's own block scan, which derives
+each hit's graph6, roles and function from the stream; it refuses the
+checkpoint unless that scan's least hits are exactly the saved cells and
+its raw hits fit the saved counts.  Deleting a line's only saved cell
+still passes, and drops that class.
 Rarity statistics report both the raw and the deduplicated numerator since
 either reading of "one hit in N" is defensible.
 """
@@ -205,25 +207,15 @@ class _Tally:
             self.least[key] = min(entry, self.least.get(key, entry))
 
 
-def _scan_chunk(
-    records: list, options: SearchOptions, cells: dict | None = None
-) -> _Tally:
-    # The tally of a block; or, given a checkpoint's {lineno: [j, ...]},
-    # of just those cells of its records, each j in its order's table.
+def _scan_chunk(records: list, options: SearchOptions) -> _Tally:
+    # The tally of a block of (lineno, line) records.
     tally = _Tally()
     for n, (linenos, texts, adj) in _decode_block(records, tally).items():
         cfgs = enumerate_configs(n, options.arity, options.ordered_inputs)
-        q = len(cfgs)
         step = _pass_size(n, cfgs)
         for lo in range(0, len(texts), step):
             part = slice(lo, lo + step)
-            pairs = None
-            if cells is not None:
-                pairs = np.array(sorted(
-                    {g * q + j for g, lineno in enumerate(linenos[part])
-                     for j in cells[lineno] if 0 <= j < q}), np.int64)
-            _scan_pass(linenos[part], texts[part], adj[part], cfgs, options,
-                       tally, pairs)
+            _scan_pass(linenos[part], texts[part], adj[part], cfgs, options, tally)
     return tally
 
 
@@ -290,35 +282,38 @@ def _decode_block(records: list, tally: _Tally) -> dict:
 
 def _scan_pass(
     linenos: list, texts: list, adj: np.ndarray, cfgs: np.ndarray,
-    options: SearchOptions, tally: _Tally, pairs: np.ndarray | None = None,
+    options: SearchOptions, tally: _Tally,
 ) -> None:
-    # One pass over records of one order, over the given ascending pairs or
-    # all of them: the sampled ones, if sampled, the kept ones and their
-    # verdicts, and the reported hits folded into the tally.
+    # One pass over records of one order: the sampled pairs, if sampled,
+    # the kept ones and their verdicts, and the reported hits folded into
+    # the tally.
     count, n = adj.shape
     q = len(cfgs)
+    sampled = None
     if options.sample_rate is not None and options.sample_rate < 1.0:
         sample = np.empty((count, q), dtype=bool)
         for i, lineno in enumerate(linenos):
             rng = np.random.default_rng((options.seed or 0, lineno))
             sample[i] = rng.random(q) < options.sample_rate
         sampled = sample.ravel()
-        pairs = np.flatnonzero(sampled) if pairs is None else pairs[sampled[pairs]]
     tally.counts["graphs", n] += count
-    tally.counts["configs_enumerated", n] += count * q if pairs is None else len(pairs)
+    tally.counts["configs_enumerated", n] += (
+        count * q if sampled is None else int(sampled.sum())
+    )
     # The pairs g * q + j that the run's structural filter keeps, ascending,
-    # among the given ascending pairs or all of them.  The graphs with a kept
-    # pair are colored in one stack, and one law scan gives each kept pair
-    # its int8 verdict.
+    # among the sampled ones or all of them.  The graphs with a kept pair
+    # are colored in one stack, and one law scan gives each kept pair its
+    # int8 verdict.
     if options.use_filter:
         mask = _kernels._filter_mask_vec(
             adj, cfgs, options.arity, options.minimal_mode
         )
         j, g = np.divmod(np.flatnonzero(mask.T), count)
-        kept = np.sort(g * q + j)
-        pairs = kept if pairs is None else kept[np.isin(kept, pairs)]
-    elif pairs is None:
-        pairs = np.arange(count * q)
+        pairs = np.sort(g * q + j)
+        if sampled is not None:
+            pairs = pairs[sampled[pairs]]
+    else:
+        pairs = np.arange(count * q) if sampled is None else np.flatnonzero(sampled)
     tally.counts["configs_after_filter", n] += len(pairs)
     live = np.flatnonzero(np.diff(pairs.searchsorted(np.arange(count + 1) * q)))
     C, starts = stacked_colorings(adj[live])
@@ -590,17 +585,18 @@ class _Checkpoint:
 
     def resume(self, records: Iterator, source) -> None:
         # Reads the covered lines again, which feeds them to the prefix
-        # hasher, keeping the saved rows' lines.  Once the prefix is the
-        # saved one, the census's own pass judges exactly the saved cells:
-        # each must be a distinct hit, of a function and order of which the
-        # saved counts hold that many.  A row off the covered lines, on a
-        # blank or bad line, out of its order's table, repeated, unsampled,
-        # filtered out or not reported loses its hit.
+        # hasher, keeping the lines the saved rows name.  Once the prefix is
+        # the saved one, the census's own block scan of those lines must
+        # find the saved rows as its least hits, since every class with a
+        # hit on a saved line has its least hit saved there, and no more raw
+        # hits than the saved counts hold.  A row off the covered lines, on
+        # a blank or bad line, out of its order's table, repeated,
+        # unsampled, filtered out, not reported or not its class's least
+        # fails this, as does a row missing from a line that keeps another.
+        # A line's only row deleted still passes, and drops that class.
         lineno, digest = self.end
-        cells: dict[int, list] = {}
-        for at, j in self.rows:
-            cells.setdefault(at, []).append(j)
-        lines = [rec for rec in itertools.islice(records, lineno) if rec[0] in cells]
+        saved = {at for at, _ in self.rows}
+        lines = [rec for rec in itertools.islice(records, lineno) if rec[0] in saved]
         if self.prefix.hexdigest() != digest:
             raise ValueError(
                 f"the first {lineno} lines of {source} changed since the "
@@ -608,9 +604,10 @@ class _Checkpoint:
             )
         if not self.rows:
             return
-        found = _scan_chunk(lines, self.options, cells)
+        found = _scan_chunk(lines, self.options)
         hits = Counter({key: c for key, c in found.counts.items() if key[0] == "hits"})
-        if sum(hits.values()) != len(self.rows) or hits - self.tally.counts:
+        cells = sorted([at, j] for _, j, at, _ in found.least.values())
+        if cells != sorted(self.rows) or hits - self.tally.counts:
             raise ValueError(
                 f"checkpoint {self.path} holds a hit this run cannot find; "
                 "refusing to resume"

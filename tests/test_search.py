@@ -798,19 +798,19 @@ def _interrupt_after_first_save(monkeypatch, stream, opts, lines=1) -> dict:
     return json.loads(Path(opts.checkpoint).read_text())
 
 
-def _scan_only_saved_cells(monkeypatch, ck) -> list:
-    # Replaces _scan_chunk with one that fails on any block scanned, and
-    # lets through a resume's call with cells that reads only the lines the
-    # checkpoint ck, if any, names.  Returns those calls' line numbers.
+def _scan_only_saved_lines(monkeypatch, ck) -> list:
+    # Replaces _scan_chunk with one that lets through one call, a resume's,
+    # whose records are exactly the lines the checkpoint ck, if any, names,
+    # in stream order, and fails on any other: a block scanned.  Returns the
+    # calls' line numbers.
     rows = json.loads(ck.read_text())["hits"] if ck.exists() else []
-    saved = {lineno for lineno, _ in rows}
+    saved = sorted({lineno for lineno, _ in rows})
     real, calls = search._scan_chunk, []
 
-    def scan(records, options, cells=None):
-        assert cells is not None, "a block was scanned"
+    def scan(records, options):
         calls.append([lineno for lineno, _ in records])
-        assert set(calls[-1]) == saved == set(cells)
-        return real(records, options, cells)
+        assert calls == [saved], "a block was scanned"
+        return real(records, options)
 
     monkeypatch.setattr(search, "_scan_chunk", scan)
     return calls
@@ -840,7 +840,7 @@ class TestCheckpoint:
         fresh = search_stream(str(stream), replace(opts, checkpoint=str(fresh_ck)))
         assert fresh_ck.read_bytes() == fixture
         ck.write_bytes(fixture)
-        calls = _scan_only_saved_cells(monkeypatch, ck)
+        calls = _scan_only_saved_lines(monkeypatch, ck)
         resumed = search_stream(str(stream), replace(opts, checkpoint=str(ck)))
         assert fresh.hits_raw and _report(resumed) == _report(fresh)
         assert len(calls) == 1
@@ -850,36 +850,52 @@ class TestCheckpoint:
     ):
         # A checkpoint is input from outside the program: a row's
         # configuration index must be one of its order's table, 24 rows at
-        # order 4 and arity 1, and no row is keyed, folded or reported
-        # before every row is found again.
+        # order 4 and arity 1.  A resume keys exactly the hits its census of
+        # the saved line finds, CN's j 0 and 2 as in a fresh run, never a
+        # saved row, and raises before any report is built.
         stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
         stream.write_text("CN\n")
         opts = SearchOptions(targets=("NOT",), arity=1, checkpoint=str(ck))
+        real_keys, keyed = search.stacked_config_keys, []
+
+        def keys(*args):
+            keyed.append(args[2].tolist())
+            return real_keys(*args)
+
+        monkeypatch.setattr(search, "stacked_config_keys", keys)
         search_stream(str(stream), opts)
         data = json.loads(ck.read_text())
         (row,) = data["hits"]
-        assert row == [1, 0] and len(enumerate_configs(4, 1)) == 24
+        cfgs = enumerate_configs(4, 1)
+        assert row == [1, 0] and len(cfgs) == 24
+        hits = [cfgs[[0, 2], :3].tolist()]
+        assert keyed == hits
         monkeypatch.setattr(
-            search, "stacked_config_keys",
-            lambda *a: pytest.fail("a saved hit was keyed"),
+            search, "_build_report", lambda *a: pytest.fail("a report was built")
         )
         for j in (24, -1):
+            keyed.clear()
             row[1] = j
             ck.write_text(json.dumps(data))
             with pytest.raises(ValueError, match=f"checkpoint {ck} holds a hit"):
                 search_stream(str(stream), opts)
+            assert keyed == hits
 
     @pytest.mark.parametrize(
         "fault",
-        ["past_prefix", "line_zero", "blank_line", "duplicate", "non_hit", "order"],
+        ["past_prefix", "line_zero", "blank_line", "duplicate", "non_hit", "order",
+         "moved", "dropped"],
     )
     def test_saved_hit_this_run_cannot_find_is_refused(self, tmp_path, fault):
-        # A saved row must name a distinct hit cell of the covered lines
-        # that this run reports, on a graph of an order of which the saved
-        # counts hold that hit.  Such a row would otherwise be reported as a
-        # hit, or fail the report's rarity statistics.
+        # The saved rows must be exactly the least hits, one per class, that
+        # this run finds on the lines they name: distinct hit cells of the
+        # covered lines, each its class's least, none missing from a line
+        # that keeps another, on graphs of orders of which the saved counts
+        # hold those hits.  Such a row would otherwise be reported as a hit,
+        # change a class's representative or drop a class, or fail the
+        # report's rarity statistics.
         stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
-        stream.write_text("CN\n\nDQw\n")
+        stream.write_text("CN\n\nDD[\n")
         # A repeated row is judged unfiltered, where no filter mask can
         # drop the repeat.
         opts = SearchOptions(
@@ -889,7 +905,7 @@ class TestCheckpoint:
         search_stream(str(stream), opts)
         data = json.loads(ck.read_text())
         hits = data["hits"]
-        assert data["lineno"] == 3 and hits[0] == [1, 0]
+        assert data["lineno"] == 3 and hits == [[1, 0], [3, 5], [3, 10]]
         if fault == "past_prefix":
             hits[0][0] = 4
         elif fault == "line_zero":
@@ -903,9 +919,20 @@ class TestCheckpoint:
             # so the output is constant.
             assert enumerate_configs(4, 1)[4].tolist() == [0, 3, 1, -1]
             hits[0][1] = 4
-        else:
-            assert [lineno for lineno, _ in hits] == [1, 3]  # CN, DQw
+        elif fault == "order":
             data["counts"] = [row for row in data["counts"] if row[-2] != 5]
+        elif fault == "moved":
+            # CN's NOT hits are j 0 and 2, one class: j 2 is a hit, but not
+            # the class's least.
+            cn = decode_graph6("CN")
+            assert len({
+                config_canonical_key(cn, RoleLabeling(a0, (i1,), th))
+                for a0, th, i1, _ in enumerate_configs(4, 1)[[0, 2]].tolist()
+            }) == 1
+            hits[0][1] = 2
+        else:
+            # Line 3 keeps the row of one of DD['s two NOT classes.
+            del hits[2]
         ck.write_text(json.dumps(data))
         with pytest.raises(ValueError, match=f"checkpoint {ck} holds a hit"):
             search_stream(str(stream), opts)
@@ -998,7 +1025,7 @@ class TestCheckpoint:
     def test_unwritable_path_fails_before_the_scan(self, tmp_path, monkeypatch):
         stream, ck = tmp_path / "s.g6", tmp_path / "missing" / "c.json"
         stream.write_text("CN\n")
-        calls = _scan_only_saved_cells(monkeypatch, ck)
+        calls = _scan_only_saved_lines(monkeypatch, ck)
         with pytest.raises(OSError):
             search_stream(str(stream), self._opts(ck))
         assert calls == []
@@ -1151,7 +1178,7 @@ class TestCheckpoint:
             source = "./s.g6"
         else:
             source = str(tmp_path / "s.g6")
-        calls = _scan_only_saved_cells(monkeypatch, Path(opts.checkpoint))
+        calls = _scan_only_saved_lines(monkeypatch, Path(opts.checkpoint))
         resumed = search_stream(source, opts)
         assert _report(resumed) == _report(first) and len(calls) == 1
 
