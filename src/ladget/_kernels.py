@@ -2,16 +2,27 @@
 
 ``scan_pass`` judges a pass of graphs of one order against their stacked
 colorings: the pass's kept (graph, configuration) pairs, given as one
-ascending array of g * configurations + j, a step of pairs per numpy pass.
-The colorings may hold one row per orbit of the six color permutations,
-as ``stacked_colorings`` gives them: a row's permutations that color a
-pair's anchor 0 are the row shifted by the anchor's color and that with
-colors 1 and 2 swapped, and only universality tells them apart.  Each
-(pair, row) cell looks up one word by the row's role colors, and a pair's
-verdict is read from the OR of its words.  Verdicts are int8, one per
+ascending array of g * configurations + j, a step of pairs at a time.
+Both laws put the anchor at color 0, where a role reads false exactly when
+it has the anchor's color, so a pair's verdict depends only on which "same
+color as the anchor" patterns of its roles occur among the colorings.  The
+scan builds, once per pass, one bitset over each graph's coloring rows per
+vertex pair: E[g, u, v] has bit r set where row r gives u and v one color,
+and E[g, v, v], call it full, marks all of the graph's rows.  A pair
+gathers A = E[a, i1], B = E[a, i2], S = E[i1, i2] and O = E[a, o], and
+complements are taken within full.  Its input patterns p = b1 * 2 + b2 hold
+the rows P0 = A & B, P1 = A & ~B, P2 = ~A & B and P3 = ~A & ~B, or P0 = A
+and P1 = ~A at arity 1.  It is universal when P0, P1, P2, P3 & S and
+P3 & ~S are all non-empty (P0 and P1 at arity 1): the anchor-0 colorings
+are closed under swapping colors 1 and 2, and these are exactly the swap
+classes of their input color tuples.  It is consistent when no P_p meets
+both O and ~O, and bit p of its truth-table code is "P_p meets ~O".  A
+coloring's permutations all give the same patterns, so the rows may be any
+whose closure under the six color permutations is the graph's colorings,
+as ``stacked_colorings`` gives one per orbit.  Verdicts are int8, one per
 pair: -2, -1 or a truth-table code below 16.  ``SCAN_CELLS`` bounds the
-cells of one step, and so its memory.  The census masks a pass with
-``_filter_mask_vec`` first and scans only the pairs it keeps;
+mask words a step gathers, and so its memory.  The census masks a pass
+with ``_filter_mask_vec`` first and scans only the pairs it keeps;
 ``scan_configs`` is the one-graph call, filter included, on a one-row
 stack, with one verdict per configuration; its ``deg`` argument is unused.
 
@@ -26,13 +37,11 @@ the (graphs, configurations) mask as the transposed view of a
 configuration-major comparison, which the census reads without a copy.
 """
 
-from functools import lru_cache
-
 import numpy as np
 
 BACKEND = "numpy"
 
-# Cells per step of a scan: one per (pair, coloring row) and one per pair.
+# Cells per step of a scan: one per word of each mask a pair gathers.
 # With the earlier one-graph scan, 1 << 16 made a 2-worker unfiltered
 # order-8 census peak at about 16% more resident memory for no speed.
 SCAN_CELLS = 1 << 14
@@ -94,10 +103,13 @@ def scan_configs(C, adj, deg, cfgs, arity, use_filter, minimal_mode):
     proper 3-colorings, as all_colorings' every row or stacked_colorings'
     one row per orbit.
 
-    -1: rejected by the structural filter; -2: not a ladget (universality
-    or consistency fails); otherwise the truth table code, with input
-    pattern p = b1 * 2 + b2 indexing bit p.  `deg` is not read: the filter
-    takes the degrees from `adj`.
+    -1: rejected by the structural filter; -2: not a ladget, because a
+    swap class of input color tuples has no row (universality) or the rows
+    of an input pattern give the output both values (consistency);
+    otherwise the truth table code, whose bit p = b1 * 2 + b2 is set where
+    the rows of pattern p give the output a color other than the anchor's.
+    A role reads false where it has the anchor's color.  `deg` is not read:
+    the filter takes the degrees from `adj`.
     """
     keep = np.ones(len(cfgs), bool)
     if use_filter:
@@ -107,29 +119,50 @@ def scan_configs(C, adj, deg, cfgs, arity, use_filter, minimal_mode):
     return res
 
 
-@lru_cache(maxsize=2)
-def _scan_tables(arity):
-    # The words of (pair, coloring row) cells, and the verdicts of a pair's
-    # OR of them; cached and write-protected.  words is indexed by the
-    # row's colors of the anchor, the output and the inputs, read as one
-    # base-3 number.  With the colors shifted so that the anchor is 0, bit t
-    # marks input color tuple t and the tuple with colors 1 and 2 swapped,
-    # and bit 3**arity + 2 * p + b marks Boolean input pattern p with output
-    # value b.  verdict is indexed by the pattern bits: -2 where a pattern
-    # has both output values, else the truth table code.
-    a, o, *x = np.indices((3,) * (arity + 2)).reshape(arity + 2, -1)
-    y = (np.array(x) - a) % 3
-    digits = 3 ** np.arange(arity)[::-1]
-    pattern = 2 ** np.arange(arity)[::-1] @ (y != 0)
-    words = 1 << digits @ y | 1 << digits @ (-y % 3)
-    words |= 1 << 3**arity + 2 * pattern + (o != a)
-    seen = np.arange(1 << 2 ** (arity + 1))[:, None] >> 2 * np.arange(2**arity) & 3
-    code = (seen >> 1) @ (1 << np.arange(2**arity))
-    verdict = np.where((seen == 3).any(axis=1), -2, code).astype(np.int8)
-    tables = words.astype(np.uint32), verdict
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+def _row_masks(C, height):
+    # The same-color masks of a pass, (W, n * n * graphs) uint64: bit r of
+    # word w at (u * n + v) * graphs + g is set where row 64 * w + r of
+    # graph g gives u and v one color, so where u = v it marks all of graph
+    # g's rows.  C holds the graphs' rows in order, height[g] each.  The
+    # colors are laid out vertex-major, each graph padded with zeros to
+    # W * 64 slots, and their low and high bits packed flat: two vertices
+    # differ in color where either bit does, and never in the padding.
+    count, n = len(height), C.shape[1]
+    slots = -(-height.max() // 64) * 64
+    held = np.arange(slots) < height[:, None]
+    pad = np.zeros((n, count * slots), np.uint8)
+    pad[:, np.flatnonzero(held)] = C.T
+    lo, hi = (
+        np.packbits(pad >> bit & 1, bitorder="little").view(np.uint64)
+        .reshape(n, count, -1).transpose(2, 0, 1)
+        for bit in (0, 1)
+    )
+    E = lo[:, :, None] ^ lo[:, None]
+    E |= hi[:, :, None] ^ hi[:, None]
+    full = np.packbits(held, bitorder="little").view(np.uint64).reshape(count, -1)
+    E ^= full.T[:, None, None]
+    return E.reshape(len(E), -1)
+
+
+def _judge(X, arity):
+    # Verdicts of a step of pairs from their (W, masks, pairs) gathered
+    # same-color masks: A, B, O, S and the graph's rows F at arity 2, A, O
+    # and F at arity 1.  Y[:, b, m] is mask m for b = 0 and its complement
+    # within F for b = 1, so for A, B and O the rows where that role reads
+    # b.  P[:, p] holds the rows of input pattern p = b1 * 2 + b2, and
+    # seen[p, b] whether they meet the output reading b.
+    any_, all_ = np.logical_or.reduce, np.logical_and.reduce
+    same = X[:, :-1]
+    Y = np.stack((same, same ^ X[:, -1:]), axis=1)
+    P = Y[:, :, 0]
+    if arity == 2:
+        P = (P[:, :, None] & Y[:, None, :, 1]).reshape(len(X), 4, -1)
+    seen = any_(P[:, :, None] & Y[:, None, :, arity], axis=0)
+    valid = all_(seen[:, 0] != seen[:, 1], axis=0)
+    if arity == 2:
+        valid &= all_(any_(P[:, 3, None] & Y[:, :, 3], axis=0), axis=0)
+    bit = np.arange(2**arity, dtype=np.int8)[:, None]
+    return np.where(valid, np.bitwise_or.reduce(seen[:, 1] << bit), np.int8(-2))
 
 
 def scan_pass(C, starts, pairs, cfgs, arity):
@@ -138,51 +171,32 @@ def scan_pass(C, starts, pairs, cfgs, arity):
 
     Graph g's rows are C[starts[g]:starts[g + 1]], as scan_configs takes
     them, and cfgs is the (configurations, 4) role table.  pairs holds the
-    kept pairs g * len(cfgs) + j, ascending.  They are judged in that
-    order, a step at a time of at most SCAN_CELLS cells or one pair; a pair
-    costs one cell per row of its graph plus one.  A graph without rows is
-    not universal: its pairs are -2 and are not scanned.
+    kept pairs g * len(cfgs) + j, ascending.  The same-color masks of the
+    graphs with rows are built once, W = ceil(tallest graph's rows / 64)
+    uint64 words each.  The pairs are then judged in order, a step at a
+    time of as many pairs as SCAN_CELLS allows, or one; a pair costs one
+    cell per word of the five masks it gathers, three at arity 1.  A graph
+    without rows is not universal: its pairs are -2 and are not scanned.
     """
-    height = np.diff(starts)
-    q = len(cfgs)
-    n = C.shape[1]
-    flat = C.reshape(-1)
-    full = (1 << 3**arity) - 1
-    words, verdict = _scan_tables(arity)
-    # Graph g's pairs are pairs[bounds[g]:bounds[g + 1]]; kept[g] of them
-    # are scanned, none if it has no rows, cost[g] cells each.  Counted over
-    # the scanned pairs only, graph g's are pair pstart[g] on and cell
-    # cstart[g] on; scanned holds their positions in pairs, and done and
-    # spent count the scanned pairs and cells of the steps so far.
-    bounds = pairs.searchsorted(np.arange(len(height) + 1) * q)
-    kept = np.diff(bounds) * (height > 0)
-    cost = height + 1
-    pstart = kept.cumsum() - kept
-    cend = (kept * cost).cumsum()
-    cstart = cend - kept * cost
+    height = starts[1:] - starts[:-1]
+    live = height > 0
+    q, n = len(cfgs), C.shape[1]
     res = np.full(len(pairs), np.int8(-2))
-    scanned = np.flatnonzero(np.repeat(height > 0, np.diff(bounds)))
-    done = spent = 0
-    while done < len(scanned):
-        limit = spent + SCAN_CELLS
-        g = cend.searchsorted(limit, "right")
-        end = len(scanned)
-        if g < len(kept):
-            end = max(done + 1, pstart[g] + (limit - cstart[g]) // cost[g])
-            spent = cstart[g] + (end - pstart[g]) * cost[g]
-        at = scanned[done:end]
-        owner, j = np.divmod(pairs[at], q)
-        # Per cell: the flat offset of its coloring row, then the row's
-        # colors of the pair's anchor, output and inputs, gathered in uint8
-        # and read as one base-3 number, the index of its word.
-        rows = height[owner]
-        ends = rows.cumsum()
-        first = ends - rows
-        row = (np.arange(ends[-1]) + (starts[owner] - first).repeat(rows)) * n
-        cell = 0
-        for role in cfgs[j, : 2 + arity].T:
-            cell = cell * 3 + flat[row + role.repeat(rows)]
-        seen = np.bitwise_or.reduceat(words[cell], first)
-        res[at] = np.where(seen & full == full, verdict[seen >> 3**arity], -2)
-        done = end
+    if not len(pairs) or not live.any():
+        return res
+    E = _row_masks(C[starts[0] : starts[-1]], height[live])
+    # The positions in pairs of the pairs of graphs with rows.
+    bounds = pairs.searchsorted(np.arange(len(starts)) * q)
+    scanned = live.repeat(bounds[1:] - bounds[:-1]).nonzero()[0]
+    # Configuration j's masks of graph g are at offs[:, j] + slot[g], of the
+    # role pairs (u, v) in _judge's order: A, B, O, S, F at arity 2 and A,
+    # O, F at arity 1.
+    slot = live.cumsum() - 1
+    u, v = ([0, 0, 0, 2, 0], [2, 3, 1, 3, 0]) if arity == 2 else ([0, 0, 0], [2, 1, 0])
+    offs = ((cfgs[:, u] * n + cfgs[:, v]) * (slot[-1] + 1)).T.copy()
+    step = max(1, SCAN_CELLS // (len(u) * len(E)))
+    for lo in range(0, len(scanned), step):
+        at = scanned[lo : lo + step]
+        g, j = np.divmod(pairs[at], q)
+        res[at] = _judge(E.take(offs.take(j, axis=1) + slot.take(g), axis=1), arity)
     return res

@@ -14,11 +14,12 @@ configuration) pairs, one sorted int64 array of g * configurations + j:
 those the filter keeps among the sampled ones, or all of them.  Proper
 3-colorings are enumerated, for the whole pass at once, only for the
 graphs with a kept pair, and only one per orbit of the six color
-permutations: colors 1 and 2 both mean true, and the anchor is moved back
-to color 0.  One law scan of the pass rebuilds each pair's anchor-0
-colorings from those rows, checks universality and consistency and reads
-one int8 verdict per kept pair; the counts are array lengths, and hits are
-the pairs with a reported truth table.  A pass folds its hits as arrays:
+permutations: a role reads false where it has the anchor's color, which
+no permutation changes.  One law scan of the pass turns those rows into
+one bitset per graph and vertex pair, of the rows that give the two
+vertices one color, and judges universality and consistency with a few
+mask operations per kept pair, one int8 verdict each; the counts are
+array lengths, and hits are the pairs with a reported truth table.  A pass folds its hits as arrays:
 its hit graphs are refined as one stack and searched once each, every
 hit's role code comes from one stepped minimum, and one lexsort picks the
 least hit of each role-respecting isomorphism class, which alone reaches

@@ -253,20 +253,13 @@ class TestScanRowContract:
         assert -2 in codes and len(codes) > 2  # some ladgets among the verdicts
 
 
-class _Gathers(np.ndarray):
-    # A view of a scan table that records the size of every gather from it.
-    def __getitem__(self, index):
-        self.sizes.append(np.size(index))
-        return np.asarray(self)[index]
-
-
 class TestScanSteps:
-    # scan_pass over a stack of graphs cuts the kept pairs of graphs with
-    # colorings, ascending, into steps of at most SCAN_CELLS cells or
-    # exactly one pair, greedily; a pair costs one cell per coloring row of
-    # its graph plus one.  A step gathers one word per (pair, row) cell and
-    # one verdict per pair, so views of the two tables see every step's
-    # size.  The pairs of a graph without colorings are -2 and not scanned.
+    # scan_pass over a stack of graphs judges the kept pairs of graphs with
+    # colorings, ascending, in steps of as many pairs as SCAN_CELLS allows
+    # or exactly one, greedily; a pair costs one cell per word of each mask
+    # it gathers.  _judge gets each step's gathered masks, pairs on the last
+    # axis, so a wrapper sees every step's size, cost and verdicts.  The
+    # pairs of a graph without colorings are -2 and in no step.
     @pytest.mark.parametrize("arity", [1, 2])
     def test_steps_are_greedy_within_the_budget(self, arity, rng, monkeypatch):
         graphs = generate_connected(6)
@@ -276,35 +269,77 @@ class TestScanSteps:
         kept = np.flatnonzero(keep)
         want = _kernels.scan_pass(C, starts, kept, cfgs, arity)
         height = np.diff(starts)
-        scanned = keep & (height > 0)[:, None]
-        cost = np.broadcast_to(height[:, None] + 1, keep.shape)[scanned].tolist()
-        assert len(graphs) == 112 and 0 in height and len(cost) > 4000
+        scanned = (keep & (height > 0)[:, None])[keep]
+        assert len(graphs) == 112 and 0 in height and scanned.sum() > 4000
         # One verdict per pair: its graph's one-graph verdict, and -2 for
         # the pairs of graphs without colorings.
         assert want.dtype == np.int8 and len(want) == len(kept)
-        assert (want[~scanned[keep]] == -2).all()
+        assert (want[~scanned] == -2).all()
         for g, row in enumerate(keep):
             one = scan_configs(C[starts[g] : starts[g + 1]], graphs[g].adj_array(),
                                graphs[g].deg_array(), cfgs, arity, False, False)
             assert np.array_equal(want[kept // len(cfgs) == g], one[row]), g
-        tables = _kernels._scan_tables(arity)
+        # At most 64 rows per graph: one word per mask, and five masks per
+        # pair at arity 2, three at arity 1.
+        assert height.max() <= 64
+        cost = 5 if arity == 2 else 3
+        judge = _kernels._judge
         for budget in (1, 2, 3, 8, 64, 1000, _kernels.SCAN_CELLS):
-            words, verdict = views = [t.view(_Gathers) for t in tables]
-            words.sizes, verdict.sizes = [], []
-            monkeypatch.setattr(_kernels, "_scan_tables", lambda arity: views)
+            steps = []
+
+            def spy(X, arity):
+                verdicts = judge(X, arity)
+                steps.append((X[..., 0].size, verdicts))
+                return verdicts
+
+            monkeypatch.setattr(_kernels, "_judge", spy)
             monkeypatch.setattr(_kernels, "SCAN_CELLS", budget)
             got = _kernels.scan_pass(C, starts, kept, cfgs, arity)
             assert np.array_equal(got, want), budget
-            assert len(words.sizes) == len(verdict.sizes)
-            lo = 0
-            for rows, pairs in zip(words.sizes, verdict.sizes):
-                cells = sum(cost[lo : lo + pairs])
-                assert cells == rows + pairs
-                assert cells <= budget or pairs == 1, (budget, lo)
-                lo += pairs
-                if lo < len(cost):
-                    assert cells + cost[lo] > budget, ("not greedy", budget, lo)
-            assert lo == len(cost)
+            # The steps judge exactly the scanned pairs, in order.
+            assert np.array_equal(np.concatenate([v for _, v in steps]), want[scanned])
+            sizes = [len(v) for _, v in steps]
+            assert {cells for cells, _ in steps} == {cost}
+            for size in sizes[:-1]:
+                assert size * cost <= budget or size == 1, (budget, size)
+                assert (size + 1) * cost > budget, ("not greedy", budget, size)
+            assert 1 <= sizes[-1] <= max(1, budget // cost)
+
+
+class TestScanWordBoundaries:
+    # One stacked order-8 pass whose graphs have 0, 64, 96, 144 and 1
+    # coloring rows per orbit: K4 with a pendant at each vertex, the path
+    # P8, P7 plus an isolated vertex, P3 + P3 + P2 and the complete
+    # tripartite K(3, 3, 2).  Its masks take three words, and the graphs
+    # fill one word exactly, end inside the second and the third, or hold
+    # one bit.  A one-graph scan of all_colorings' rows takes up to 14.
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_stacked_pass_matches_one_graph_scans(self, arity):
+        k4 = [(u, v) for v in range(4) for u in range(v)]
+        path = [(v, v + 1) for v in range(7)]
+        graphs = [
+            Graph.from_edges(8, k4 + [(v, v + 4) for v in range(4)]),
+            Graph.from_edges(8, path),
+            Graph.from_edges(8, path[:6]),
+            Graph.from_edges(8, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7)]),
+            Graph.from_edges(8, [(u, v) for u in range(8) for v in range(u + 1, 8)
+                                 if u // 3 != v // 3]),
+        ]
+        C, starts = stacked_colorings(np.array([g.adj for g in graphs]))
+        assert np.diff(starts).tolist() == [0, 64, 96, 144, 1]
+        cfgs = enumerate_configs(8, arity, ordered_inputs=True)
+        pairs = np.arange(len(graphs) * len(cfgs))
+        got = _kernels.scan_pass(C, starts, pairs, cfgs, arity).reshape(len(graphs), -1)
+        assert (got[0] == -2).all()
+        for g, row in zip(graphs, got):
+            one = scan_configs(all_colorings(g), g.adj_array(), g.deg_array(), cfgs,
+                               arity, False, False)
+            assert np.array_equal(row, one), g.edges()
+            for j in np.flatnonzero(row >= 0):
+                report = verify_ladget(GadgetConfig(g, _roles_of(cfgs[j], arity)))
+                assert report.is_ladget, (g.edges(), cfgs[j])
+                assert report.truth_table.code() == row[j], (g.edges(), cfgs[j])
+        assert (got >= 0).sum() > 0
 
 
 def _stack(graphs):
