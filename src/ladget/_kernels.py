@@ -133,9 +133,9 @@ def _row_masks(C, height):
     pad = np.zeros((n, count * slots), np.uint8)
     pad[:, np.flatnonzero(held)] = C.T
     lo, hi = (
-        np.packbits(pad >> bit & 1, bitorder="little").view(np.uint64)
+        np.packbits(pad & bit, bitorder="little").view(np.uint64)
         .reshape(n, count, -1).transpose(2, 0, 1)
-        for bit in (0, 1)
+        for bit in (1, 2)
     )
     E = lo[:, :, None] ^ lo[:, None]
     E |= hi[:, :, None] ^ hi[:, None]
@@ -147,22 +147,25 @@ def _row_masks(C, height):
 def _judge(X, arity):
     # Verdicts of a step of pairs from their (W, masks, pairs) gathered
     # same-color masks: A, B, O, S and the graph's rows F at arity 2, A, O
-    # and F at arity 1.  Y[:, b, m] is mask m for b = 0 and its complement
-    # within F for b = 1, so for A, B and O the rows where that role reads
-    # b.  P[:, p] holds the rows of input pattern p = b1 * 2 + b2, and
-    # seen[p, b] whether they meet the output reading b.
+    # and F at arity 1.  P[:, p] holds the rows of input pattern
+    # p = b1 * 2 + b2, complements taken within F; the rows of P[:, p] in O
+    # give the output false, the others true.
     any_, all_ = np.logical_or.reduce, np.logical_and.reduce
-    same = X[:, :-1]
-    Y = np.stack((same, same ^ X[:, -1:]), axis=1)
-    P = Y[:, :, 0]
     if arity == 2:
-        P = (P[:, :, None] & Y[:, None, :, 1]).reshape(len(X), 4, -1)
-    seen = any_(P[:, :, None] & Y[:, None, :, arity], axis=0)
-    valid = all_(seen[:, 0] != seen[:, 1], axis=0)
+        A, B, O, S, F = X.transpose(1, 0, 2)
+        P0 = A & B
+        P = np.stack((P0, A ^ P0, B ^ P0, F ^ (A | B)), axis=1)
+    else:
+        A, O, F = X.transpose(1, 0, 2)
+        P = np.stack((A, A ^ F), axis=1)
+    PO = P & O[:, None]
+    false, true = any_(PO, axis=0), any_(PO != P, axis=0)
+    valid = all_(false != true, axis=0)
     if arity == 2:
-        valid &= all_(any_(P[:, 3, None] & Y[:, :, 3], axis=0), axis=0)
+        P3S = P[:, 3] & S
+        valid &= any_(P3S, axis=0) & any_(P3S != P[:, 3], axis=0)
     bit = np.arange(2**arity, dtype=np.int8)[:, None]
-    return np.where(valid, np.bitwise_or.reduce(seen[:, 1] << bit), np.int8(-2))
+    return np.where(valid, np.bitwise_or.reduce(true << bit), np.int8(-2))
 
 
 def scan_pass(C, starts, pairs, cfgs, arity):
