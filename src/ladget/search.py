@@ -19,12 +19,13 @@ no permutation changes.  One law scan of the pass turns those rows into
 one bitset per graph and vertex pair, of the rows that give the two
 vertices one color, and judges universality and consistency with a few
 mask operations per kept pair, one int8 verdict each; the counts are
-array lengths, and hits are the pairs with a reported truth table.  A pass folds its hits as arrays:
-its hit graphs are refined as one stack and searched once each, every
-hit's role code comes from one stepped minimum, and one lexsort picks the
-least hit of each role-respecting isomorphism class, which alone reaches
-the tally.  Graphs up to 7 vertices can come from the built-in generator;
-anything larger arrives as an external one-record-per-line graph6 stream.
+array lengths, and hits are the pairs with a reported truth table.  A pass
+folds its hits as arrays: its hit graphs are refined as one stack and
+searched once each, every hit's role code comes from one stepped minimum,
+and one lexsort picks the least hit of each role-respecting isomorphism
+class, which alone reaches the tally.  Graphs up to 7 vertices can come
+from the built-in generator; anything larger arrives as an external
+one-record-per-line graph6 stream.
 
 A tally is one additive Counter (graphs, configurations, raw hits and bad
 lines) plus, per role-respecting isomorphism class, the least (graph6,
