@@ -125,20 +125,21 @@ def _row_masks(C, height):
     # graph g gives u and v one color, so where u = v it marks all of graph
     # g's rows.  C holds the graphs' rows in order, height[g] each.  The
     # colors are laid out vertex-major, each graph padded with zeros to
-    # W * 64 slots, and their low and high bits packed flat: two vertices
-    # differ in color where either bit does, and never in the padding.
+    # W * 64 slots, and packed flat twice: where they are not 0 and where
+    # they are 2.  Two vertices differ in color where either mask does, and
+    # never in the padding.
     count, n = len(height), C.shape[1]
     slots = -(-height.max() // 64) * 64
     held = np.arange(slots) < height[:, None]
     pad = np.zeros((n, count * slots), np.uint8)
     pad[:, np.flatnonzero(held)] = C.T
-    lo, hi = (
-        np.packbits(pad & bit, bitorder="little").view(np.uint64)
+    some, two = (
+        np.packbits(colors, bitorder="little").view(np.uint64)
         .reshape(n, count, -1).transpose(2, 0, 1)
-        for bit in (1, 2)
+        for colors in (pad, pad >> 1)
     )
-    E = lo[:, :, None] ^ lo[:, None]
-    E |= hi[:, :, None] ^ hi[:, None]
+    E = some[:, :, None] ^ some[:, None]
+    E |= two[:, :, None] ^ two[:, None]
     full = np.packbits(held, bitorder="little").view(np.uint64).reshape(count, -1)
     E ^= full.T[:, None, None]
     return E.reshape(len(E), -1)
