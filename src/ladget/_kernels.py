@@ -140,6 +140,7 @@ def _row_masks(C, height):
     )
     E = some[:, :, None] ^ some[:, None]
     E |= two[:, :, None] ^ two[:, None]
+    # Flipped within each graph's rows, the differences become the masks.
     full = np.packbits(held, bitorder="little").view(np.uint64).reshape(count, -1)
     E ^= full.T[:, None, None]
     return E.reshape(len(E), -1)
@@ -160,13 +161,13 @@ def _judge(X, arity):
         A, O, F = X.transpose(1, 0, 2)
         P = np.stack((A, A ^ F), axis=1)
     PO = P & O[:, None]
-    false, true = any_(PO, axis=0), any_(PO != P, axis=0)
-    valid = all_(false != true, axis=0)
+    out_false, out_true = any_(PO, axis=0), any_(PO != P, axis=0)
+    valid = all_(out_false != out_true, axis=0)
     if arity == 2:
         P3S = P[:, 3] & S
         valid &= any_(P3S, axis=0) & any_(P3S != P[:, 3], axis=0)
     bit = np.arange(2**arity, dtype=np.int8)[:, None]
-    return np.where(valid, np.bitwise_or.reduce(true << bit), np.int8(-2))
+    return np.where(valid, np.bitwise_or.reduce(out_true << bit), np.int8(-2))
 
 
 def scan_pass(C, starts, pairs, cfgs, arity):
