@@ -55,8 +55,8 @@ def _filter_mask_vec(adj, cfgs, arity, minimal_mode):
     # out[anchor * n + output] holds OUT_ANCHOR_ADJ and OUT_DEGREE, and
     # tup[anchor * n + i1], or tup[(anchor * n + i1) * n + i2] at arity 2,
     # holds ANCHOR_IN_ADJ, INPUT_DEGREE, IN_ADJ and TRIPLE_NEIGHBOR.  A
-    # rejected entry is -1 in out and -2 in tup, so a configuration is kept
-    # where its two entries are equal.
+    # rejected entry is 1 in out and 0 in tup, a kept one at least 2, so a
+    # configuration is kept where its two entries are equal.
     #
     # TRIPLE_NEIGHBOR: a common neighbour of the anchor and both inputs is
     # neither the anchor nor an input, so of the roles it can only be the
@@ -64,37 +64,39 @@ def _filter_mask_vec(adj, cfgs, arity, minimal_mode):
     # rule is an empty common neighbourhood.  A mask per rule must keep the
     # output's exclusion.
     #
-    # INTERNAL_DEGREE (minimal mode): tup counts the low-degree (< 3)
-    # vertices other than the anchor and inputs, and out is 1 if the output
-    # is one of them, else 0; both are 0 outside minimal mode.
+    # INTERNAL_DEGREE (minimal mode): tup is 2 plus the low-degree (< 3)
+    # vertices other than the anchor and inputs, and out is 3 if the output
+    # is one of them, else 2; both are 2 outside minimal mode.
     #
     # The tables keep graphs on the last axis, where numpy broadcasts fast,
-    # and are built with arithmetic because np.where is several times
-    # slower on int8.  Rows fit in 32 bits (n <= 32), which halves the
-    # traffic of the common-neighbourhood test.
-    rows = np.ascontiguousarray(adj.T, np.uint32)
-    n, count = rows.shape
+    # and are built in place with arithmetic, as np.where is several times
+    # slower on int8.  Rows take the smallest unsigned type of n bits, which
+    # cuts the traffic of the common-neighbourhood test.
+    count, n = adj.shape
+    rows = np.ascontiguousarray(adj.T, np.min_scalar_type((1 << n) - 1))
     a0, th, i1, i2 = cfgs.T
     # adjacent[u, v]: u and v are adjacent; apart[u, v]: they are not, and
     # v has degree at least 2.
-    adjacent = ((rows[:, None] >> np.arange(n)[:, None]) & 1).astype(bool)
-    deg = adjacent.sum(axis=1)
+    adjacent = (rows[:, None] >> np.arange(n, dtype=rows.dtype)[:, None] & 1) == 1
+    deg = adjacent.sum(axis=1, dtype=np.int8)
     apart = ~adjacent & (deg >= 2)
     low = ((deg < 3) & minimal_mode).astype(np.int8)
-    out = ((low + 1) * apart - 1).reshape(n * n, count)
-    # left[u]: the low-degree vertices other than u.
-    left = low.sum(axis=0, dtype=np.int8) - low
+    out = ((low + 1) * apart + 1).reshape(n * n, count)
+    # left[u]: 2 plus the low-degree vertices other than u.
+    left = low.sum(axis=0, dtype=np.int8) + 2 - low
     if arity == 1:
         ok = apart
-        rest = left[:, None] - low
+        tup = left[:, None] - low
         at = a0 * n + i1
     else:
-        ok = apart[:, :, None] & apart[:, None] & ~adjacent
+        ok = apart[:, :, None] & apart[:, None]
+        ok &= ~adjacent
         ok &= (rows[:, None, None] & rows[:, None] & rows) == 0
-        rest = left[:, None, None] - low[:, None] - low
+        tup = left[:, None, None] - low[:, None] - low
         at = (a0 * n + i1) * n + i2
-    tup = ((rest + 2) * ok - 2).reshape(-1, count)
-    return (out[a0 * n + th] == tup[at]).T
+    tup *= ok
+    keep = out.take(a0 * n + th, axis=0)
+    return np.equal(keep, tup.reshape(-1, count)[at], out=keep.view(bool)).T
 
 
 def scan_configs(C, adj, deg, cfgs, arity, use_filter, minimal_mode):
@@ -190,18 +192,25 @@ def scan_pass(C, starts, pairs, cfgs, arity):
     if not len(pairs) or not live.any():
         return res
     E = _row_masks(C[starts[0] : starts[-1]], height[live])
-    # The positions in pairs of the pairs of graphs with rows.
+    # Slot i, the i-th graph with rows, holds the scanned pairs lb[i] to
+    # lb[i + 1], found shift[i] further on in pairs.
     bounds = pairs.searchsorted(np.arange(len(starts)) * q)
-    scanned = live.repeat(bounds[1:] - bounds[:-1]).nonzero()[0]
-    # Configuration j's masks of graph g are at offs[:, j] + slot[g], of the
-    # role pairs (u, v) in _judge's order: A, B, O, S, F at arity 2 and A,
-    # O, F at arity 1.
-    slot = live.cumsum() - 1
+    lb = np.concatenate(([0], np.diff(bounds)[live].cumsum()))
+    shift = bounds[:-1][live] - lb[:-1]
+    slots = np.arange(len(shift))
+    # offs[:, j] + i: the masks of configuration j in slot i, for the role pairs
+    # (u, v) in _judge's order: A, B, O, S, F at arity 2, A, O, F at arity 1.
     u, v = ([0, 0, 0, 2, 0], [2, 3, 1, 3, 0]) if arity == 2 else ([0, 0, 0], [2, 1, 0])
-    offs = ((cfgs[:, u] * n + cfgs[:, v]) * (slot[-1] + 1)).T.copy()
+    offs = ((cfgs[:, u] * n + cfgs[:, v]) * len(slots)).T.copy()
     step = max(1, SCAN_CELLS // (len(u) * len(E)))
-    for lo in range(0, len(scanned), step):
-        at = scanned[lo : lo + step]
-        g, j = np.divmod(pairs[at], q)
-        res[at] = _judge(E.take(offs.take(j, axis=1) + slot.take(g), axis=1), arity)
+    los = np.arange(0, lb[-1], step)
+    his = np.minimum(los + step, lb[-1])
+    firsts = lb.searchsorted(los, "right") - 1
+    # Step lo:hi scans slots a to b - 1, from position p in pairs on.
+    spans = (los, his, firsts, lb.searchsorted(his), los + shift[firsts])
+    for lo, hi, a, b, p in zip(*(x.tolist() for x in spans)):
+        i = slots[a:b].repeat(np.diff(lb[a : b + 1].clip(lo, hi))) if b - a > 1 else a
+        at = np.arange(lo, hi) + shift.take(i) if b - a > 1 else slice(p, p + hi - lo)
+        j = pairs[at] % q
+        res[at] = _judge(E.take(offs.take(j, axis=1) + i, axis=1), arity)
     return res

@@ -1,22 +1,18 @@
 """Proper k-coloring enumeration.
 
-Two enumerators, one per workload shape, both in lexicographic row order:
+Two enumerators, one per workload shape and slower on the other's:
 
 * ``all_colorings`` backtracks over one graph and returns all of its
-  colorings as a uint8 matrix.  Verify, map and embed call it one
-  configuration at a time, with fixed vertices and any k.
+  colorings as a uint8 matrix in lexicographic row order.  Verify, map and
+  embed call it one configuration at a time, with fixed vertices and any k.
 * ``stacked_colorings`` extends the partial 3-colorings of a whole stack of
-  graphs of one order together, one vertex at a time with numpy, and is
-  what the census runs.  It returns one coloring per orbit of the six
-  color permutations, the one in restricted-growth form, in one matrix for
-  the stack with each graph's row offsets.  Over the 22 passes of the
-  order-8 minimal census over tests/data/connected8.g6 it builds 14,721
-  rows, standing for 88,326 colorings, in about 0.03 s (median of 11
-  runs, 2-CPU host, numpy 2.4).  Extended to all colorings, fixed vertices
-  and any k, the same method took 1.3-1.4 s for the 1,623 one-graph
-  enumerations of one perfbench verify-table repetition against the
-  backtracker's 0.14-0.21 s, 1.0 s of it on the order-13 embeddings at
-  k=6.  So both stay.
+  graphs of one order together with numpy, and is what the census runs.
+  It returns one coloring per orbit of the six color permutations, the
+  one in restricted-growth form along the graph's own vertex order, in one
+  matrix for the stack with each graph's row offsets.  Over the 22 passes
+  of the order-8 minimal census over tests/data/connected8.g6 it builds
+  14,721 rows, standing for 88,326 colorings, in about 0.008 s (median of
+  11 runs, 2-CPU host, numpy 2.4).
 
 Both are checked in tests against the exhaustive oracle in tests/oracles.py,
 which tries every one of the k**n assignments with no pruning at all.
@@ -106,30 +102,35 @@ def stacked_colorings(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (C, starts): one uint8 matrix holding every graph's rows in
     stack order, and the (graphs + 1,) row offsets, so graph i's rows are
     C[starts[i]:starts[i + 1]].  A graph's rows are its colorings in
-    restricted-growth form (each vertex's color at most one above the
-    largest color on the vertices before it), which is one per orbit, in
-    lexicographic order as from all_colorings.  The partial colorings of
-    all graphs are extended together, one vertex at a time in label order
-    and colors ascending, so the rows come out grouped by graph and already
-    sorted.  Raises TooLarge when the partial colorings of the stack
-    outgrow the materialization bound.
+    restricted-growth form (no color above 1 + the largest before it) along
+    its vertex order of descending degree, ties to the lower label: one per
+    orbit, in that order's lexicographic order.  Raises TooLarge when the
+    stack's partial colorings outgrow the materialization bound.
     """
     count, n = adj.shape
-    # Row r is a partial coloring of graph owner[r]; masks[r, c] holds its
-    # vertices colored c.
-    owner = np.arange(count)
-    masks = np.zeros((count, 3), np.int64)
-    C = np.zeros((count, n), np.uint8)
-    for v in range(n):
-        free = (masks & adj[owner, v][:, None]) == 0
-        # Restricted growth: color c only once color c - 1 is in use.
-        free[:, 1:] &= masks[:, :2] != 0
+    rows = adj.T.astype(np.min_scalar_type((1 << n) - 1))
+    deg = (rows >> np.arange(n, dtype=rows.dtype)[:, None, None] & 1).sum(0, rows.dtype)
+    order = np.argsort(n - deg, axis=0, kind="stable")
+    # bit[t, g]: the t-th vertex in graph g's order; seen[t, g]: its earlier neighbours.
+    bit = np.left_shift(1, order, dtype=rows.dtype, casting="unsafe")
+    seen = np.take_along_axis(rows, order, axis=0) & (bit.cumsum(0, rows.dtype) - bit)
+    # Row r is a partial coloring of graph owner[r]: one[r] and two[r] hold
+    # its vertices colored 1 and 2, its other placed ones have color 0.
+    owner, one, two = np.arange(count), *np.zeros((2, count), rows.dtype)
+    for t in range(1, n):
+        near = seen[t].take(owner)
+        # Restricted growth: color 2 only once color 1 is in use.
+        free = np.stack((near & ~(one | two), near & one, near & two), axis=1) == 0
+        free[:, 2] &= one != 0
         row, color = np.divmod(np.flatnonzero(free), 3)
         if len(row) > MAX_MATERIALIZED:
             raise TooLarge(
                 f"more than {MAX_MATERIALIZED} colorings; refusing to materialize"
             )
-        owner, masks, C = owner[row], masks[row], C[row]
-        masks[np.arange(len(row)), color] |= np.int64(1) << v
-        C[:, v] = color
+        owner = owner[row]
+        v = bit[t].take(owner)
+        one, two = one[row] | v * (color == 1), two[row] | v * (color == 2)
+    C = np.empty((len(owner), n), np.uint8)
+    for v in range(n):
+        C[:, v] = (one >> v & 1) | (two >> v & 1) << 1
     return C, np.searchsorted(owner, np.arange(count + 1))

@@ -116,12 +116,13 @@ COLOR_PERMS = list(itertools.permutations(range(3)))
 class TestStackedColorings:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_same_rows_same_order_as_oracle(self, rng, n):
-        # Each graph of a stack gets exactly the oracle's rows in
-        # restricted-growth form, in the oracle's order, and their orbits
-        # under the six color permutations are disjoint and make up the
-        # oracle's rows.  The stacks hold an edgeless graph and, from order
-        # 5, K4 plus a pendant (no proper 3-coloring) with isolated
-        # vertices.
+        # Each graph of a stack takes its vertices in descending degree,
+        # ties to the lower label, and gets exactly the oracle's rows that
+        # are in restricted-growth form along that order, in that order's
+        # lexicographic order; their orbits under the six color
+        # permutations are disjoint and make up the oracle's rows.  The
+        # stacks hold an edgeless graph and, from order 5, K4 plus a
+        # pendant (no proper 3-coloring) with isolated vertices.
         k4_pendant = [(u, v) for v in range(4) for u in range(v)] + [(3, 4)]
         for _ in range(3):
             graphs = [random_graph(rng, n, p) for p in (0.2, 0.5, 0.8)]
@@ -134,10 +135,12 @@ class TestStackedColorings:
             assert len(starts) == len(graphs) + 1
             assert starts[0] == 0 and starts[-1] == len(stack)
             for i, g in enumerate(graphs):
+                order = sorted(range(n), key=lambda v: (-g.adj[v].bit_count(), v))
                 C = stack[starts[i] : starts[i + 1]]
                 got = [tuple(int(c) for c in row) for row in C]
                 ref = oracle_colorings(g, None, 3)
-                assert got == [row for row in ref if restricted_growth(row)]
+                along = sorted((tuple(row[v] for v in order), row) for row in ref)
+                assert got == [row for key, row in along if restricted_growth(key)]
                 orbits = [{tuple(p[c] for c in row) for p in COLOR_PERMS}
                           for row in got]
                 assert sum(map(len, orbits)) == len(ref)

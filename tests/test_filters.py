@@ -12,6 +12,7 @@ from ladget.filters import RULES, _violations, structural_filter
 from ladget.gadget import GadgetConfig, TruthTable, builtin, classify, verify_ladget
 from ladget.graphcore import Graph, RoleLabeling, decode_graph6, generate_connected
 from ladget.search import enumerate_configs
+from oracles import random_graph
 
 
 def _cfg(n, edges, anchor, inputs, output):
@@ -435,6 +436,37 @@ class TestFilterMaskExhaustive:
             assert mask.shape == (len(graphs), 0) and mask.dtype == bool
             one = _kernels._filter_mask_vec(adj[:1], cfgs, arity, minimal_mode)
             assert one.shape == (1, 0) and one.dtype == bool
+
+
+class TestFilterMaskWordSizes:
+    # The stacked filter holds adjacency rows in the smallest unsigned type
+    # of n bits, so its word size changes between orders 8 and 9, 16 and
+    # 17, and is widest at 32.  Random graphs of those orders, sparse to
+    # dense, against the readable rules on every configuration each graph
+    # keeps and on a random sample of the rest, minimal mode on and off; a
+    # one-row stack equals its row of the stack.
+    @pytest.mark.parametrize(
+        "n,arity", [(9, 1), (9, 2), (16, 1), (16, 2), (17, 1), (17, 2), (32, 1)]
+    )
+    def test_rows_match_reference_across_word_sizes(self, n, arity, rng):
+        graphs = [random_graph(rng, n, p) for p in (2.5 / n, 4 / n, 0.5)]
+        cfgs = enumerate_configs(n, arity)
+        adj = _stack(graphs)
+        kept = 0
+        for minimal_mode in (False, True):
+            mask = _kernels._filter_mask_vec(adj, cfgs, arity, minimal_mode)
+            assert mask.shape == (len(graphs), len(cfgs)) and mask.dtype == bool
+            for g, row in zip(graphs, mask):
+                one = _kernels._filter_mask_vec(
+                    g.adj_array()[None], cfgs, arity, minimal_mode
+                )
+                assert np.array_equal(one[0], row), g.edges()
+                sample = rng.choice(len(cfgs), min(len(cfgs), 300), replace=False)
+                at = np.union1d(np.flatnonzero(row), sample)
+                want = _passes(g, cfgs[at], arity, minimal_mode)
+                assert row[at].tolist() == want, (g.edges(), minimal_mode)
+                kept += int(row.sum())
+        assert kept > 0
 
 
 class TestVerdictShape:
