@@ -25,11 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import TooLarge
-from .graphcore import Graph
-
-# Safety bound for materializing colorings; real gadget workloads sit far
-# below it (a connected graph has at most 3 * 2**(n-1) proper 3-colorings).
-MAX_MATERIALIZED = 10_000_000
+from .graphcore import MAX_MATERIALIZED, Graph
 
 
 def _fixed_colors(g: Graph, fixed: Mapping[int, int] | None, k: int) -> list[int]:

@@ -6,20 +6,22 @@ row inside a machine word for the census kernel.  The module also carries the
 graph6 codec (bare records only, no header), exhaustive generation of small
 connected graphs, and role-respecting isomorphism via canonical labelings.
 One numpy colour refinement, _refine, refines a (graphs, n) stack of
-adjacency rows at once, and one recursive search, _canonical, finds a
-graph's canonical labelings from its rows and refined classes; a single
-graph is a one-graph stack.  The generator refines each parent's extensions
-as one stack and keys them without building a Graph.  stacked_config_keys
-keys a stack's configurations, a census pass's hits, with one search per
-graph: each is the graph's canonical key plus the least image of its role
-tuple under the canonical labelings, which differ by exactly the graph's
+adjacency rows at once, and one level-wise search, _canonical, finds every
+graph's canonical labelings from its rows and refined classes, a frontier
+of partial labelings for the whole stack; a single graph is a one-graph
+stack.  The generator searches each parent's extensions as one stack and
+keys them without building a Graph.  stacked_config_keys keys a stack's
+configurations, a census pass's hits, with one search of the stack: each
+is the graph's canonical key plus the least image of its role tuple under
+the canonical labelings, which differ by exactly the graph's
 automorphisms, taken by one stepped minimum over (configuration, labeling)
 cells.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +33,14 @@ from .errors import (
     InvalidGraph6,
     InvalidRoles,
     SizeUnsupported,
+    TooLarge,
 )
 
 MAX_VERTICES = 32
+# Safety bound on the rows a stacked enumeration holds at one step: partial
+# colorings (a connected graph has at most 3 * 2**(n-1) proper 3-colorings)
+# or partial labelings of the canonical search (K10's 10! fit, K11's not).
+MAX_MATERIALIZED = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -216,96 +223,127 @@ def _refine(adj: np.ndarray) -> np.ndarray:
     """Colour refinement of a (graphs, n) stack of bitmask rows of one order:
     each graph's vertex classes at its fixpoint, from one class.
 
-    In a round a vertex's key is its class, then its neighbours' classes
-    sorted ascending and padded with -1 after them, so that a shorter tuple
-    sorts first, as in Python's tuple order.  Its new class is the dense rank
-    of its key within its graph, from one lexsort with the graph index first,
-    so isomorphic graphs get matching classes.  The stack takes rounds in
-    lockstep until no class changes; a graph already stable stays stable,
-    since its keys sort by class first.
+    In a round a vertex's key is its class, then the classes of the vertices
+    sorted ascending, -1 for each non-neighbour, and its new class is the
+    dense rank of its key within its graph, from one lexsort with the graph
+    index first, so isomorphic graphs get matching classes.  The first round
+    from one class ranks the vertices by degree, so the rounds start from
+    the degrees, which rank alike; from then on a class's vertices share a
+    degree, and so their count of -1s.  The stack takes rounds in lockstep
+    until the number of classes stops growing, or every class is one
+    vertex; a graph already stable stays stable, since its keys sort by
+    class first, and a round that splits no class keeps every class id.
     """
     count, n = adj.shape
     bits = ((adj[:, :, None] >> np.arange(n)) & 1).astype(bool)
     graph = np.arange(count).repeat(n)
-    cls = np.zeros((count, n), np.int64)
+    cls = bits.sum(2)
+    classes = 0
     while True:
-        nbrs = np.where(bits, cls[:, None, :], n)
+        nbrs = np.where(bits, cls[:, None, :], -1)
         nbrs.sort(axis=2)
-        nbrs[nbrs == n] = -1
         keys = np.vstack((nbrs.reshape(-1, n).T[::-1], cls.reshape(-1), graph))
         order = np.lexsort(keys)
         ranked = keys[:, order]
         rank = np.zeros(count * n, np.int64)
         rank[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0).cumsum()
-        new = np.empty_like(cls)
+        cls = np.empty_like(cls)
         # Sorted by graph first, each graph's n keys are adjacent.
-        new.reshape(-1)[order] = rank - rank[::n].repeat(n)
-        if np.array_equal(new, cls):
+        cls.reshape(-1)[order] = rank - rank[::n].repeat(n)
+        if rank[-1] + 1 in (classes, count * n):
             return cls
-        cls = new
+        classes = rank[-1] + 1
 
 
-def _canonical(
-    adj: Sequence[int], classes: list[int], hold: bool
-) -> tuple[tuple, list[tuple[int, ...]]]:
-    """canonical_key of the graph with these adjacency rows and refined
-    classes (its _refine row) and, with hold, every labeling that reaches it.
+@functools.cache
+def _column_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # bit[v] = 1 << v in the smallest unsigned type of n bits; below[t], the
+    # bits of column t, bit[i] for i < t; after[t], how many follow column t.
+    word = np.min_scalar_type((1 << n) - 1)
+    bit = word.type(1) << np.arange(n, dtype=word)
+    after = np.array([(n * n - n - t * t - t) // 2 for t in range(n)], np.uint64)
+    return bit, bit * (np.arange(n) < np.arange(n)[:, None]), after
 
-    Positions 0..n-1 are owned by class ids in ascending order, and a vertex
-    may only take a position of its own class.  The column code of position
-    t is sum(bit(perm[i], perm[t]) << i for i < t) against the vertices
-    already placed, and the canonical form is the lexicographically least
-    column vector, found by depth-first search that tries each position's
-    class members in ascending order.
 
-    The search prunes only prefixes whose column exceeds the best one, so it
-    reaches every labeling (perm[t] = vertex at position t) of the least
-    vector, |Aut| leaves: they are one coset of the automorphism group.  With
-    hold it returns them all in the order reached, dropping those held
-    whenever the best vector improves; without it the list stays empty, so
-    keying K9 holds none of its 362,880 labelings.
+def _canonical(adj: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """canonical_key of each graph of a (graphs, n) stack of bitmask rows of
+    one order, and every labeling that reaches it: (keys, perms, starts),
+    uint8 labelings (perm[t] = vertex at position t), graph g's in
+    perms[starts[g]:starts[g + 1]].
+
+    Positions 0..n-1 are owned by the graph's _refine class ids in ascending
+    order, and a vertex may only take a position of its own class.  The
+    column code of position t is sum(bit(perm[i], perm[t]) << i for i < t);
+    the canonical form is the least column vector, packed column 1 first.
+    A frontier of partial labelings, owner ascending, extends a position
+    whose class has members left after it by each unplaced one, ascending; a
+    class's last position takes its one remaining member.  Runs of columns,
+    packed into 64 bits, are compared at the end, and before an extension
+    once the frontier holds more than n labelings per graph, as many as
+    _refine's neighbour table holds entries: only each graph's least stay.  Every partial labeling can be completed,
+    so the end holds exactly the labelings of the least vector, |Aut| per
+    graph, in lexicographic order.  A discrete stack takes no step.  Raises
+    TooLarge past MAX_MATERIALIZED labelings.
     """
-    n = len(adj)
-    layout = sorted(classes)
-    members = {c: [v for v in range(n) if classes[v] == c] for c in set(classes)}
-    top = 1 << n  # above every column code
-    best = [top] * n
-    held: list[tuple[int, ...]] = []
-    perm: list[int] = []
-
-    def extend(t: int, used: int) -> None:
-        for v in members[layout[t]]:
-            if used >> v & 1:
-                continue
-            row = adj[v]
-            col = 0
-            for i, u in enumerate(perm):
-                if row >> u & 1:
-                    col |= 1 << i
-            if col > best[t]:
-                continue
-            if col < best[t]:
-                best[t:] = [col] + [top] * (n - t - 1)
-                held.clear()
-            perm.append(v)
-            if t + 1 < n:
-                extend(t + 1, used | 1 << v)
-            elif hold:
-                held.append(tuple(perm))
-            perm.pop()
-
-    extend(0, 0)
-    code = 0
-    for t in range(1, n):
-        code = (code << t) | best[t]
-    return (n, tuple(layout), code), held
+    count, n = adj.shape
+    classes = _refine(adj)
+    layout = np.sort(classes, axis=1)
+    bit, below, after = _column_tables(n)
+    rows = adj.astype(bit.dtype)
+    # join[t]: position t has the class of position t - 1 in some graph.
+    join = np.zeros(n + 1, bool)
+    join[1:n] = (layout[:, 1:] == layout[:, :-1]).any(axis=0)
+    last = np.flatnonzero(join[:-1] & ~join[1:])
+    if join.any():
+        # owned[t, g]: the members of graph g's class at position t.
+        owned = ((classes[:, None, :] == layout[:, :, None]) @ bit).T
+    graphs = np.arange(count)
+    perms = np.argsort(classes, axis=1, kind="stable").astype(np.uint8)
+    owner, used = graphs, np.zeros(count, bit.dtype)
+    codes = [0] * count
+    done = 0  # columns 0..done-1 are compared and in codes
+    for t in [*np.flatnonzero(join[1:]).tolist(), n]:
+        if t == n or len(owner) > count * n:
+            q = last[last < t]
+            if len(q):
+                # The one member left: frexp(2 ** v) is (0.5, v + 1).
+                perms[:, q] = np.frexp(owned[q][:, owner] & ~used)[1].T - 1
+            while done < t:
+                # Columns done..b-1, at most 64 bits, most significant first.
+                b = min(t, (1 + math.isqrt(513 + 4 * done * (done - 1))) // 2)
+                cell = rows[owner[:, None], perms[:, done:b]]
+                cell = cell[:, :, None] >> perms[:, None, :b - 1]
+                cell &= 1
+                cell *= below[done:b, :b - 1]
+                cols = cell.sum(2, np.uint64)
+                cols <<= after[done:b] - after[b - 1]
+                key = cols.sum(1)
+                least = key
+                if len(owner) > count:
+                    least = np.minimum.reduceat(key, owner.searchsorted(graphs))
+                    keep = key == least[owner]
+                    if not keep.all():
+                        perms, owner, used = perms[keep], owner[keep], used[keep]
+                width = (b * b - b - done * done + done) // 2
+                codes = [code << width | x for code, x in zip(codes, least.tolist())]
+                done = b
+        if t < n:
+            free = (owned[t][owner] & ~used)[:, None] & bit
+            if np.count_nonzero(free) > MAX_MATERIALIZED:
+                raise TooLarge(f"more than {MAX_MATERIALIZED} labelings at one step")
+            row, v = np.nonzero(free)
+            perms, owner, used = perms.take(row, 0), owner[row], used[row]
+            perms[:, t] = v
+            used |= bit[v]
+            del free, row, v  # freed before the next step allocates
+    keys = [(n, tuple(lay), code) for lay, code in zip(layout.tolist(), codes)]
+    return keys, perms, owner.searchsorted(np.arange(count + 1))
 
 
 def canonical_key(g: Graph) -> tuple:
     """Hashable key equal across isomorphic graphs: (n, sorted refined
     class layout, packed canonical adjacency code)."""
-    classes = _refine(np.array([g.adj], np.int64))[0].tolist()
-    return _canonical(g.adj, classes, False)[0]
+    return _canonical(np.array([g.adj], np.int64))[0][0]
 
 
 def graph_from_canonical_code(n: int, code: int) -> Graph:
@@ -333,24 +371,16 @@ def stacked_config_keys(
     role-isomorphic exactly when their graphs are isomorphic and an
     automorphism maps one role tuple onto the other, so the role code is the
     least packed (anchor, output, inputs) position tuple over every
-    canonical labeling of its graph, inputs sorted unless ordered.  The
-    stack is refined at once and searched once per graph; the minimum runs
-    over (configuration, labeling) cells, at most SCAN_CELLS or one
+    canonical labeling of its graph, inputs sorted unless ordered.  One
+    _canonical call searches the whole stack; the minimum runs over
+    (configuration, labeling) cells, at most SCAN_CELLS or one
     configuration's per step.
     """
-    count, n = adj.shape
-    keys, perms = [], []
-    start = np.zeros(count + 1, np.int64)
-    for g, (row, classes) in enumerate(zip(adj.tolist(), _refine(adj).tolist())):
-        key, held = _canonical(row, classes, True)
-        keys.append(key)
-        perms += held
-        start[g + 1] = len(perms)
-    perms = np.array(perms, np.int64).reshape(-1, n)
-    pos = np.empty_like(perms)
-    pos[np.arange(len(perms))[:, None], perms] = np.arange(n)
+    n = adj.shape[1]
+    keys, perms, start = _canonical(adj)
+    pos = perms.argsort(axis=1)
     weights = n ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
-    cells = np.diff(start)[owner]
+    cells = (start[1:] - start[:-1])[owner]
     ends = cells.cumsum()
     codes = np.empty(len(rows), np.int64)
     done = 0
@@ -366,31 +396,6 @@ def stacked_config_keys(
         codes[done:end] = np.minimum.reduceat(placed @ weights, first)
         done = end
     return keys, codes
-
-
-def config_canonical_keys(g: Graph, rows, inputs_ordered: bool = False) -> list:
-    """One role-respecting isomorphism key per configuration row of g, all
-    rows of one arity: (canonical_key(g), role code), as stacked_config_keys
-    gives them on a one-graph stack."""
-    rows = np.asarray(rows, dtype=np.int64)
-    if not len(rows):
-        return []
-    if rows.min() < 0 or rows.max() >= g.n:
-        raise InvalidRoles(f"role vertex outside 0..{g.n - 1}")
-    (key,), codes = stacked_config_keys(
-        np.array([g.adj], np.int64), np.zeros(len(rows), np.int64), rows,
-        inputs_ordered,
-    )
-    return [(key, code) for code in codes.tolist()]
-
-
-def config_canonical_key(
-    g: Graph, roles: RoleLabeling, inputs_ordered: bool = False
-) -> tuple:
-    """config_canonical_keys for one configuration, given as roles."""
-    roles.validate_for(g)
-    row = (roles.anchor, roles.output, *roles.inputs)
-    return config_canonical_keys(g, [row], inputs_ordered)[0]
 
 
 def roles_isomorphic(
@@ -420,17 +425,14 @@ def _extend_connected(parents: list[Graph]) -> list[Graph]:
     # Every connected graph on m vertices arises from a connected graph on
     # m-1 vertices by adding one vertex with a nonempty neighborhood (remove
     # a non-cut vertex, e.g. a spanning-tree leaf).  Dedup by canonical key,
-    # keyed straight from the extensions' rows, one refined stack of the
-    # 2**m - 1 extensions per parent, and emit canonical representatives in
-    # ascending key order.
+    # one search of each parent's 2**m - 1 extensions as a stack, and emit
+    # canonical representatives in ascending key order.
     seen = set()
     m = parents[0].n
     masks = np.arange(1, 1 << m)
     grown = (masks[:, None] >> np.arange(m) & 1) << m
     for p in parents:
-        rows = np.column_stack((np.array(p.adj, np.int64) | grown, masks))
-        for row, classes in zip(rows.tolist(), _refine(rows).tolist()):
-            seen.add(_canonical(row, classes, False)[0])
+        seen.update(_canonical(np.column_stack((np.array(p.adj) | grown, masks)))[0])
     return [graph_from_canonical_code(m + 1, key[2]) for key in sorted(seen)]
 
 

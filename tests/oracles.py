@@ -12,7 +12,7 @@ import numpy as np
 from ladget.coloring import _fixed_colors
 from ladget.errors import TooLarge
 from ladget.gadget import ColorMapping
-from ladget.graphcore import MAX_VERTICES, Graph, RoleLabeling
+from ladget.graphcore import MAX_VERTICES, Graph, RoleLabeling, stacked_config_keys
 
 Coloring = tuple[int, ...]
 
@@ -94,6 +94,75 @@ def refine_classes(adj) -> list[int]:
         if new == cls:
             return cls
         cls = new
+
+
+def recursive_canonical(adj, classes, hold: bool):
+    """The canonical search one graph at a time, by depth-first recursion:
+    (canonical_key, labelings) of the graph with these adjacency rows and
+    refined classes, as graphcore._canonical gives them for a stack.
+
+    Positions 0..n-1 are owned by class ids in ascending order, and a vertex
+    may only take a position of its own class.  The column code of position
+    t is sum(bit(perm[i], perm[t]) << i for i < t), and the canonical form is
+    the lexicographically least column vector.  The search tries each
+    position's class members in ascending order and prunes only prefixes
+    whose column exceeds the best one, so it reaches every labeling of the
+    least vector.  With hold it returns them all in the order reached,
+    dropping those held whenever the best vector improves.
+    """
+    n = len(adj)
+    layout = sorted(classes)
+    members = {c: [v for v in range(n) if classes[v] == c] for c in set(classes)}
+    top = 1 << n  # above every column code
+    best = [top] * n
+    held: list[tuple[int, ...]] = []
+    perm: list[int] = []
+
+    def extend(t: int, used: int) -> None:
+        for v in members[layout[t]]:
+            if used >> v & 1:
+                continue
+            row = adj[v]
+            col = 0
+            for i, u in enumerate(perm):
+                if row >> u & 1:
+                    col |= 1 << i
+            if col > best[t]:
+                continue
+            if col < best[t]:
+                best[t:] = [col] + [top] * (n - t - 1)
+                held.clear()
+            perm.append(v)
+            if t + 1 < n:
+                extend(t + 1, used | 1 << v)
+            elif hold:
+                held.append(tuple(perm))
+            perm.pop()
+
+    extend(0, 0)
+    code = 0
+    for t in range(1, n):
+        code = (code << t) | best[t]
+    return (n, tuple(layout), code), held
+
+
+def config_keys(g: Graph, rows, inputs_ordered: bool = False) -> list:
+    """(canonical_key(g), role code) per configuration row (anchor, output,
+    input...) of g, from stacked_config_keys on a one-graph stack."""
+    rows = np.asarray(rows, np.int64)
+    if not len(rows):
+        return []
+    (key,), codes = stacked_config_keys(
+        np.array([g.adj], np.int64), np.zeros(len(rows), np.int64), rows,
+        inputs_ordered,
+    )
+    return [(key, code) for code in codes.tolist()]
+
+
+def config_key(g: Graph, roles: RoleLabeling, inputs_ordered: bool = False) -> tuple:
+    """config_keys for one configuration, given as roles."""
+    row = (roles.anchor, roles.output, *roles.inputs)
+    return config_keys(g, [row], inputs_ordered)[0]
 
 
 def permuted(g: Graph, perm) -> Graph:

@@ -1,8 +1,9 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ladget.errors import (
@@ -11,8 +12,9 @@ from ladget.errors import (
     InvalidGraph6,
     InvalidRoles,
     SizeUnsupported,
+    TooLarge,
 )
-from ladget import _kernels
+from ladget import _kernels, graphcore
 from ladget.graphcore import (
     GENERATION_CAP,
     MAX_VERTICES,
@@ -21,8 +23,6 @@ from ladget.graphcore import (
     _canonical,
     _refine,
     canonical_key,
-    config_canonical_key,
-    config_canonical_keys,
     decode_graph6,
     encode_graph6,
     generate_connected,
@@ -32,9 +32,9 @@ from ladget.graphcore import (
 )
 from ladget.search import enumerate_configs
 from oracles import bfs_connected, brute_automorphisms, brute_isomorphic
-from oracles import brute_role_orbit, brute_roles_isomorphic
-from oracles import is_connected, permuted, random_connected, random_graph
-from oracles import refine_classes
+from oracles import brute_role_orbit, brute_roles_isomorphic, config_key
+from oracles import config_keys, is_connected, permuted, random_connected
+from oracles import random_graph, recursive_canonical, refine_classes
 
 
 @st.composite
@@ -223,9 +223,9 @@ class TestCanonicalKey:
         assert canonical_key(graph_from_canonical_code(n, key[2])) == key
         rows = np.array([rng.permutation(n)[:4] for _ in range(50)])
         for ordered in (False, True):
-            assert config_canonical_keys(
+            assert config_keys(
                 h, perm[rows], ordered
-            ) == config_canonical_keys(g, rows, ordered)
+            ) == config_keys(g, rows, ordered)
 
 
 class TestRefine:
@@ -377,9 +377,9 @@ class TestRolesIsomorphic:
             hr = RoleLabeling(
                 perm[r.anchor], tuple(perm[v] for v in r.inputs), perm[r.output]
             )
-            assert config_canonical_key(
+            assert config_key(
                 permuted(g, perm), hr
-            ) == config_canonical_key(g, r)
+            ) == config_key(g, r)
 
 
 def _petersen() -> Graph:
@@ -418,7 +418,7 @@ class TestConfigCanonicalKeys:
         for g, auts in small:
             rows = enumerate_configs(g.n, arity, ordered).tolist()
             rows = [row[: 2 + arity] for row in rows]
-            keys = config_canonical_keys(g, rows, ordered)
+            keys = config_keys(g, rows, ordered)
             assert len(keys) == len(rows)
             reps = [brute_role_orbit(auts, row, ordered) for row in rows]
             # One partition: each key meets one orbit and each orbit one key.
@@ -432,7 +432,8 @@ class TestConfigCanonicalKeys:
 
     def test_search_holds_one_labeling_per_automorphism(self, small):
         for g, auts in small:
-            key, held = _canonical(g.adj, refine_classes(g.adj), True)
+            (key,), perms, _ = _canonical(_stack([g]))
+            held = [tuple(perm) for perm in perms.tolist()]
             assert key == canonical_key(g)
             assert len(held) == len(set(held)) == len(auts)
 
@@ -441,26 +442,19 @@ class TestConfigCanonicalKeys:
         for g, _ in small:
             rows = enumerate_configs(g.n, arity, ordered)[:, : 2 + arity]
             perm = rng.permutation(g.n)
-            assert config_canonical_keys(
+            assert config_keys(
                 permuted(g, perm.tolist()), perm[rows], ordered
-            ) == config_canonical_keys(g, rows, ordered)
+            ) == config_keys(g, rows, ordered)
 
     @pytest.mark.parametrize("arity,ordered", SHAPES)
     def test_one_row_call_is_its_batch_row(self, small, rng, arity, ordered):
         for g, _ in small[-40:]:
             rows = enumerate_configs(g.n, arity, ordered)[:, : 2 + arity]
-            keys = config_canonical_keys(g, rows, ordered)
+            keys = config_keys(g, rows, ordered)
             for i in rng.choice(len(rows), 3, replace=False):
                 anchor, output, *inputs = rows[i].tolist()
                 roles = RoleLabeling(anchor, inputs, output)
-                assert config_canonical_key(g, roles, ordered) == keys[i]
-
-    def test_empty_batch_and_bad_rows(self):
-        g = generate_connected(4)[0]
-        assert config_canonical_keys(g, []) == []
-        for row in ((0, 1, 4), (0, -1, 2)):
-            with pytest.raises(InvalidRoles):
-                config_canonical_keys(g, [(0, 1, 2), row])
+                assert config_key(g, roles, ordered) == keys[i]
 
     @pytest.mark.parametrize("name", sorted(SYMMETRIC))
     def test_step_budget_does_not_change_keys(self, name, monkeypatch):
@@ -468,10 +462,10 @@ class TestConfigCanonicalKeys:
         cases = []
         for arity, ordered in SHAPES:
             rows = enumerate_configs(g.n, arity, ordered)[:, : 2 + arity]
-            cases.append((rows, ordered, config_canonical_keys(g, rows, ordered)))
+            cases.append((rows, ordered, config_keys(g, rows, ordered)))
         monkeypatch.setattr(_kernels, "SCAN_CELLS", 1)
         for rows, ordered, want in cases:
-            assert config_canonical_keys(g, rows, ordered) == want
+            assert config_keys(g, rows, ordered) == want
             assert len(set(want)) < len(want)  # the graph has symmetry to use
 
 
@@ -500,6 +494,86 @@ class TestStackedConfigKeys:
         assert keys == [canonical_key(g) for g in gs]
         got = [(keys[g], code) for g, code in zip(owner.tolist(), codes.tolist())]
         want = [key for g, rows in zip(gs, picks)
-                for key in config_canonical_keys(g, rows, ordered)]
+                for key in config_keys(g, rows, ordered)]
         assert got == want
         assert len(set(want)) < len(want)
+
+
+def _cycle(n: int) -> Graph:
+    return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def _path(n: int) -> Graph:
+    return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+
+
+SEARCHED = {
+    **SYMMETRIC,
+    "cube": Graph.from_edges(8, [(v, v | 1 << b) for v in range(8) for b in range(3)
+                                 if not v >> b & 1]),
+    "C10": _cycle(10),
+}
+
+
+@st.composite
+def small_frontier_stacks(draw):
+    # Stacks up to order 10 whose class-respecting labelings, a bound on
+    # the search's frontier, number at most 5,040: no K10 or empty graph.
+    gs = draw(stacks(max_n=10))
+    for classes in _refine(_stack(gs)).tolist():
+        sizes = np.bincount(classes)
+        assume(np.prod([math.factorial(k) for k in sizes]) <= 5040)
+    return gs
+
+
+class TestCanonicalSearch:
+    # The stacked search against the recursive oracle: equal keys, and each
+    # graph's labelings of its least column vector in the order the
+    # depth-first search reaches them.  The symmetric graphs' frontiers
+    # outgrow n labelings, so their columns are also compared before an
+    # extension, not only at the end.
+    @staticmethod
+    def _check(gs):
+        keys, perms, starts = _canonical(_stack(gs))
+        assert perms.dtype == np.uint8 and len(keys) == len(gs)
+        for g, key, lo, hi in zip(gs, keys, starts[:-1], starts[1:]):
+            want_key, want_held = recursive_canonical(g.adj, refine_classes(g.adj), True)
+            assert key == want_key, encode_graph6(g)
+            assert [tuple(p) for p in perms[lo:hi].tolist()] == want_held, encode_graph6(g)
+
+    @pytest.mark.parametrize("name", sorted(SEARCHED))
+    def test_symmetric_graphs(self, name):
+        self._check([SEARCHED[name]])
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_connected_graph_of_small_order(self, n):
+        self._check(generate_connected(n))
+
+    def test_stride_of_order_8_with_relabelled_copies(self, connected8_path, rng):
+        gs = [decode_graph6(r) for r in connected8_path.read_text().split()[::53]]
+        mixed = []
+        for g in gs:
+            mixed.append(g)
+            if len(mixed) % 3 == 0:
+                mixed.append(permuted(g, rng.permutation(8).tolist()))
+        self._check(mixed)
+
+    def test_columns_past_64_bits(self, rng):
+        # From order 12 the columns of a graph take several 64-bit packs.
+        gs = [_path(12), _cycle(12), permuted(_path(12), rng.permutation(12).tolist())]
+        self._check(gs)
+        self._check([_path(MAX_VERTICES), random_connected(MAX_VERTICES, np.random.default_rng(32))])
+
+    @settings(deadline=None, max_examples=60)
+    @given(small_frontier_stacks())
+    def test_matches_oracle_on_random_stacks(self, gs):
+        self._check(gs)
+
+    def test_frontier_bound(self, monkeypatch):
+        # K7's last extension holds all 5,040 of its labelings.
+        k7 = _stack([Graph.from_edges(7, itertools.combinations(range(7), 2))])
+        monkeypatch.setattr(graphcore, "MAX_MATERIALIZED", 5040)
+        assert len(_canonical(k7)[1]) == 5040
+        monkeypatch.setattr(graphcore, "MAX_MATERIALIZED", 5039)
+        with pytest.raises(TooLarge):
+            _canonical(k7)

@@ -22,7 +22,6 @@ from ladget.gadget import TruthTable, classify
 from ladget.graphcore import (
     Graph,
     RoleLabeling,
-    config_canonical_key,
     decode_graph6,
     encode_graph6,
     generate_connected,
@@ -35,7 +34,7 @@ from ladget.search import (
     rarity_stats,
     search_stream,
 )
-from oracles import permuted, random_connected
+from oracles import config_key, permuted, random_connected
 from test_graphcore import graphs
 
 NAND_GRAPHS = ["FCZeO", "FCZUO"]
@@ -503,7 +502,7 @@ class TestDedupe:
         _, _, hits = _reference_census(stream, opt)
         least = {}
         for h in sorted(hits):
-            key = config_canonical_key(decode_graph6(h.graph6), h.roles)
+            key = config_key(decode_graph6(h.graph6), h.roles)
             least.setdefault((h.function, key), h)
         want = sorted(least.values(), key=lambda h: (h.function, h))
         rep = search_stream(stream, opt)
@@ -760,7 +759,7 @@ class TestBlockKernel:
         # class), listed by function, then in hit order.
         least = {}
         for h in sorted(hits):
-            key = config_canonical_key(decode_graph6(h.graph6), h.roles, True)
+            key = config_key(decode_graph6(h.graph6), h.roles, True)
             least.setdefault((h.function, key), h)
         want = sorted(least.values(), key=lambda h: (h.function, h))
         got = [h for fn in sorted(rep.hits) for h in rep.hits[fn]]
@@ -926,7 +925,7 @@ class TestCheckpoint:
             # the class's least.
             cn = decode_graph6("CN")
             assert len({
-                config_canonical_key(cn, RoleLabeling(a0, (i1,), th))
+                config_key(cn, RoleLabeling(a0, (i1,), th))
                 for a0, th, i1, _ in enumerate_configs(4, 1)[[0, 2]].tolist()
             }) == 1
             hits[0][1] = 2

@@ -6,8 +6,9 @@
 
 Writes one graph per isomorphism class, one graph6 record per line.  The
 built-in generator stops at 7 vertices, so orders 8 and 9 take one and two
-more vertex-extension rounds.  Order 9 takes about six minutes on one core;
-its stream (2.1 MB) lives outside the repository.
+more vertex-extension rounds.  On one core of a shared 2-CPU host order 8
+takes about 3 s and order 9 about 64 s; the order-9 stream (2.1 MB) lives
+outside the repository.
 
 The output is deterministic, and the script checks it: the record count
 (OEIS A001349) and the sha256 of the file.  At order 8 it rebuilds
