@@ -20,8 +20,8 @@ one bitset per graph and vertex pair, of the rows that give the two
 vertices one color, and judges universality and consistency with a few
 mask operations per kept pair, one int8 verdict each; the counts are
 array lengths, and hits are the pairs with a reported truth table.  A pass
-folds its hits as arrays: its hit graphs are refined as one stack and
-searched once each, every hit's role code comes from one stepped minimum,
+folds its hits as arrays: its hit graphs are refined and searched as one
+stack, every hit's role code comes from one stepped minimum,
 and one lexsort picks the least hit of each role-respecting isomorphism
 class, which alone reaches the tally.  Graphs up to 7 vertices can come
 from the built-in generator; anything larger arrives as an external
@@ -47,6 +47,7 @@ either reading of "one hit in N" is defensible.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import json
@@ -643,37 +644,42 @@ def search_stream(source, options: SearchOptions) -> SearchReport:
     otherwise they are counted and skipped.
     """
     start = time.perf_counter()
-    ckpt = None
-    if options.checkpoint:
-        if not isinstance(source, (str, Path)):
-            raise ValueError("checkpointing requires a path source")
-        ckpt = _Checkpoint(options.checkpoint, options)
-        ckpt.load()
-    tally = ckpt.tally if ckpt else _Tally()
-    prefix = ckpt.prefix if ckpt else None
-    records = _record_iter(source, prefix)
-    if ckpt is not None:
-        ckpt.resume(records, source)
-        # An unwritable checkpoint path fails here, not blocks into the scan.
-        ckpt.save()
-    blocks = iter(lambda: list(itertools.islice(records, CHUNK_RECORDS)), [])
-
-    def merge(scan, end) -> None:
-        part = scan()
-        tally.merge(part)
-        if options.strict and part.first_bad:
-            raise InvalidGraph6("line {}: {}".format(*part.first_bad))
-        if ckpt is not None:
-            ckpt.end = end
-            if end[0] - ckpt.saved_at >= options.checkpoint_every:
-                ckpt.save()
-
     # Blocks are scanned inline or by the pool with at most 2*jobs + 1 in
-    # flight, and merged in stream order.
+    # flight, and merged in stream order.  A census makes no reference
+    # cycles, and a full collection walks every object the caller holds, at
+    # points set by the census's allocations: the cyclic collector is paused
+    # for the run, and so in the pool's forked workers.
     pool = ProcessPoolExecutor(options.jobs) if options.jobs > 1 else None
-    depth = 2 * options.jobs + 1 if pool else 1
-    pending: deque = deque()
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        ckpt = None
+        if options.checkpoint:
+            if not isinstance(source, (str, Path)):
+                raise ValueError("checkpointing requires a path source")
+            ckpt = _Checkpoint(options.checkpoint, options)
+            ckpt.load()
+        tally = ckpt.tally if ckpt else _Tally()
+        prefix = ckpt.prefix if ckpt else None
+        records = _record_iter(source, prefix)
+        if ckpt is not None:
+            ckpt.resume(records, source)
+            # An unwritable checkpoint path fails here, not blocks into the scan.
+            ckpt.save()
+        blocks = iter(lambda: list(itertools.islice(records, CHUNK_RECORDS)), [])
+
+        def merge(scan, end) -> None:
+            part = scan()
+            tally.merge(part)
+            if options.strict and part.first_bad:
+                raise InvalidGraph6("line {}: {}".format(*part.first_bad))
+            if ckpt is not None:
+                ckpt.end = end
+                if end[0] - ckpt.saved_at >= options.checkpoint_every:
+                    ckpt.save()
+
+        depth = 2 * options.jobs + 1 if pool else 1
+        pending: deque = deque()
         for block in blocks:
             end = (block[-1][0], prefix.hexdigest() if prefix else None)
             scan = (pool.submit(_scan_chunk, block, options).result if pool
@@ -683,12 +689,14 @@ def search_stream(source, options: SearchOptions) -> SearchReport:
                 merge(*pending.popleft())
         while pending:
             merge(*pending.popleft())
+        if ckpt is not None:
+            ckpt.save(done=True)
+        return _build_report(tally, options, time.perf_counter() - start)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    if ckpt is not None:
-        ckpt.save(done=True)
-    return _build_report(tally, options, time.perf_counter() - start)
+        if collecting:
+            gc.enable()
 
 
 def _build_report(

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import os
@@ -178,6 +179,28 @@ class TestSmallCensus:
         assert rep.per_order[4]["graphs"] == 1
         assert rep.per_order[7]["graphs"] == 2
         assert rep.per_order[7]["configs_enumerated"] == 840
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_paused_for_the_run(self, enabled):
+        seen = []
+
+        def records(lines):
+            for line in lines:
+                seen.append(gc.isenabled())
+                yield line
+
+        opts = SearchOptions(targets=("NAND",), strict=True)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            rep = search_stream(records(NAND_GRAPHS), opts)
+            assert rep.hits_raw == {"NAND": 3}
+            assert gc.isenabled() == enabled
+            with pytest.raises(InvalidGraph6):
+                search_stream(records(["!!!"]), opts)
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
+        assert seen == [False] * 3
 
 
 class TestFilterSoundness:
