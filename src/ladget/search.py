@@ -7,19 +7,21 @@ record failing any check is counted bad by decode_graph6.  A pass is a
 block's graphs of one order, in stream order, split where they could hold
 more than MAX_MATERIALIZED coloring rows: the whole block through order
 10, one graph from order 16 on.  A pass goes through one structural
-filter over the stacked rows, which judges each graph's (anchor, output)
-pairs and (anchor, inputs) tuples once and gathers every assignment's
-verdict from those two tables.  From then on a pass is its kept (graph,
-configuration) pairs, one sorted int64 array of g * configurations + j:
-those the filter keeps among the sampled ones, or all of them.  Proper
+filter over the stacked rows.  From then on a pass is a table of role
+tuples by graphs: for each (anchor, inputs) tuple of role_tuples and each
+graph, the bitmask of the outputs the filter keeps, or of every output
+outside the tuple's roles, ANDed with the sampled draws if sampled; the
+filter judges each anchor's outputs and each tuple once per graph.  Proper
 3-colorings are enumerated, for the whole pass at once, only for the
-graphs with a kept pair, and only one per orbit of the six color
+graphs with a kept output, and only one per orbit of the six color
 permutations: a role reads false where it has the anchor's color, which
 no permutation changes.  One law scan of the pass turns those rows into
 one bitset per graph and vertex pair, of the rows that give the two
-vertices one color, and judges universality and consistency with a few
-mask operations per kept pair, one int8 verdict each; the counts are
-array lengths, and hits are the pairs with a reported truth table.  A pass
+vertices one color, judges each (tuple, graph) with a kept output for
+universality once, with a few mask operations, and the kept outputs of
+the universal ones for consistency, and returns the ladgets with their
+truth-table codes; the counts are popcounts of the bitmasks, and hits are
+the ladgets with a reported truth table.  A pass
 folds its hits as arrays: its hit graphs are refined and searched as one
 stack, every hit's role code comes from one stepped minimum,
 and one lexsort picks the least hit of each role-respecting isomorphism
@@ -97,6 +99,20 @@ def enumerate_configs(
     arr = np.array(rows, dtype=np.int64).reshape(-1, 4)
     arr.setflags(write=False)
     return arr
+
+
+@lru_cache(maxsize=128)
+def role_tuples(
+    n: int, arity: int = 2, ordered_inputs: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """enumerate_configs' table by role tuple: (tuples, index), where tuples
+    holds each (anchor, i1, i2) once, ascending, i2 = -1 at arity 1, and
+    index[t, o] is the configuration index j of tuple t with output o, or -1
+    where o is one of its roles.  Cached and write-protected."""
+    tables = _kernels.tuple_table(enumerate_configs(n, arity, ordered_inputs), n)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 @dataclass(frozen=True)
@@ -287,49 +303,39 @@ def _scan_pass(
     linenos: list, texts: list, adj: np.ndarray, cfgs: np.ndarray,
     options: SearchOptions, tally: _Tally,
 ) -> None:
-    # One pass over records of one order: the sampled pairs, if sampled,
-    # the kept ones and their verdicts, and the reported hits folded into
-    # the tally.
+    # One pass over records of one order: per (anchor, inputs) tuple and
+    # graph, the bitmask of the outputs the run's structural filter keeps,
+    # or of every role-free output, ANDed with the sampled draws, if
+    # sampled.  The graphs with a kept output are colored in one stack, and
+    # one law scan gives the kept configurations' ladgets with their codes.
     count, n = adj.shape
     q = len(cfgs)
-    sampled = None
+    tuples, index = role_tuples(n, options.arity, options.ordered_inputs)
+    if options.use_filter:
+        keep = _kernels.filter_tuples(
+            adj, tuples, index, options.arity, options.minimal_mode
+        )
+    else:
+        keep = _kernels.output_masks(index, np.ones((1, q), bool)).repeat(count, axis=1)
+    tally.counts["graphs", n] += count
     if options.sample_rate is not None and options.sample_rate < 1.0:
         sample = np.empty((count, q), dtype=bool)
         for i, lineno in enumerate(linenos):
             rng = np.random.default_rng((options.seed or 0, lineno))
             sample[i] = rng.random(q) < options.sample_rate
-        sampled = sample.ravel()
-    tally.counts["graphs", n] += count
-    tally.counts["configs_enumerated", n] += (
-        count * q if sampled is None else int(sampled.sum())
-    )
-    # The pairs g * q + j that the run's structural filter keeps, ascending,
-    # among the sampled ones or all of them.  The graphs with a kept pair
-    # are colored in one stack, and one law scan gives each kept pair its
-    # int8 verdict.
-    if options.use_filter:
-        mask = _kernels._filter_mask_vec(
-            adj, cfgs, options.arity, options.minimal_mode
-        )
-        j, g = np.divmod(np.flatnonzero(mask.T), count)
-        pairs = np.sort(g * q + j)
-        if sampled is not None:
-            pairs = pairs[sampled[pairs]]
+        keep &= _kernels.output_masks(index, sample)
+        tally.counts["configs_enumerated", n] += int(sample.sum())
     else:
-        pairs = np.arange(count * q) if sampled is None else np.flatnonzero(sampled)
-    tally.counts["configs_after_filter", n] += len(pairs)
-    live = np.flatnonzero(np.diff(pairs.searchsorted(np.arange(count + 1) * q)))
+        tally.counts["configs_enumerated", n] += count * q
+    tally.counts["configs_after_filter", n] += int(_kernels._popcount(keep).sum())
+    live = np.flatnonzero(keep.any(axis=0))
     C, starts = stacked_colorings(adj[live])
     # Every graph of the pass gets its range of rows, empty if not colored.
     starts = starts[live.searchsorted(np.arange(count + 1))]
-    res = _kernels.scan_pass(C, starts, pairs, cfgs, options.arity)
-    allowed = _allowed_codes(options.targets, options.arity)
-    # np.isin makes int64 copies of what it looks up, so it gets only the
-    # ladgets, the pairs with a truth table, not every verdict of the pass.
-    hit = np.flatnonzero(res >= 0)
-    hit = hit[np.isin(res[hit], list(allowed))]
-    if len(hit):
-        _fold_hits(linenos, texts, adj, cfgs, options, tally, pairs[hit], res[hit])
+    pairs, codes = _kernels.scan_pass(C, starts, keep, tuples, index, options.arity)
+    hit = np.isin(codes, list(_allowed_codes(options.targets, options.arity)))
+    if hit.any():
+        _fold_hits(linenos, texts, adj, cfgs, options, tally, pairs[hit], codes[hit])
 
 
 def _fold_hits(
@@ -618,19 +624,20 @@ class _Checkpoint:
         self.tally.least = found.least
 
     def save(self, done: bool = False) -> None:
+        # The text json.dumps gives the checkpoint's dict, written directly:
+        # a hit row holds two ints, and a count row is dumped as a list.
         t = self.tally
         lineno, digest = self.end
-        data = {
-            "fingerprint": self.fingerprint,
-            "lineno": lineno,
-            "prefix_sha256": digest,
-            "counts": [[*key, c] for key, c in t.counts.items()],
-            "hits": [[at, j] for _, j, at, _ in t.least.values()],
-            "done": done,
-        }
+        counts = ", ".join(json.dumps([*key, c]) for key, c in t.counts.items())
+        hits = ", ".join([f"[{at}, {j}]" for _, j, at, _ in t.least.values()])
+        text = (
+            f'{{"fingerprint": {json.dumps(self.fingerprint)}, "lineno": {lineno}, '
+            f'"prefix_sha256": {json.dumps(digest)}, "counts": [{counts}], '
+            f'"hits": [{hits}], "done": {json.dumps(done)}}}'
+        )
         tmp = self.path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(data))  # json.dump encodes in pure Python
+            fh.write(text)
         os.replace(tmp, self.path)
         self.saved_at = lineno
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladget import _kernels, appendix
+from ladget import _kernels, appendix, gadget
 from ladget._kernels import scan_configs
 from ladget.coloring import all_colorings, stacked_colorings
 from ladget.filters import RULES, _violations, structural_filter
@@ -255,56 +255,99 @@ class TestScanRowContract:
 
 
 class TestScanSteps:
-    # scan_pass over a stack of graphs judges the kept pairs of graphs with
-    # colorings, ascending, in steps of as many pairs as SCAN_CELLS allows
-    # or exactly one, greedily; a pair costs one cell per word of each mask
-    # it gathers.  _judge gets each step's gathered masks, pairs on the last
-    # axis, so a wrapper sees every step's size, cost and verdicts.  The
-    # pairs of a graph without colorings are -2 and in no step.
+    # scan_pass over a stack of graphs judges each (tuple, graph) entry with
+    # a kept output once for universality, entries of graphs with colorings
+    # in tuple-major order, graphs ascending, in steps of as many entries as
+    # SCAN_CELLS allows or exactly one, greedily; an entry costs one cell per
+    # word of each mask it gathers, four at arity 2 and two at arity 1.
+    # After each such step, the kept outputs of its universal entries go to
+    # _judge in the same order, outputs ascending within an entry, in steps
+    # greedy within that entry step; an output costs one cell per word of
+    # its entry's input patterns and of its O, five at arity 2 and three at
+    # arity 1.  _patterns and _judge get their masks with the items on the
+    # last axis, so wrappers see every step's size, cost and results.
     @pytest.mark.parametrize("arity", [1, 2])
     def test_steps_are_greedy_within_the_budget(self, arity, rng, monkeypatch):
         graphs = generate_connected(6)
         C, starts = stacked_colorings(np.array([g.adj for g in graphs]))
         cfgs = enumerate_configs(6, arity)
-        keep = rng.random((len(graphs), len(cfgs))) < 0.5
-        kept = np.flatnonzero(keep)
-        want = _kernels.scan_pass(C, starts, kept, cfgs, arity)
+        tuples, index = _kernels.tuple_table(cfgs, 6)
+        flags = rng.random((len(graphs), len(cfgs))) < 0.5
+        keep = _kernels.output_masks(index, flags)
+        pairs, codes = _kernels.scan_pass(C, starts, keep, tuples, index, arity)
         height = np.diff(starts)
-        scanned = (keep & (height > 0)[:, None])[keep]
-        assert len(graphs) == 112 and 0 in height and scanned.sum() > 4000
-        # One verdict per pair: its graph's one-graph verdict, and -2 for
-        # the pairs of graphs without colorings.
-        assert want.dtype == np.int8 and len(want) == len(kept)
-        assert (want[~scanned] == -2).all()
-        for g, row in enumerate(keep):
-            one = scan_configs(C[starts[g] : starts[g + 1]], graphs[g].adj_array(),
-                               graphs[g].deg_array(), cfgs, arity, False, False)
-            assert np.array_equal(want[kept // len(cfgs) == g], one[row]), g
-        # At most 64 rows per graph: one word per mask, and five masks per
-        # pair at arity 2, three at arity 1.
-        assert height.max() <= 64
-        cost = 5 if arity == 2 else 3
-        judge = _kernels._judge
+        assert len(graphs) == 112 and 0 in height and height.max() <= 64
+        # The ladgets among the kept configurations, each graph's one-graph
+        # verdicts, ascending.
+        one = np.array([
+            scan_configs(C[starts[g] : starts[g + 1]], graphs[g].adj_array(),
+                         graphs[g].deg_array(), cfgs, arity, False, False)
+            for g in range(len(graphs))
+        ])
+        hit = flags & (one >= 0)
+        assert pairs.dtype == np.int64 and codes.dtype == np.int8
+        assert np.array_equal(pairs, np.flatnonzero(hit)) and hit.sum() > 0
+        assert np.array_equal(codes, one[hit])
+        # The entries in order, each one's universality from the readable
+        # mapping over all colorings, and the kept outputs of the universal
+        # ones with their one-graph verdicts.
+        entries = [(t, g) for t in range(len(tuples)) for g in range(len(graphs))
+                   if keep[t, g] and height[g]]
+        colorings = [all_colorings(g) for g in graphs]
+        universal, verdicts = [], []
+        for t, g in entries:
+            a, i1, i2 = tuples[t].tolist()
+            roles = RoleLabeling(a, (i1,) if arity == 1 else (i1, i2),
+                                 int(np.flatnonzero(index[t] >= 0)[0]))
+            config = GadgetConfig(graphs[g], roles)
+            rows = colorings[g][colorings[g][:, a] == 0]  # the anchor at color 0
+            mapping = gadget._mapping_from(config, rows)
+            universal.append(gadget.check_universality(config, mapping).passed)
+            if universal[-1]:
+                outputs = [o for o in range(6) if keep[t, g] >> o & 1]
+                verdicts += [one[g, index[t, o]] for o in outputs]
+        assert len(entries) > 2000 and 0 < sum(universal) < len(entries)
+        tuple_cost, output_cost = 2 * arity, 2**arity + 1
+        patterns, judge = _kernels._patterns, _kernels._judge
         for budget in (1, 2, 3, 8, 64, 1000, _kernels.SCAN_CELLS):
             steps = []
 
-            def spy(X, arity):
-                verdicts = judge(X, arity)
-                steps.append((X[..., 0].size, verdicts))
-                return verdicts
+            def tuple_spy(X, arity):
+                P, ok = patterns(X, arity)
+                steps.append(("tuples", X[..., 0].size, ok, [], []))
+                return P, ok
 
-            monkeypatch.setattr(_kernels, "_judge", spy)
+            def output_spy(P, O):
+                got = judge(P, O)
+                steps[-1][3].append(P[..., 0].size + O[..., 0].size)
+                steps[-1][4].append(got)
+                return got
+
+            monkeypatch.setattr(_kernels, "_patterns", tuple_spy)
+            monkeypatch.setattr(_kernels, "_judge", output_spy)
             monkeypatch.setattr(_kernels, "SCAN_CELLS", budget)
-            got = _kernels.scan_pass(C, starts, kept, cfgs, arity)
-            assert np.array_equal(got, want), budget
-            # The steps judge exactly the scanned pairs, in order.
-            assert np.array_equal(np.concatenate([v for _, v in steps]), want[scanned])
-            sizes = [len(v) for _, v in steps]
-            assert {cells for cells, _ in steps} == {cost}
-            for size in sizes[:-1]:
-                assert size * cost <= budget or size == 1, (budget, size)
-                assert (size + 1) * cost > budget, ("not greedy", budget, size)
-            assert 1 <= sizes[-1] <= max(1, budget // cost)
+            got = _kernels.scan_pass(C, starts, keep, tuples, index, arity)
+            assert all(np.array_equal(x, y) for x, y in zip(got, (pairs, codes)))
+            # Each entry once, in order; each kept output of a universal
+            # entry once, in order.
+            oks = [ok for *_, ok, _, _ in steps]
+            assert np.concatenate(oks).tolist() == universal, budget
+            judged = [v for *_, vs in steps for v in vs]
+            assert np.concatenate(judged).tolist() == verdicts, budget
+            assert {cells for _, cells, *_ in steps} == {tuple_cost}
+            _assert_greedy([len(ok) for ok in oks], tuple_cost, budget)
+            for *_, costs, vs in steps:
+                assert set(costs) <= {output_cost}
+                if vs:
+                    _assert_greedy([len(v) for v in vs], output_cost, budget)
+
+
+def _assert_greedy(sizes, cost, budget):
+    # Steps of as many items as the budget allows, or one, the last the rest.
+    for size in sizes[:-1]:
+        assert size * cost <= budget or size == 1, (budget, size)
+        assert (size + 1) * cost > budget, ("not greedy", budget, size)
+    assert 1 <= sizes[-1] <= max(1, budget // cost)
 
 
 class TestScanWordBoundaries:
@@ -329,8 +372,11 @@ class TestScanWordBoundaries:
         C, starts = stacked_colorings(np.array([g.adj for g in graphs]))
         assert np.diff(starts).tolist() == [0, 64, 96, 144, 1]
         cfgs = enumerate_configs(8, arity, ordered_inputs=True)
-        pairs = np.arange(len(graphs) * len(cfgs))
-        got = _kernels.scan_pass(C, starts, pairs, cfgs, arity).reshape(len(graphs), -1)
+        tuples, index = _kernels.tuple_table(cfgs, 8)
+        keep = _kernels.output_masks(index, np.ones((len(graphs), len(cfgs)), bool))
+        pairs, codes = _kernels.scan_pass(C, starts, keep, tuples, index, arity)
+        got = np.full((len(graphs), len(cfgs)), np.int8(-2))
+        got.flat[pairs] = codes
         assert (got[0] == -2).all()
         for g, row in zip(graphs, got):
             one = scan_configs(all_colorings(g), g.adj_array(), g.deg_array(), cfgs,

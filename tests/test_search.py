@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 
 import ladget
 from ladget import _kernels, appendix, search
-from ladget.coloring import MAX_MATERIALIZED, all_colorings
+from ladget.coloring import MAX_MATERIALIZED, all_colorings, stacked_colorings
 from ladget.errors import InvalidGraph6
 from ladget.filters import _violations
-from ladget.gadget import TruthTable, classify
+from ladget import gadget
+from ladget.gadget import GadgetConfig, TruthTable, classify, verify_ladget
 from ladget.graphcore import (
     Graph,
     RoleLabeling,
@@ -598,7 +599,7 @@ def _roles_of(row, arity) -> RoleLabeling:
 
 def _reference_census(stream, opt):
     # Per record, as the census did before blocks were batched: sample,
-    # then every coloring from all_colorings and the filtered law scan.
+    # then every coloring from all_colorings and the run's law scan.
     # Returns (bad lines, per-order counts, raw hits).
     bad, per_order, hits = 0, {}, []
     for lineno, line in enumerate(stream, start=1):
@@ -611,11 +612,12 @@ def _reference_census(stream, opt):
             bad += 1
             continue
         cfgs = enumerate_configs(g.n, opt.arity, opt.ordered_inputs)
-        rng = np.random.default_rng((opt.seed, lineno))
-        cfgs = cfgs[rng.random(len(cfgs)) < opt.sample_rate]
+        if opt.sample_rate is not None and opt.sample_rate < 1.0:
+            rng = np.random.default_rng((opt.seed or 0, lineno))
+            cfgs = cfgs[rng.random(len(cfgs)) < opt.sample_rate]
         res = _kernels.scan_configs(
             all_colorings(g), g.adj_array(), g.deg_array(), cfgs,
-            opt.arity, True, opt.minimal_mode,
+            opt.arity, opt.use_filter, opt.minimal_mode,
         )
         slot = per_order.setdefault(g.n, Counter(graphs=0))
         slot.update(graphs=1, configs_enumerated=len(cfgs),
@@ -668,25 +670,40 @@ class TestBlockKernel:
     ):
         # A pass is a block's graphs of one order: the first block of the
         # order-8 stream, 512 graphs at 840 configurations each, is one
-        # filter call when filtered, one coloring call and one law scan,
-        # whose verdicts are int8, one per configuration the filter keeps.
+        # filter call when filtered, one coloring call and one law scan.
+        # The filter gives each (tuple, graph) its kept outputs, whose count
+        # is configs_after_filter, and the scan returns only the kept
+        # configurations that are ladgets, ascending, with their codes.
         lines = connected8_path.read_text().splitlines()[: search.CHUNK_RECORDS]
-        returned = {"stacked_colorings": [], "_filter_mask_vec": [], "scan_pass": []}
+        returned = {"stacked_colorings": [], "filter_tuples": [], "scan_pass": []}
         for module, name in ((search, "stacked_colorings"),
-                             (_kernels, "_filter_mask_vec"), (_kernels, "scan_pass")):
+                             (_kernels, "filter_tuples"), (_kernels, "scan_pass")):
 
             def call(*args, real=getattr(module, name), out=returned[name]):
-                out.append(real(*args))
-                return out[-1]
+                out.append((args, real(*args)))
+                return out[-1][1]
 
             monkeypatch.setattr(module, name, call)
         rep = search_stream(lines, SearchOptions(targets=(), use_filter=use_filter))
         assert rep.per_order[8]["graphs"] == len(lines) == 512
         assert rep.configs_enumerated == 512 * 840
         assert len(returned["stacked_colorings"]) == 1
-        assert len(returned["_filter_mask_vec"]) == use_filter
-        (res,) = returned["scan_pass"]
-        assert res.dtype == np.int8 and len(res) == rep.configs_after_filter
+        assert len(returned["filter_tuples"]) == use_filter
+        ((args, (pairs, codes)),) = returned["scan_pass"]
+        C, starts, keep, tuples, index, arity = args
+        assert keep.shape == (len(tuples), 512) and arity == 2
+        assert _kernels._expand(keep, index).sum() == rep.configs_after_filter
+        assert pairs.dtype == np.int64 and codes.dtype == np.int8
+        assert (np.diff(pairs) > 0).all() and (codes >= 0).all()
+        cfgs = enumerate_configs(8)
+        graphs = [decode_graph6(text) for text in lines]
+        for pair, code in zip(pairs[::50].tolist(), codes[::50].tolist()):
+            g, j = divmod(pair, 840)
+            report = verify_ladget(GadgetConfig(graphs[g], _roles_of(cfgs[j], 2)))
+            assert report.is_ladget and report.truth_table.code() == code
+        assert sum(rep.hits_raw.values()) == np.isin(
+            codes, list(search._allowed_codes((), 2))
+        ).sum() > 0
 
     def test_block_of_large_graphs_stays_within_the_coloring_bound(
         self, monkeypatch
@@ -731,13 +748,13 @@ class TestBlockKernel:
         opts = SearchOptions(targets=(), arity=1, sample_rate=0.5, seed=3)
         whole = search_stream(str(stream), opts).to_json_dict()
         calls = []
-        real = _kernels._filter_mask_vec
+        real = _kernels.filter_tuples
 
         def counting(adj, *args):
             calls.append(len(adj))
             return real(adj, *args)
 
-        monkeypatch.setattr(_kernels, "_filter_mask_vec", counting)
+        monkeypatch.setattr(_kernels, "filter_tuples", counting)
         monkeypatch.setattr(search, "MAX_MATERIALIZED", 100 * (3**7 + 1) // 2)
         ck = replace(opts, checkpoint=str(tmp_path / "ck.json"))
         for _ in range(2):
@@ -765,28 +782,166 @@ class TestBlockKernel:
             stream += [encode_graph6(graphs[i]), ["", "!!!", "  "][i % 3]]
         opt = SearchOptions(targets=(), arity=arity, ordered_inputs=True,
                             sample_rate=0.5, seed=7)
-        bad, per_order, hits = _reference_census(stream, opt)
         if one_graph_passes:
             monkeypatch.setattr(search, "CHUNK_RECORDS", 1)
-        rep = search_stream(stream, opt)
-        assert rep.bad_lines == bad > 0
-        assert rep.per_order == {n: dict(c) for n, c in per_order.items()}
+        rep = _assert_matches_reference(stream, opt)
+        assert rep.bad_lines > 0 and rep.hits_raw
         assert set(rep.per_order) == set(range(1, 8))
-        raw = Counter((h.function, h.n) for h in hits)
-        assert raw and {
-            (fn, n): c
-            for fn, by in rep.hits_raw_per_order.items()
-            for n, c in by.items()
-        } == raw
-        # The least raw hit in each (function, role-respecting isomorphism
-        # class), listed by function, then in hit order.
-        least = {}
-        for h in sorted(hits):
-            key = config_key(decode_graph6(h.graph6), h.roles, True)
-            least.setdefault((h.function, key), h)
-        want = sorted(least.values(), key=lambda h: (h.function, h))
-        got = [h for fn in sorted(rep.hits) for h in rep.hits[fn]]
-        assert got == want
+
+
+def _assert_matches_reference(stream, opt):
+    # The census report of stream against the per-record reference: bad
+    # lines, per-order counts, raw hits per function and order, and the
+    # least raw hit in each (function, role-respecting isomorphism class),
+    # listed by function, then in hit order.
+    bad, per_order, hits = _reference_census(stream, opt)
+    rep = search_stream(stream, opt)
+    assert rep.bad_lines == bad
+    assert rep.per_order == {n: dict(c) for n, c in per_order.items()}
+    raw = Counter((h.function, h.n) for h in hits)
+    assert {
+        (fn, n): c
+        for fn, by in rep.hits_raw_per_order.items()
+        for n, c in by.items()
+    } == raw
+    least = {}
+    for h in sorted(hits):
+        key = config_key(decode_graph6(h.graph6), h.roles, opt.ordered_inputs)
+        least.setdefault((h.function, key), h)
+    want = sorted(least.values(), key=lambda h: (h.function, h))
+    got = [h for fn in sorted(rep.hits) for h in rep.hits[fn]]
+    assert got == want
+    return rep
+
+
+def _tall_graphs():
+    # Graphs of orders 9 and 10 with more than 64 coloring rows per orbit,
+    # so a census pass of them takes masks of two words or more: the path
+    # P9, a random tree and the 10-cycle with a chord.
+    rng = np.random.default_rng(36)
+    tree = [(int(rng.integers(v)), v) for v in range(1, 10)]
+    graphs = [
+        Graph.from_edges(9, [(v, v + 1) for v in range(8)]),
+        Graph.from_edges(10, tree),
+        Graph.from_edges(10, [(v, (v + 1) % 10) for v in range(10)] + [(0, 5)]),
+    ]
+    for g in graphs:
+        (height,) = np.diff(stacked_colorings(np.array([g.adj]))[1])
+        assert height > 64, g.edges()
+    return graphs
+
+
+# (use_filter, minimal_mode, sample_rate) of the census modes: the filter
+# off, on and in minimal mode, and a seeded sample of the unfiltered census.
+PASS_MODES = {
+    "off": (False, False, None),
+    "on": (True, False, None),
+    "minimal": (True, True, None),
+    "sample": (False, False, 0.4),
+}
+
+
+class TestTupleFirstPass:
+    # The census pass judges universality once per (graph, anchor, inputs)
+    # tuple and consistency only for the kept outputs of universal tuples.
+    # It is checked against the readable rules and verify_ladget, per
+    # configuration, and against the per-record census, on every connected
+    # graph through order 6 and on graphs whose masks span several words.
+
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_scan_configs_matches_rules_and_verify_ladget(self, arity, rng):
+        small = [g for n in range(1, 7) for g in generate_connected(n)]
+        checked = Counter()
+        for g in small + _tall_graphs():
+            C = all_colorings(g)
+            semantics = {}  # by roles, as unordered rows repeat ordered ones
+            for ordered in (True, False):
+                cfgs = enumerate_configs(g.n, arity, ordered)
+                res = {
+                    mode: _kernels.scan_configs(
+                        C, g.adj_array(), g.deg_array(), cfgs, arity, *mode
+                    )
+                    for mode in ((False, False), (True, False), (True, True))
+                }
+                picks = np.arange(len(cfgs))
+                if g.n > 6:  # every ladget and a sample of the rest
+                    picks = np.union1d(
+                        np.flatnonzero(res[False, False] >= 0),
+                        rng.choice(len(cfgs), 40, replace=False),
+                    )
+                for j in picks.tolist():
+                    roles = _roles_of(cfgs[j], arity)
+                    if roles not in semantics:
+                        rows = C[C[:, roles.anchor] == 0]
+                        config = GadgetConfig(g, roles)
+                        report = gadget._verify(config, rows, None, False)
+                        semantics[roles] = (
+                            report.truth_table.code() if report.is_ladget else -2
+                        )
+                    semantic = semantics[roles]
+                    for (use_filter, minimal), got in res.items():
+                        kept = not any(_violations(g, roles, minimal))
+                        want = semantic if kept or not use_filter else -1
+                        assert got[j] == want, (g.edges(), cfgs[j], use_filter, minimal)
+                    checked[semantic >= 0] += 1
+        assert checked[True] > 0 and checked[False] > 10_000
+
+    @pytest.mark.parametrize("mode", sorted(PASS_MODES))
+    @pytest.mark.parametrize("ordered", [False, True])
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_census_matches_per_record_reference(self, arity, ordered, mode):
+        use_filter, minimal, rate = PASS_MODES[mode]
+        graphs = [g for n in range(1, 7) for g in generate_connected(n)]
+        stream = [encode_graph6(g) for g in graphs + _tall_graphs()]
+        opt = SearchOptions(
+            targets=(), arity=arity, ordered_inputs=ordered, use_filter=use_filter,
+            minimal_mode=minimal, sample_rate=rate, seed=5,
+        )
+        rep = _assert_matches_reference(stream, opt)
+        assert set(rep.per_order) == {*range(1, 7), 9, 10}
+
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_unfiltered_pass_judges_each_tuple_once(self, arity, monkeypatch):
+        # One unfiltered pass of the 112 connected order-6 graphs: each
+        # (tuple, graph) of a colorable graph is judged for universality
+        # once, and _judge sees exactly the outputs of the universal ones,
+        # every vertex outside the tuple's roles, once each.
+        graphs = generate_connected(6)
+        colorable = [g for g in graphs if len(all_colorings(g))]
+        tuples, index = search.role_tuples(6, arity)
+        judged, outputs = [], []
+        patterns, judge = _kernels._patterns, _kernels._judge
+
+        def tuple_spy(X, arity):
+            P, ok = patterns(X, arity)
+            judged.append(ok)
+            return P, ok
+
+        def output_spy(P, O):
+            outputs.append(O.shape[-1])
+            return judge(P, O)
+
+        monkeypatch.setattr(_kernels, "_patterns", tuple_spy)
+        monkeypatch.setattr(_kernels, "_judge", output_spy)
+        rep = search_stream([encode_graph6(g) for g in graphs],
+                            SearchOptions(targets=(), arity=arity, use_filter=False))
+        assert rep.configs_after_filter == rep.configs_enumerated
+        assert rep.configs_enumerated == 112 * (index >= 0).sum()
+        universal = np.concatenate(judged)
+        assert len(universal) == len(colorable) * len(tuples)
+        want = 0
+        for g in colorable:
+            C = all_colorings(g)
+            for a, i1, i2 in tuples.tolist():
+                ins = (i1,) if arity == 1 else (i1, i2)
+                rows = C[C[:, a] == 0]
+                if all(
+                    (rows[:, list(ins)] == colors).all(axis=1).any()
+                    for colors in itertools.product(range(3), repeat=arity)
+                ):
+                    want += 1
+        assert universal.sum() == want > 0
+        assert sum(outputs) == want * (6 - 1 - arity)
 
 
 def _report(rep) -> dict:
