@@ -85,11 +85,13 @@ def tuple_table(cfgs, n):
     return tuples, index
 
 
-def output_masks(index, flags):
+def output_masks(index, flags=None):
     """(tuples, rows) output bitmasks: bit o of [t, r] is flags[r, j] for
     j = index[t, o], and clear where index[t, o] is -1.  flags is a
-    (rows, configurations) bool table; rows of ones give every output."""
+    (rows, configurations) bool table, by default one row of every output."""
     n = index.shape[1]
+    if flags is None:
+        flags = np.ones((1, index.max(initial=-1) + 1), bool)
     padded = np.zeros((len(flags), flags.shape[1] + 1), bool)
     padded[:, :-1] = flags
     bit = (1 << np.arange(n)).astype(_mask_type(n))
@@ -132,7 +134,7 @@ def filter_tuples(adj, tuples, index, arity, minimal_mode):
         lows = (low * bit[:, None]).sum(axis=0, dtype=rows.dtype)
         keep &= np.where(left == 0, ~rows.dtype.type(0), lows)
         keep *= left <= 1
-    keep &= output_masks(index, np.ones((1, index.max(initial=-1) + 1), bool))
+    keep &= output_masks(index)
     return keep
 
 
@@ -170,7 +172,7 @@ def scan_configs(C, adj, deg, cfgs, arity, use_filter, minimal_mode):
     if use_filter:
         keep = filter_tuples(adj[None], tuples, index, arity, minimal_mode)
     else:
-        keep = output_masks(index, np.ones((1, len(cfgs)), bool))
+        keep = output_masks(index)
     res = np.where(_expand(keep, index)[0], np.int8(-2), np.int8(-1))
     j, codes = scan_pass(C, np.array([0, len(C)]), keep, tuples, index, arity)
     res[j] = codes

@@ -316,7 +316,7 @@ def _scan_pass(
             adj, tuples, index, options.arity, options.minimal_mode
         )
     else:
-        keep = _kernels.output_masks(index, np.ones((1, q), bool)).repeat(count, axis=1)
+        keep = _kernels.output_masks(index).repeat(count, axis=1)
     tally.counts["graphs", n] += count
     if options.sample_rate is not None and options.sample_rate < 1.0:
         sample = np.empty((count, q), dtype=bool)

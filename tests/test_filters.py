@@ -373,7 +373,7 @@ class TestScanWordBoundaries:
         assert np.diff(starts).tolist() == [0, 64, 96, 144, 1]
         cfgs = enumerate_configs(8, arity, ordered_inputs=True)
         tuples, index = _kernels.tuple_table(cfgs, 8)
-        keep = _kernels.output_masks(index, np.ones((len(graphs), len(cfgs)), bool))
+        keep = _kernels.output_masks(index).repeat(len(graphs), axis=1)
         pairs, codes = _kernels.scan_pass(C, starts, keep, tuples, index, arity)
         got = np.full((len(graphs), len(cfgs)), np.int8(-2))
         got.flat[pairs] = codes
