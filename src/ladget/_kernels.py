@@ -130,9 +130,12 @@ def filter_tuples(adj, tuples, index, arity, minimal_mode):
     keep *= ok
     if minimal_mode:
         low = deg < 3
-        left = low.sum(axis=0) - low[a] - low[i1] - (low[i2] if arity == 2 else 0)
         lows = (low * bit[:, None]).sum(axis=0, dtype=rows.dtype)
-        keep &= np.where(left == 0, ~rows.dtype.type(0), lows)
+        low = low.view(np.int8)
+        left = low.sum(axis=0, dtype=np.int8) - low[a] - low[i1]
+        if arity == 2:
+            left -= low[i2]
+        keep &= lows | (left == 0) * ~rows.dtype.type(0)
         keep *= left <= 1
     keep &= output_masks(index)
     return keep
