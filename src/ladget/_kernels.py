@@ -38,6 +38,9 @@ one bitmask per anchor and graph, of the outputs apart from the anchor,
 and the (anchor, inputs) rules once per (tuple, graph).
 ``filters._violations`` is its readable reference, which the tests
 compare through ``_filter_mask_vec``, its per-configuration expansion.
+Set bits are counted with ``np.bitwise_count``, numpy 2.0's popcount: the
+filter's degrees from the rows, and the census's kept configurations from
+the output bitmasks.
 ``scan_configs`` is the one-graph view of both phases, with one verdict
 per configuration; its ``deg`` argument is unused.
 """
@@ -51,17 +54,6 @@ BACKEND = "numpy"
 # 2-worker unfiltered order-8 census peak at about 16% more resident memory
 # for no speed.
 SCAN_CELLS = 1 << 14
-
-# The set bits of each byte value.
-_BITS = np.array([bin(b).count("1") for b in range(256)], np.uint8)
-
-
-def _popcount(x):
-    # Set bits per element of an unsigned array, counted by its bytes.
-    x = np.ascontiguousarray(x)
-    counts = _BITS[x.view(np.uint8)].reshape(*x.shape, x.itemsize)
-    return counts.sum(axis=-1, dtype=np.int64)
-
 
 def _mask_type(n):
     # The smallest unsigned type of n bits, one per vertex.
@@ -117,17 +109,27 @@ def filter_tuples(adj, tuples, index, arity, minimal_mode):
     count, n = adj.shape
     rows = np.ascontiguousarray(adj.T, _mask_type(n))
     bit = (1 << np.arange(n)).astype(rows.dtype)
-    deg = _popcount(rows)
+    deg = np.bitwise_count(rows)
     a, i1, i2 = tuples.T
     # apart[u]: the vertices not adjacent to u, of degree at least 2.
     apart = ~rows & ((deg >= 2) * bit[:, None]).sum(axis=0, dtype=rows.dtype)
     keep = apart[a]
     ins = bit[i1] | bit[i2] if arity == 2 else bit[i1]
-    ok = (keep & ins[:, None]) == ins[:, None]
+    # drop: nonzero where an input is outside apart[a] and, at arity 2,
+    # where i1 is adjacent to i2 or to a common neighbour of a and i2.  The
+    # (tuples, graphs) tables are folded in place and freed once read, so a
+    # pass holds few of them at once.
+    drop = ~keep
+    drop &= ins[:, None]
     if arity == 2:
-        ok &= (rows[i1] & bit[i2][:, None]) == 0
-        ok &= (rows[a] & rows[i1] & rows[i2]) == 0
-    keep *= ok
+        near = rows[a]
+        near &= rows[i2]
+        near |= bit[i2][:, None]
+        near &= rows[i1]
+        drop |= near
+        del near
+    keep *= drop == 0
+    del drop
     if minimal_mode:
         low = deg < 3
         lows = (low * bit[:, None]).sum(axis=0, dtype=rows.dtype)
@@ -188,18 +190,21 @@ def _row_masks(C, height):
     # graph g gives u and v one color, so where u = v it marks all of graph
     # g's rows.  C holds the graphs' rows in order, height[g] each.  The
     # colors are laid out vertex-major, each graph padded with zeros to
-    # W * 64 slots, and packed flat twice: where they are not 0 and where
-    # they are 2.  Two vertices differ in color where either mask does, and
-    # never in the padding.
+    # W * 64 slots, and packed flat twice: where they are not 0 and, once
+    # halved in place, where they are 2.  Two vertices differ in color where
+    # either mask does, and never in the padding.
     count, n = len(height), C.shape[1]
     slots = -(-height.max() // 64) * 64
     held = np.arange(slots) < height[:, None]
     pad = np.zeros((n, count * slots), np.uint8)
     pad[:, np.flatnonzero(held)] = C.T
+    some = np.packbits(pad, bitorder="little")
+    pad >>= 1
+    two = np.packbits(pad, bitorder="little")
+    del pad
     some, two = (
-        np.packbits(colors, bitorder="little").view(np.uint64)
-        .reshape(n, count, -1).transpose(2, 0, 1)
-        for colors in (pad, pad >> 1)
+        bits.view(np.uint64).reshape(n, count, -1).transpose(2, 0, 1)
+        for bits in (some, two)
     )
     E = some[:, :, None] ^ some[:, None]
     E |= two[:, :, None] ^ two[:, None]

@@ -58,11 +58,18 @@ def all_colorings(
     order = [v for v in range(n) if pre[v] >= 0]
     placed = sum(1 << v for v in order)
     rest = [v for v in range(n) if pre[v] < 0]
+    # score[u]: u's ordered neighbours.  max takes the first maximum of the
+    # ascending rest, so ties go to the lowest id.
+    score = [(row & placed).bit_count() for row in adj]
     while rest:
-        v = max(rest, key=lambda u: ((adj[u] & placed).bit_count(), -u))
+        v = max(rest, key=score.__getitem__)
         rest.remove(v)
         order.append(v)
-        placed |= 1 << v
+        nbrs = adj[v]
+        while nbrs:
+            low = nbrs & -nbrs
+            score[low.bit_length() - 1] += 1
+            nbrs ^= low
     choices = [[c] if c >= 0 else range(k) for c in pre]
     color = bytearray(n)
     masks = [0] * k  # masks[c]: the vertices currently colored c

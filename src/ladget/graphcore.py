@@ -328,7 +328,7 @@ def _canonical(adj: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
                 codes = [code << width | x for code, x in zip(codes, least.tolist())]
                 done = b
         if t < n:
-            free = (owned[t][owner] & ~used)[:, None] & bit
+            free = ((owned[t][owner] & ~used)[:, None] & bit) != 0
             if np.count_nonzero(free) > MAX_MATERIALIZED:
                 raise TooLarge(f"more than {MAX_MATERIALIZED} labelings at one step")
             row, v = np.nonzero(free)

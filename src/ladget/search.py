@@ -1,50 +1,54 @@
 """Census machinery over graph6 streams.
 
-The stream is scanned in blocks of CHUNK_RECORDS records, inline or on a
+The stream is scanned in blocks of CHUNK_RECORDS lines, inline or on a
 process pool, and the blocks' tallies are merged in stream order.  A block
-is decoded with numpy, one order at a time, into stacked adjacency rows; a
-record failing any check is counted bad by decode_graph6.  A pass is a
-block's graphs of one order, in stream order, split where they could hold
-more than MAX_MATERIALIZED coloring rows: the whole block through order
-10, one graph from order 16 on.  A pass goes through one structural
-filter over the stacked rows.  From then on a pass is a table of role
-tuples by graphs: for each (anchor, inputs) tuple of role_tuples and each
-graph, the bitmask of the outputs the filter keeps, or of every output
-outside the tuple's roles, ANDed with the sampled draws if sampled; the
-filter judges each anchor's outputs and each tuple once per graph.  Proper
-3-colorings are enumerated, for the whole pass at once, only for the
-graphs with a kept output, and only one per orbit of the six color
-permutations: a role reads false where it has the anchor's color, which
-no permutation changes.  One law scan of the pass turns those rows into
-one bitset per graph and vertex pair, of the rows that give the two
+is its raw lines with their line numbers, a file's read as bytes straight
+from its handle.  numpy reads each line's order and length over the joined
+block and decodes each order's bare records, alone on their line but for a
+newline, at once: their unpacked bits times a cached weight table per
+order are their bitmask rows.  Only a line that is not bare, or whose
+record fails a check, is stripped and read by decode_graph6, which counts
+it bad if it fails; a hit graph's graph6 is its line's stripped text, made
+for hits only.  A pass is a block's graphs of one order, in stream order,
+split where they could hold more than MAX_MATERIALIZED coloring rows: the
+whole block through order 10, one graph from order 16 on.  A pass goes
+through one structural filter over the stacked rows.  From then on a pass
+is a table of role tuples by graphs: for each (anchor, inputs) tuple of
+role_tuples and each graph, the bitmask of the outputs the filter keeps,
+or of every output outside the tuple's roles, ANDed with the sampled draws
+if sampled; the filter judges each anchor's outputs and each tuple once
+per graph.  Proper 3-colorings are enumerated, for the whole pass at once,
+only for the graphs with a kept output, and only one per orbit of the six
+color permutations: a role reads false where it has the anchor's color,
+which no permutation changes.  One law scan of the pass turns those rows
+into one bitset per graph and vertex pair, of the rows that give the two
 vertices one color, judges each (tuple, graph) with a kept output for
-universality once, with a few mask operations, and the kept outputs of
-the universal ones for consistency, and returns the ladgets with their
-truth-table codes; the counts are popcounts of the bitmasks, and hits are
-the ladgets with a reported truth table.  A pass
-folds its hits as arrays: its hit graphs are refined and searched as one
-stack, every hit's role code comes from one stepped minimum,
-and one lexsort picks the least hit of each role-respecting isomorphism
-class, which alone reaches the tally.  Graphs up to 7 vertices can come
-from the built-in generator; anything larger arrives as an external
-one-record-per-line graph6 stream.
+universality once, with a few mask operations, and the kept outputs of the
+universal ones for consistency, and returns the ladgets with their
+truth-table codes; the kept configurations are counted as the bitmasks'
+set bits with np.bitwise_count, and hits are the ladgets with a reported
+truth table.  A pass folds its hits as arrays: its hit graphs are refined
+and searched as one stack, every hit's role code comes from one stepped
+minimum, and one lexsort picks the least hit of each role-respecting
+isomorphism class, which alone reaches the tally.  Graphs up to 7 vertices
+can come from the built-in generator; anything larger arrives as an
+external one-record-per-line graph6 stream.
 
 A tally is one additive Counter (graphs, configurations, raw hits and bad
 lines) plus, per role-respecting isomorphism class, the least (graph6,
 configuration index, line, truth-table code) of its hits, so memory grows
 with distinct hits and reports do not depend on worker scheduling or
-chunking; the report builds one Hit per class.  Checkpoints save that state
-before the first block and after merged blocks, a hit as its (line,
-configuration index) cell, and so always cover a contiguous prefix of the
-stream.  A resume checks that the counts fit the covered lines, reads that
-prefix again to check its sha256, keeping the lines the saved cells name,
-and censuses those lines with the census's own block scan, which derives
-each hit's graph6, roles and function from the stream; it refuses the
-checkpoint unless that scan's least hits are exactly the saved cells and
-its raw hits fit the saved counts.  Deleting a line's only saved cell
-still passes, and drops that class.
-Rarity statistics report both the raw and the deduplicated numerator since
-either reading of "one hit in N" is defensible.
+chunking; the report builds one Hit per class.  Checkpoints save that
+state before the first block and after merged blocks, a hit as its (line,
+configuration index) cell, with the number of cells, and so always cover a
+contiguous prefix of the stream.  A resume checks that the counts fit the
+covered lines, reads that prefix again to check its sha256, keeping the
+lines the saved cells name, and censuses those lines with the census's own
+block scan, which derives each hit's graph6, roles and function from the
+stream; it refuses the checkpoint unless that scan's least hits are
+exactly the saved cells, as many as were saved, and its raw hits fit the
+saved counts.  Rarity statistics report both the raw and the deduplicated
+numerator since either reading of "one hit in N" is defensible.
 """
 
 from __future__ import annotations
@@ -55,7 +59,9 @@ import itertools
 import json
 import os
 import time
+from bisect import bisect_right
 from collections import Counter, deque
+from contextlib import ExitStack
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
@@ -226,15 +232,18 @@ class _Tally:
             self.least[key] = min(entry, self.least.get(key, entry))
 
 
-def _scan_chunk(records: list, options: SearchOptions) -> _Tally:
-    # The tally of a block of (lineno, line) records.
+def _scan_chunk(linenos: np.ndarray, lines: list, options: SearchOptions) -> _Tally:
+    # The tally of a block: raw lines, all bytes or all str, and their
+    # ascending int64 line numbers.
     tally = _Tally()
-    for n, (linenos, texts, adj) in _decode_block(records, tally).items():
+    for n, (ks, adj) in _decode_block(linenos, lines, tally).items():
         cfgs = enumerate_configs(n, options.arity, options.ordered_inputs)
         step = _pass_size(n, cfgs)
-        for lo in range(0, len(texts), step):
-            part = slice(lo, lo + step)
-            _scan_pass(linenos[part], texts[part], adj[part], cfgs, options, tally)
+        for lo in range(0, len(ks), step):
+            at = ks[lo : lo + step]
+            _scan_pass(
+                linenos[at], lines, at, adj[lo : lo + step], cfgs, options, tally
+            )
     return tally
 
 
@@ -250,64 +259,113 @@ def _pass_size(n: int, cfgs: np.ndarray) -> int:
     return max(1, min(CHUNK_RECORDS, MAX_MATERIALIZED // worst))
 
 
-def _decode_block(records: list, tally: _Tally) -> dict:
-    # The block's records by order, in stream order: line numbers, stripped
-    # texts and (graphs, n) adjacency rows.  Each order is decoded at once;
-    # a record failing any check is counted bad by decode_graph6, so the
-    # messages have one source and first_bad is the block's least line.
-    by_order: dict[int, list] = {}
-    rejects = []
-    for lineno, line in records:
-        text = line.strip()
+def _line_text(line) -> str:
+    # A line as a record's text: bytes read as ASCII, each other byte one
+    # U+FFFD, and stripped.
+    if isinstance(line, bytes):
+        line = line.decode("ascii", "replace")
+    return line.strip()
+
+
+def _joined(lines: list) -> tuple[bytes, Iterator[int]]:
+    # A block's lines as one bytes object, and the lines' lengths in it.  str
+    # lines are encoded as UTF-8, where a character outside ASCII becomes
+    # bytes that no record holds.
+    if lines and isinstance(lines[0], str):
+        text = "".join(lines)
+        if text.isascii():
+            return text.encode(), map(len, lines)
+        lines = [line.encode("utf-8", "surrogatepass") for line in lines]
+    return b"".join(lines), map(len, lines)
+
+
+@lru_cache(maxsize=MAX_VERTICES)
+def _bit_weights(n: int) -> np.ndarray:
+    # The weights that turn an order-n record's body, unpacked to 8 bits a
+    # byte with the most significant first, into its bitmask rows: edge bit
+    # p, for the p-th pair i < j in graph6 order (0, 1), (0, 2), (1, 2),
+    # ..., is bit 2 + p % 6 of byte p // 6 and weighs 1 << j in column i and
+    # 1 << i in column j; each byte's top two bits and the padding weigh
+    # nothing.  A product sums distinct powers of two below 2**n, exact in
+    # float32 through order 24, and a float matmul is BLAS's, many times
+    # faster than numpy's integer one.
+    j, i = np.tril_indices(n, -1)
+    p = np.arange(len(i))
+    at = p // 6 * 8 + p % 6 + 2
+    w = np.zeros(((len(p) + 5) // 6 * 8, n), np.float32 if n <= 24 else np.float64)
+    w[at, i] = 2.0**j
+    w[at, j] = 2.0**i
+    w.setflags(write=False)
+    return w
+
+
+def _decode_block(linenos: np.ndarray, lines: list, tally: _Tally) -> dict:
+    # A block's good records by order, in stream order: their positions in
+    # lines and their (graphs, n) int64 bitmask rows.  numpy reads each
+    # line's order and length over the joined block.  A bare record, its
+    # line but for one trailing newline, is checked and decoded with its
+    # order's others at once.  Only a line that is not bare, or whose
+    # record the checks refuse, is stripped and read by decode_graph6,
+    # which counts it bad if it fails, so the messages have one source and
+    # first_bad is the block's least line.
+    data, lens = _joined(lines)
+    lens = np.fromiter(lens, np.intp, len(lines))
+    ends = lens.cumsum()
+    starts = ends - lens
+    # The trailing newline reads for an empty last line.
+    buf = np.frombuffer(data + b"\n", np.uint8)
+    order = buf[starts].astype(np.intp) - 63
+    size = 1 + (order * (order - 1) // 2 + 5) // 6
+    bare = (0 < order) & (order <= MAX_VERTICES) & (
+        (lens == size) | (lens == size + 1) & (buf[ends - 1] == 10)
+    )
+    out, slow = {}, [np.flatnonzero(~bare)]
+    for n in np.flatnonzero(np.bincount(order[bare])).tolist():
+        ks = np.flatnonzero(bare & (order == n))
+        nbytes = (n * (n - 1) // 2 + 5) // 6
+        body = buf[starts[ks, None] + np.arange(1, 1 + nbytes)] - np.uint8(63)
+        # Six bits a byte, and the padding after the last pair clear.
+        forbid = np.full(nbytes, 0xC0, np.uint8)
+        forbid[-1:] |= (1 << (6 * nbytes - n * (n - 1) // 2)) - 1
+        refused = body & forbid
+        if refused.any():
+            refused = refused.any(axis=1)
+            slow.append(ks[refused])
+            ks, body = ks[~refused], body[~refused]
+        if len(ks):
+            rows = np.unpackbits(body, axis=1) @ _bit_weights(n)
+            out[n] = ks, rows.astype(np.int64)
+    read: dict[int, list] = {}
+    for k in np.sort(np.concatenate(slow)).tolist():
+        text = _line_text(lines[k])
         if not text:
             continue
-        n = ord(text[0]) - 63
-        size = 1 + (n * (n - 1) // 2 + 5) // 6
-        if 0 < n <= MAX_VERTICES and len(text) == size and text.isascii():
-            by_order.setdefault(n, []).append((lineno, text))
-        else:
-            rejects.append((lineno, text))
-    out = {}
-    for n, group in by_order.items():
-        raw = np.frombuffer("".join(t for _, t in group).encode(), np.uint8)
-        body = raw.reshape(len(group), -1)[:, 1:] - np.uint8(63)
-        bits = np.unpackbits(body[:, :, None], axis=2)[:, :, 2:]
-        bits = bits.reshape(len(group), -1)
-        # The vertex pairs i < j in graph6 bit order: (0, 1), (0, 2), (1, 2), ...
-        j, i = np.tril_indices(n, -1)
-        ok = (body < 64).all(axis=1) & ~bits[:, len(i) :].any(axis=1)
-        rejects += [group[k] for k in np.flatnonzero(~ok)]
-        good = [group[k] for k in np.flatnonzero(ok)]
-        if good:
-            adj = np.zeros((len(good), n, n), np.uint8)
-            adj[:, i, j] = adj[:, j, i] = bits[ok, : len(i)]
-            # A record that decodes is the only graph6 of its graph, so the
-            # stripped text doubles as the hits' graph6.
-            out[n] = (
-                [lineno for lineno, _ in good],
-                [text for _, text in good],
-                adj @ (np.int64(1) << np.arange(n)),
-            )
-    for lineno, text in sorted(rejects):
         try:
-            decode_graph6(text)
+            g = decode_graph6(text)
         except InvalidGraph6 as exc:
             tally.counts["bad",] += 1
-            tally.first_bad = tally.first_bad or (lineno, str(exc))
+            tally.first_bad = tally.first_bad or (int(linenos[k]), str(exc))
         else:
-            raise AssertionError(f"line {lineno} decodes, but the block refused it")
+            read.setdefault(g.n, []).append((k, g.adj))
+    for n, records in read.items():
+        ks, adj = out.get(n, (np.zeros(0, np.intp), np.zeros((0, n), np.int64)))
+        ks = np.concatenate((ks, [k for k, _ in records]))
+        adj = np.concatenate((adj, [rows for _, rows in records]))
+        at = np.argsort(ks, kind="stable")
+        out[n] = ks[at], adj[at]
     return out
 
 
 def _scan_pass(
-    linenos: list, texts: list, adj: np.ndarray, cfgs: np.ndarray,
-    options: SearchOptions, tally: _Tally,
+    linenos: np.ndarray, lines: list, ks: np.ndarray, adj: np.ndarray,
+    cfgs: np.ndarray, options: SearchOptions, tally: _Tally,
 ) -> None:
-    # One pass over records of one order: per (anchor, inputs) tuple and
-    # graph, the bitmask of the outputs the run's structural filter keeps,
-    # or of every role-free output, ANDed with the sampled draws, if
-    # sampled.  The graphs with a kept output are colored in one stack, and
-    # one law scan gives the kept configurations' ladgets with their codes.
+    # One pass over records of one order, graph g on line linenos[g] and
+    # read from lines[ks[g]]: per (anchor, inputs) tuple and graph, the
+    # bitmask of the outputs the run's structural filter keeps, or of every
+    # role-free output, ANDed with the sampled draws, if sampled.  The
+    # graphs with a kept output are colored in one stack, and one law scan
+    # gives the kept configurations' ladgets with their codes.
     count, n = adj.shape
     q = len(cfgs)
     tuples, index = role_tuples(n, options.arity, options.ordered_inputs)
@@ -320,14 +378,14 @@ def _scan_pass(
     tally.counts["graphs", n] += count
     if options.sample_rate is not None and options.sample_rate < 1.0:
         sample = np.empty((count, q), dtype=bool)
-        for i, lineno in enumerate(linenos):
+        for i, lineno in enumerate(linenos.tolist()):
             rng = np.random.default_rng((options.seed or 0, lineno))
             sample[i] = rng.random(q) < options.sample_rate
         keep &= _kernels.output_masks(index, sample)
         tally.counts["configs_enumerated", n] += int(sample.sum())
     else:
         tally.counts["configs_enumerated", n] += count * q
-    tally.counts["configs_after_filter", n] += int(_kernels._popcount(keep).sum())
+    tally.counts["configs_after_filter", n] += int(np.bitwise_count(keep).sum())
     live = np.flatnonzero(keep.any(axis=0))
     C, starts = stacked_colorings(adj[live])
     # Every graph of the pass gets its range of rows, empty if not colored.
@@ -335,20 +393,25 @@ def _scan_pass(
     pairs, codes = _kernels.scan_pass(C, starts, keep, tuples, index, options.arity)
     hit = np.isin(codes, list(_allowed_codes(options.targets, options.arity)))
     if hit.any():
-        _fold_hits(linenos, texts, adj, cfgs, options, tally, pairs[hit], codes[hit])
+        _fold_hits(
+            linenos, lines, ks, adj, cfgs, options, tally, pairs[hit], codes[hit]
+        )
 
 
 def _fold_hits(
-    linenos: list, texts: list, adj: np.ndarray, cfgs: np.ndarray,
-    options: SearchOptions, tally: _Tally, pairs: np.ndarray, codes: np.ndarray,
+    linenos: np.ndarray, lines: list, ks: np.ndarray, adj: np.ndarray,
+    cfgs: np.ndarray, options: SearchOptions, tally: _Tally, pairs: np.ndarray,
+    codes: np.ndarray,
 ) -> None:
     # Folds a pass's hits, its ascending pairs with their truth-table codes,
     # into the tally: the hit graphs are keyed as one stack, and one lexsort
     # picks the least hit of each (code, canonical_key, role code) class by
-    # (graph6, j, lineno).  Counts and classes enter the tally in the order
-    # of their first hit, as the checkpoint writes them.  Only int64 keys are
-    # sorted, all with lexsort's stable kernel: int8 codes or a default
-    # argsort would load more of numpy's sort code, which counts in peak RSS.
+    # (graph6, j, lineno), the graph6 being the stripped text of a hit
+    # graph's line, the only graph6 of its graph.  Counts and classes enter
+    # the tally in the order of their first hit, as the checkpoint writes
+    # them.  Only int64 keys are sorted, all with lexsort's stable kernel:
+    # int8 codes or a default argsort would load more of numpy's sort code,
+    # which counts in peak RSS.
     n = adj.shape[1]
     codes = codes.astype(np.int64)
     g, j = np.divmod(pairs, len(cfgs))
@@ -363,7 +426,7 @@ def _fold_hits(
     key_id = np.array([ids.setdefault(key, len(ids)) for key in keys])[owner]
     # Each hit graph's rank in graph6 order, one rank per text so that
     # repeated records fall through to j; within a pass, g ascends with lineno.
-    hit_texts = [texts[i] for i in graphs]
+    hit_texts = [_line_text(lines[k]) for k in ks[graphs].tolist()]
     at = {text: r for r, text in enumerate(sorted(set(hit_texts)))}
     rank = np.array([at[text] for text in hit_texts])
     order = np.lexsort((g, j, rank[owner], roles, key_id, codes))
@@ -376,15 +439,15 @@ def _fold_hits(
     raw = np.bincount(codes).tolist()
     allowed = _allowed_codes(options.targets, options.arity)
     counted = set()
-    for gi, ji, code, oi, role in zip(
-        g[best].tolist(), j[best].tolist(), codes[best].tolist(),
+    for lineno, ji, code, oi, role in zip(
+        linenos[g[best]].tolist(), j[best].tolist(), codes[best].tolist(),
         owner[best].tolist(), roles[best].tolist(),
     ):
         if code not in counted:
             counted.add(code)
             tally.counts["hits", allowed[code][0], n] += raw[code]
         slot = code, keys[oi], role
-        entry = texts[gi], ji, linenos[gi], code
+        entry = hit_texts[oi], ji, lineno, code
         held = tally.least.get(slot)
         if held is None or entry < held:
             tally.least[slot] = entry
@@ -480,23 +543,19 @@ def rarity_stats(report: SearchReport) -> list[dict]:
     return rows
 
 
-def _record_iter(source, prefix=None) -> Iterator[tuple[int, str]]:
-    # Yields (lineno, line).  For a path source, a prefix hasher is fed
-    # every byte read.
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                if prefix is not None:
-                    prefix.update(raw)
-                yield lineno, raw.decode("ascii", "replace")
-    else:
-        yield from enumerate(source, start=1)
+def _read(lines: Iterator, count: int, prefix) -> list:
+    # The next count lines, fed to the prefix hasher, if any, as one update.
+    block = list(itertools.islice(lines, count))
+    if prefix is not None:
+        prefix.update(b"".join(block))
+    return block
 
 
 def _well_formed(data: dict) -> bool:
     # The types a resume reads, exactly, so a JSON true is no line or
-    # count: a count row is [name, key..., count], typed by its name, and a
-    # hit row is [lineno, j], a cell of the covered lines.
+    # count: a count row is [name, key..., count], typed by its name, a
+    # hit row is [lineno, j], a cell of the covered lines, and classes is
+    # the number of hit rows the run saved.
     def types(row) -> list | None:
         return [type(x) for x in row] if isinstance(row, list) else None
 
@@ -507,7 +566,8 @@ def _well_formed(data: dict) -> bool:
     }
     counts, hits = data.get("counts"), data.get("hits")
     return (
-        types([data.get("lineno"), data.get("prefix_sha256")]) == [int, str]
+        types([data.get(k) for k in ("lineno", "prefix_sha256", "classes")])
+        == [int, str, int]
         and data["lineno"] >= 0
         and isinstance(counts, list)
         and isinstance(hits, list)
@@ -543,8 +603,8 @@ def _counts_fit(counts: Counter, lineno: int, options: SearchOptions) -> bool:
 
 class _Checkpoint:
     """Resumable progress of a path-source run: the tally of the first
-    lineno lines of the stream, its hits as cells of those lines, and the
-    sha256 of those lines."""
+    lineno lines of the stream, its hits as cells of those lines, their
+    number, and the sha256 of those lines."""
 
     def __init__(self, path: str, options: SearchOptions):
         self.path = path
@@ -559,12 +619,13 @@ class _Checkpoint:
         opts = asdict(options)
         for key in ("jobs", "checkpoint", "checkpoint_every"):
             del opts[key]
-        self.fingerprint = json.loads(json.dumps({"options": opts, "version": 6}))
+        self.fingerprint = json.loads(json.dumps({"options": opts, "version": 7}))
         self.prefix = hashlib.sha256()
         self.end = (0, self.prefix.hexdigest())
         self.saved_at = 0
         self.tally = _Tally()
         self.rows: list = []
+        self.classes = 0
 
     def load(self) -> None:
         if not os.path.exists(self.path):
@@ -591,32 +652,42 @@ class _Checkpoint:
         self.saved_at = data["lineno"]
         self.tally.counts = counts
         self.rows = data["hits"]
+        self.classes = data["classes"]
 
-    def resume(self, records: Iterator, source) -> None:
-        # Reads the covered lines again, which feeds them to the prefix
-        # hasher, keeping the lines the saved rows name.  Once the prefix is
-        # the saved one, the census's own block scan of those lines must
-        # find the saved rows as its least hits, since every class with a
-        # hit on a saved line has its least hit saved there, and no more raw
-        # hits than the saved counts hold.  A row off the covered lines, on
-        # a blank or bad line, out of its order's table, repeated,
-        # unsampled, filtered out, not reported or not its class's least
-        # fails this, as does a row missing from a line that keeps another.
-        # A line's only row deleted still passes, and drops that class.
+    def resume(self, lines: Iterator, source) -> None:
+        # Reads the covered lines again, block by block, which feeds them to
+        # the prefix hasher, keeping the lines the saved rows name.  Once
+        # the prefix is the saved one, the census's own block scan of those
+        # lines must find the saved rows as its least hits, since every
+        # class with a hit on a saved line has its least hit saved there, as
+        # many classes as were saved, and no more raw hits than the saved
+        # counts hold.  A row off the covered lines, on a blank or bad line,
+        # out of its order's table, repeated, unsampled, filtered out, not
+        # reported or not its class's least fails this, as does a row
+        # missing from a line that keeps another, or a line's only row.
         lineno, digest = self.end
-        saved = {at for at, _ in self.rows}
-        lines = [rec for rec in itertools.islice(records, lineno) if rec[0] in saved]
+        saved = sorted({at for at, _ in self.rows})
+        linenos, kept = [], []
+        for lo in range(0, lineno, CHUNK_RECORDS):
+            block = _read(lines, min(CHUNK_RECORDS, lineno - lo), self.prefix)
+            ats = saved[bisect_right(saved, lo) : bisect_right(saved, lo + len(block))]
+            linenos += ats
+            kept += [block[at - lo - 1] for at in ats]
         if self.prefix.hexdigest() != digest:
             raise ValueError(
                 f"the first {lineno} lines of {source} changed since the "
                 "checkpoint was written; refusing to resume"
             )
-        if not self.rows:
-            return
-        found = _scan_chunk(lines, self.options)
+        found = _Tally()
+        if self.rows:
+            found = _scan_chunk(np.array(linenos, np.int64), kept, self.options)
         hits = Counter({key: c for key, c in found.counts.items() if key[0] == "hits"})
         cells = sorted([at, j] for _, j, at, _ in found.least.values())
-        if cells != sorted(self.rows) or hits - self.tally.counts:
+        if (
+            cells != sorted(self.rows)
+            or len(found.least) != self.classes
+            or hits - self.tally.counts
+        ):
             raise ValueError(
                 f"checkpoint {self.path} holds a hit this run cannot find; "
                 "refusing to resume"
@@ -633,7 +704,8 @@ class _Checkpoint:
         text = (
             f'{{"fingerprint": {json.dumps(self.fingerprint)}, "lineno": {lineno}, '
             f'"prefix_sha256": {json.dumps(digest)}, "counts": [{counts}], '
-            f'"hits": [{hits}], "done": {json.dumps(done)}}}'
+            f'"hits": [{hits}], "classes": {len(t.least)}, '
+            f'"done": {json.dumps(done)}}}'
         )
         tmp = self.path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -659,21 +731,24 @@ def search_stream(source, options: SearchOptions) -> SearchReport:
     pool = ProcessPoolExecutor(options.jobs) if options.jobs > 1 else None
     collecting = gc.isenabled()
     gc.disable()
+    stack = ExitStack()
     try:
+        # A path is read as bytes lines, straight from the file's handle.
+        path = isinstance(source, (str, Path))
         ckpt = None
         if options.checkpoint:
-            if not isinstance(source, (str, Path)):
+            if not path:
                 raise ValueError("checkpointing requires a path source")
             ckpt = _Checkpoint(options.checkpoint, options)
             ckpt.load()
         tally = ckpt.tally if ckpt else _Tally()
         prefix = ckpt.prefix if ckpt else None
-        records = _record_iter(source, prefix)
+        lines = stack.enter_context(open(source, "rb")) if path else iter(source)
         if ckpt is not None:
-            ckpt.resume(records, source)
+            ckpt.resume(lines, source)
             # An unwritable checkpoint path fails here, not blocks into the scan.
             ckpt.save()
-        blocks = iter(lambda: list(itertools.islice(records, CHUNK_RECORDS)), [])
+        lineno = ckpt.end[0] if ckpt else 0
 
         def merge(scan, end) -> None:
             part = scan()
@@ -687,10 +762,12 @@ def search_stream(source, options: SearchOptions) -> SearchReport:
 
         depth = 2 * options.jobs + 1 if pool else 1
         pending: deque = deque()
-        for block in blocks:
-            end = (block[-1][0], prefix.hexdigest() if prefix else None)
-            scan = (pool.submit(_scan_chunk, block, options).result if pool
-                    else partial(_scan_chunk, block, options))
+        for block in iter(partial(_read, lines, CHUNK_RECORDS, prefix), []):
+            linenos = np.arange(lineno + 1, lineno + 1 + len(block))
+            lineno += len(block)
+            end = (lineno, prefix.hexdigest() if prefix else None)
+            args = (_scan_chunk, linenos, block, options)
+            scan = pool.submit(*args).result if pool else partial(*args)
             pending.append((scan, end))
             if len(pending) == depth:
                 merge(*pending.popleft())
@@ -700,6 +777,7 @@ def search_stream(source, options: SearchOptions) -> SearchReport:
             ckpt.save(done=True)
         return _build_report(tally, options, time.perf_counter() - start)
     finally:
+        stack.close()
         if pool is not None:
             pool.shutdown(cancel_futures=True)
         if collecting:

@@ -1,4 +1,5 @@
 import gc
+import io
 import itertools
 import json
 import os
@@ -362,10 +363,13 @@ class TestBadLines:
 
 
 def _reference_decode(records):
-    # Per record with decode_graph6: the good records by order as (lineno,
-    # text, rows), the bad count and the first bad (lineno, message).
+    # Per (lineno, line) record with decode_graph6, bytes lines read as
+    # ASCII: the good records by order as (lineno, text, rows), the bad
+    # count and the first bad (lineno, message).
     groups, bad, first = {}, 0, None
     for lineno, line in records:
+        if isinstance(line, bytes):
+            line = line.decode("ascii", "replace")
         text = line.strip()
         if not text:
             continue
@@ -379,19 +383,37 @@ def _reference_decode(records):
     return groups, bad, first
 
 
-def _assert_block_decodes_like_reference(lines):
-    records = list(enumerate(lines, start=1))
+def _block_decodes_like_reference(lines):
+    # One block of lines, bytes or str, through _decode_block and through
+    # the reference; returns the bad count and the first bad line.
+    linenos = np.arange(1, len(lines) + 1)
     tally = search._Tally()
-    got = search._decode_block(records, tally)
-    groups, bad, first = _reference_decode(records)
+    got = search._decode_block(linenos, lines, tally)
+    groups, bad, first = _reference_decode(zip(linenos.tolist(), lines))
     assert tally.counts["bad",] == bad
     assert tally.first_bad == first
     assert set(got) == set(groups)
-    for n, (linenos, texts, adj) in got.items():
-        assert adj.dtype == np.int64 and adj.shape == (len(texts), n)
+    for n, (ks, adj) in got.items():
+        assert adj.dtype == np.int64 and adj.shape == (len(ks), n)
+        texts = [search._line_text(lines[k]) for k in ks.tolist()]
         rows = [tuple(row) for row in adj.tolist()]
-        assert list(zip(linenos, texts, rows)) == groups[n]
+        assert list(zip(linenos[ks].tolist(), texts, rows)) == groups[n]
     return bad, first
+
+
+def _assert_block_decodes_like_reference(data):
+    # A stream, as its bytes or as its lines, decodes like the reference
+    # read three ways, as the census reads a path, a list and stdin: bytes
+    # lines from a binary file, str lines from a list, and str lines from a
+    # text stream.  Returns each way's bad count and first bad line.
+    if isinstance(data, list):
+        lines = data
+        data = "\n".join(lines).encode("utf-8", "surrogateescape")
+    else:
+        lines = data.decode("utf-8", "surrogateescape").split("\n")
+    text = io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape")
+    ways = [list(io.BytesIO(data)), lines, list(text)]
+    return [_block_decodes_like_reference(way) for way in ways]
 
 
 # Every malformed kind of TestGraph6.test_rejects, a raw 0xff byte as the
@@ -403,6 +425,24 @@ MALFORMED = [
     "\ufffdCOj_{", "`" + "?" * 88,
 ]
 
+# A 32-vertex path.
+PATH32 = encode_graph6(Graph.from_edges(32, [(v, v + 1) for v in range(31)]))
+
+# Streams whose lines are not all bare records, or whose records are not
+# all of one order.
+STREAMS = {
+    "crlf": b"CN\r\nFCZeO\r\nA_\r\n",
+    "trailing blanks": b"CN \nFCZeO\t\nA_ \t \n\tCN\n",
+    "whitespace lines": b"CN\n\n \n\t\n\x0b\x0c\nFCZeO\n  \n",
+    "no final newline": b"CN\nFCZeO",
+    "raw 0xff": b"CN\nC\xff\n\xffCN\nCN\xff\nFCZeO\n\xff\n",
+    "orders 1, 32, 33": b"@\n" + PATH32.encode() + b"\n`" + b"?" * 88 + b"\n@",
+    "mixed orders": b"@\nA_\nCN\nFCZeO\nA?\nCN\nFCZUO\n@\n"
+    + PATH32.encode() + b"\nCN\n",
+    "bare and stripped records of one order":
+    b"CN\n CN\nFCZeO\r\nCN\nFCZUO \nFCZeO\n",
+}
+
 
 class TestBlockDecode:
     def test_connected8_with_bad_records_between(self, connected8_path):
@@ -412,8 +452,8 @@ class TestBlockDecode:
             mixed.append(line)
             if k % 997 == 0:
                 mixed += [MALFORMED[k // 997 % len(MALFORMED)], "  "]
-        bad, first = _assert_block_decodes_like_reference(mixed)
-        assert bad == 12 and first[0] == 2
+        for bad, first in _assert_block_decodes_like_reference(mixed):
+            assert bad == 12 and first[0] == 2
 
     @given(st.lists(graphs(max_n=12), max_size=40), st.data())
     def test_random_graphs_with_bad_records(self, gs, data):
@@ -423,10 +463,23 @@ class TestBlockDecode:
             lines.insert(data.draw(st.integers(0, len(lines))), bad)
         _assert_block_decodes_like_reference(lines)
 
+    @given(st.lists(graphs(max_n=32), min_size=1, max_size=20))
+    def test_random_graphs_of_every_order(self, gs):
+        # The rows of orders 25-32 come from a float64 product, the others
+        # from a float32 one.
+        lines = [encode_graph6(g) for g in gs]
+        for bad, _ in _assert_block_decodes_like_reference(lines):
+            assert bad == 0
+
     @pytest.mark.parametrize("bad", MALFORMED)
     def test_each_malformed_kind(self, bad):
         lines = ["CN", bad, "FCZeO", bad, "A_"]
-        assert _assert_block_decodes_like_reference(lines)[0] == 2
+        for bad_count, _ in _assert_block_decodes_like_reference(lines):
+            assert bad_count == 2
+
+    @pytest.mark.parametrize("stream", STREAMS.values(), ids=list(STREAMS))
+    def test_lines_that_are_not_bare_records(self, stream):
+        _assert_block_decodes_like_reference(stream)
 
     @pytest.mark.parametrize("bad", MALFORMED)
     def test_census_bad_count_and_strict_error(self, bad):
@@ -704,6 +757,32 @@ class TestBlockKernel:
         assert sum(rep.hits_raw.values()) == np.isin(
             codes, list(search._allowed_codes((), 2))
         ).sum() > 0
+
+    @pytest.mark.parametrize(
+        "kind", ["filtered", "minimal", "unfiltered", "sampled"]
+    )
+    def test_configs_after_filter_counts_each_pass_keep_table(
+        self, monkeypatch, connected8_path, kind
+    ):
+        # configs_after_filter, counted with np.bitwise_count, is the number
+        # of configurations each pass's keep table keeps, expanded to one
+        # flag per configuration by _expand, summed over the passes.
+        lines = connected8_path.read_text().splitlines()[:1200]
+        options = {
+            "filtered": {},
+            "minimal": {"minimal_mode": True},
+            "unfiltered": {"use_filter": False},
+            "sampled": {"sample_rate": 0.3, "seed": 5},
+        }[kind]
+        kept, real = [], _kernels.scan_pass
+
+        def scan(C, starts, keep, tuples, index, arity):
+            kept.append(int(_kernels._expand(keep, index).sum()))
+            return real(C, starts, keep, tuples, index, arity)
+
+        monkeypatch.setattr(_kernels, "scan_pass", scan)
+        rep = search_stream(lines, SearchOptions(targets=(), **options))
+        assert len(kept) == 3 and sum(kept) == rep.configs_after_filter > 0
 
     def test_block_of_large_graphs_stays_within_the_coloring_bound(
         self, monkeypatch
@@ -984,10 +1063,10 @@ def _scan_only_saved_lines(monkeypatch, ck) -> list:
     saved = sorted({lineno for lineno, _ in rows})
     real, calls = search._scan_chunk, []
 
-    def scan(records, options):
-        calls.append([lineno for lineno, _ in records])
+    def scan(linenos, lines, options):
+        calls.append(linenos.tolist())
         assert calls == [saved], "a block was scanned"
-        return real(records, options)
+        return real(linenos, lines, options)
 
     monkeypatch.setattr(search, "_scan_chunk", scan)
     return calls
@@ -999,7 +1078,7 @@ class TestCheckpoint:
             targets=("NAND",), checkpoint=str(path), checkpoint_every=1
         )
 
-    def test_format_6_is_pinned_byte_for_byte(
+    def test_format_7_is_pinned_byte_for_byte(
         self, tmp_path, monkeypatch, connected8_path
     ):
         # tests/data/census_checkpoint.json, written by
@@ -1114,6 +1193,26 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"checkpoint {ck} holds a hit"):
             search_stream(str(stream), opts)
 
+    def test_line_with_its_only_row_deleted_is_refused(
+        self, tmp_path, connected8_path
+    ):
+        # Line 28 of the order-8 stream holds one saved row.  Deleted, no
+        # remaining row names the line, so the resume does not census it,
+        # and only the saved number of classes shows that one is missing;
+        # without it the run resumed and reported one class fewer.
+        stream, ck = tmp_path / "head.g6", tmp_path / "c.json"
+        lines = connected8_path.read_text().splitlines(keepends=True)
+        stream.write_text("".join(lines[:40]))
+        opts = SearchOptions(targets=(), arity=1, checkpoint=str(ck))
+        fresh = search_stream(str(stream), opts)
+        data = json.loads(ck.read_text())
+        assert sum(len(hs) for hs in fresh.hits.values()) == data["classes"] == 33
+        assert [at for at, _ in data["hits"]].count(28) == 1
+        data["hits"] = [row for row in data["hits"] if row[0] != 28]
+        ck.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"checkpoint {ck} holds a hit"):
+            search_stream(str(stream), opts)
+
     def test_sampled_hit_the_sample_never_drew_is_refused(self, tmp_path):
         # E?lw's MOV cell (anchor 0, input 3, output 2) is a hit of the
         # full census, but the 30 % sample of seed 3 does not draw it, so a
@@ -1136,7 +1235,9 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"checkpoint {ck} holds a hit"):
             search_stream(str(stream), opts)
 
-    @pytest.mark.parametrize("fault", ["row_field", "no_hits", "count_row", "lineno"])
+    @pytest.mark.parametrize(
+        "fault", ["row_field", "no_hits", "count_row", "lineno", "classes"]
+    )
     def test_malformed_body_is_refused(self, tmp_path, fault):
         # A body of the right fingerprint but the wrong types is refused by
         # name, before any of it is read as counts, hits or a line count.
@@ -1155,6 +1256,8 @@ class TestCheckpoint:
             del data["hits"]
         elif fault == "count_row":
             data["counts"].append(5)
+        elif fault == "classes":
+            data["classes"] = str(data["classes"])
         else:
             data["lineno"] = "x"
         for body in bodies or [data]:
@@ -1435,11 +1538,13 @@ class TestCheckpoint:
         killed = ck.read_text()
         saved = json.loads(killed)
         assert saved["lineno"] == 21 and saved["done"] is False
-        # Format 6: no byte offset, source path or canonical keys, and a
-        # hit is its (line, configuration index) cell.
+        # Format 7: no byte offset, source path or canonical keys, a hit is
+        # its (line, configuration index) cell, and classes counts them.
         assert set(saved) == {
-            "fingerprint", "lineno", "prefix_sha256", "counts", "hits", "done"
+            "fingerprint", "lineno", "prefix_sha256", "counts", "hits",
+            "classes", "done",
         }
+        assert saved["classes"] == len(saved["hits"])
         assert set(saved["fingerprint"]) == {"options", "version"}
         assert saved["hits"] and all(len(row) == 2 for row in saved["hits"])
 
