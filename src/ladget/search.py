@@ -312,7 +312,7 @@ def _decode_block(linenos: np.ndarray, lines: list, tally: _Tally) -> dict:
     lens = np.fromiter(lens, np.intp, len(lines))
     ends = lens.cumsum()
     starts = ends - lens
-    # The trailing newline reads for an empty last line.
+    # One byte past the end, read as the first byte of an empty last line.
     buf = np.frombuffer(data + b"\n", np.uint8)
     order = buf[starts].astype(np.intp) - 63
     size = 1 + (order * (order - 1) // 2 + 5) // 6
@@ -347,6 +347,7 @@ def _decode_block(linenos: np.ndarray, lines: list, tally: _Tally) -> dict:
             tally.first_bad = tally.first_bad or (int(linenos[k]), str(exc))
         else:
             read.setdefault(g.n, []).append((k, g.adj))
+    # Records read on their own join their order's others in line order.
     for n, records in read.items():
         ks, adj = out.get(n, (np.zeros(0, np.intp), np.zeros((0, n), np.int64)))
         ks = np.concatenate((ks, [k for k, _ in records]))

@@ -1405,6 +1405,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="different run"):
             search_stream(str(stream), self._opts(ck))
 
+    def test_refuses_version_6_checkpoint(self, tmp_path):
+        # The same progress in the version-6 layout, which did not save the
+        # number of hit classes.
+        stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
+        stream.write_text("CN\n!!!\nFCZeO\n")
+        search_stream(str(stream), self._opts(ck))
+        data = json.loads(ck.read_text())
+        data["fingerprint"]["version"] = 6
+        del data["classes"]
+        ck.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="different run"):
+            search_stream(str(stream), self._opts(ck))
+
     def test_refuses_version_3_checkpoint(self, tmp_path):
         stream, ck = tmp_path / "s.g6", tmp_path / "c.json"
         stream.write_text("CN\nFCZeO\n")
