@@ -6,7 +6,6 @@ to color 0 makes every proper coloring compute a Boolean function from the
 inputs to the output (color 0 is false, any other color is true).
 """
 
-from ._kernels import BACKEND
 from .coloring import all_colorings
 from .embed import EmbeddedLadget, embed_to_k, verify_embedding
 from .errors import (
@@ -52,6 +51,8 @@ from .search import (
 )
 
 __version__ = "0.1.0"
+# Everything runs on Python and numpy; the benchmark stamps this on its runs.
+BACKEND = "numpy"
 
 __all__ = [
     "BACKEND",

@@ -47,8 +47,6 @@ per configuration; its ``deg`` argument is unused.
 
 import numpy as np
 
-BACKEND = "numpy"
-
 # Cells per step of a scan: one per word of each mask a step holds for a
 # tuple or an output.  With the earlier one-graph scan, 1 << 16 made a
 # 2-worker unfiltered order-8 census peak at about 16% more resident memory

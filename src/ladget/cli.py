@@ -144,7 +144,7 @@ def cmd_search(args) -> int:
         except (LadgetError, ValueError) as exc:
             raise UsageError(str(exc))
     elif args.source in (None, "-"):
-        source = sys.stdin
+        source = sys.stdin.buffer
     else:
         if not os.path.exists(args.source):
             raise UsageError(f"no such file: {args.source}")
@@ -167,7 +167,7 @@ def cmd_search(args) -> int:
             if d["filter_pass_ratio"] is not None
             else ""
         )
-        + f"  bad lines {report.bad_lines}  [{report.backend}]"
+        + f"  bad lines {report.bad_lines}"
     ]
     for fn in sorted(report.hits):
         hs = report.hits[fn]

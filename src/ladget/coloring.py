@@ -24,6 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ._kernels import _mask_type
 from .errors import TooLarge
 from .graphcore import MAX_MATERIALIZED, Graph
 
@@ -111,9 +112,8 @@ def stacked_colorings(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stack's partial colorings outgrow the materialization bound.
     """
     count, n = adj.shape
-    rows = adj.T.astype(np.min_scalar_type((1 << n) - 1))
-    deg = (rows >> np.arange(n, dtype=rows.dtype)[:, None, None] & 1).sum(0, rows.dtype)
-    order = np.argsort(n - deg, axis=0, kind="stable")
+    rows = adj.T.astype(_mask_type(n))
+    order = np.argsort(n - np.bitwise_count(rows), axis=0, kind="stable")
     # bit[t, g]: the t-th vertex in graph g's order; seen[t, g]: its earlier neighbours.
     bit = np.left_shift(1, order, dtype=rows.dtype, casting="unsafe")
     seen = np.take_along_axis(rows, order, axis=0) & (bit.cumsum(0, rows.dtype) - bit)

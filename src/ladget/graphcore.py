@@ -259,7 +259,7 @@ def _refine(adj: np.ndarray) -> np.ndarray:
 def _column_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # bit[v] = 1 << v in the smallest unsigned type of n bits; below[t], the
     # bits of column t, bit[i] for i < t; after[t], how many follow column t.
-    word = np.min_scalar_type((1 << n) - 1)
+    word = _kernels._mask_type(n)
     bit = word.type(1) << np.arange(n, dtype=word)
     after = np.array([(n * n - n - t * t - t) // 2 for t in range(n)], np.uint64)
     return bit, bit * (np.arange(n) < np.arange(n)[:, None]), after

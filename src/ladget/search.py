@@ -2,16 +2,17 @@
 
 The stream is scanned in blocks of CHUNK_RECORDS lines, inline or on a
 process pool, and the blocks' tallies are merged in stream order.  A block
-is its raw lines with their line numbers, a file's read as bytes straight
-from its handle.  numpy reads each line's order and length over the joined
-block and decodes each order's bare records, alone on their line but for a
-newline, at once: their unpacked bits times a cached weight table per
-order are their bitmask rows.  Only a line that is not bare, or whose
-record fails a check, is stripped and read by decode_graph6, which counts
-it bad if it fails; a hit graph's graph6 is its line's stripped text, made
-for hits only.  A pass is a block's graphs of one order, in stream order,
-split where they could hold more than MAX_MATERIALIZED coloring rows: the
-whole block through order 10, one graph from order 16 on.  A pass goes
+is its bytes lines with their line numbers, a file's or stdin's read as
+bytes, an iterable's str lines encoded as UTF-8.  numpy reads each line's
+order and length over the joined block, and again once the lines that are
+not bare records, alone on their line but for a newline, are stripped of
+ASCII whitespace; then each order's records are checked and decoded at
+once: their unpacked bits times a cached weight table per order are their
+bitmask rows.  decode_graph6 reads only a non-blank line the checks
+refuse, for its message; a hit graph's graph6 is its line's stripped
+text.  A pass is a block's graphs of one order, in stream order, split
+where they could hold more than MAX_MATERIALIZED coloring rows: the whole
+block through order 10, one graph from order 16 on.  A pass goes
 through one structural filter over the stacked rows.  From then on a pass
 is a table of role tuples by graphs: for each (anchor, inputs) tuple of
 role_tuples and each graph, the bitmask of the outputs the filter keeps,
@@ -233,8 +234,8 @@ class _Tally:
 
 
 def _scan_chunk(linenos: np.ndarray, lines: list, options: SearchOptions) -> _Tally:
-    # The tally of a block: raw lines, all bytes or all str, and their
-    # ascending int64 line numbers.
+    # The tally of a block: raw bytes lines and their ascending int64 line
+    # numbers.
     tally = _Tally()
     for n, (ks, adj) in _decode_block(linenos, lines, tally).items():
         cfgs = enumerate_configs(n, options.arity, options.ordered_inputs)
@@ -259,24 +260,19 @@ def _pass_size(n: int, cfgs: np.ndarray) -> int:
     return max(1, min(CHUNK_RECORDS, MAX_MATERIALIZED // worst))
 
 
-def _line_text(line) -> str:
-    # A line as a record's text: bytes read as ASCII, each other byte one
-    # U+FFFD, and stripped.
-    if isinstance(line, bytes):
-        line = line.decode("ascii", "replace")
-    return line.strip()
+# The ASCII whitespace that str.strip removes.
+_SPACE = b"\t\n\v\f\r\x1c\x1d\x1e\x1f "
 
 
-def _joined(lines: list) -> tuple[bytes, Iterator[int]]:
-    # A block's lines as one bytes object, and the lines' lengths in it.  str
-    # lines are encoded as UTF-8, where a character outside ASCII becomes
-    # bytes that no record holds.
-    if lines and isinstance(lines[0], str):
-        text = "".join(lines)
-        if text.isascii():
-            return text.encode(), map(len, lines)
-        lines = [line.encode("utf-8", "surrogatepass") for line in lines]
-    return b"".join(lines), map(len, lines)
+def _line_text(line: bytes) -> str:
+    # A line as a record's text: stripped, each byte outside ASCII one U+FFFD.
+    return line.strip(_SPACE).decode("ascii", "replace")
+
+
+def _encoded(line) -> bytes:
+    # An iterable's line as the census reads it: str lines as UTF-8, where a
+    # character outside ASCII becomes bytes that no record holds.
+    return line.encode("utf-8", "surrogatepass") if isinstance(line, str) else line
 
 
 @lru_cache(maxsize=MAX_VERTICES)
@@ -299,27 +295,34 @@ def _bit_weights(n: int) -> np.ndarray:
     return w
 
 
-def _decode_block(linenos: np.ndarray, lines: list, tally: _Tally) -> dict:
-    # A block's good records by order, in stream order: their positions in
-    # lines and their (graphs, n) int64 bitmask rows.  numpy reads each
-    # line's order and length over the joined block.  A bare record, its
-    # line but for one trailing newline, is checked and decoded with its
-    # order's others at once.  Only a line that is not bare, or whose
-    # record the checks refuse, is stripped and read by decode_graph6,
-    # which counts it bad if it fails, so the messages have one source and
-    # first_bad is the block's least line.
-    data, lens = _joined(lines)
-    lens = np.fromiter(lens, np.intp, len(lines))
+def _layout(lines: list) -> tuple:
+    # A block's lines joined, one byte past the end read as the first byte
+    # of an empty last line, and each line's start, order and whether it is
+    # bare: its order's record length, and at most one trailing newline.
+    lens = np.fromiter(map(len, lines), np.intp, len(lines))
     ends = lens.cumsum()
     starts = ends - lens
-    # One byte past the end, read as the first byte of an empty last line.
-    buf = np.frombuffer(data + b"\n", np.uint8)
+    buf = np.frombuffer(b"".join(lines) + b"\n", np.uint8)
     order = buf[starts].astype(np.intp) - 63
     size = 1 + (order * (order - 1) // 2 + 5) // 6
     bare = (0 < order) & (order <= MAX_VERTICES) & (
         (lens == size) | (lens == size + 1) & (buf[ends - 1] == 10)
     )
-    out, slow = {}, [np.flatnonzero(~bare)]
+    return buf, starts, order, bare
+
+
+def _decode_block(linenos: np.ndarray, lines: list, tally: _Tally) -> dict:
+    # A block's good records by order, in stream order: their positions in
+    # lines and their (graphs, n) int64 bitmask rows.  Lines that are not
+    # bare are stripped and the block laid out again, so every record is
+    # checked and decoded with its order's others.  decode_graph6 fails on
+    # each non-blank line the checks refuse, and gives the bad count and
+    # first_bad, the block's least such line, their one source of messages.
+    buf, starts, order, bare = _layout(lines)
+    if not bare.all():
+        lines = [ln if ok else ln.strip(_SPACE) for ln, ok in zip(lines, bare.tolist())]
+        buf, starts, order, bare = _layout(lines)
+    out, refused = {}, [np.flatnonzero(~bare)]
     for n in np.flatnonzero(np.bincount(order[bare])).tolist():
         ks = np.flatnonzero(bare & (order == n))
         nbytes = (n * (n - 1) // 2 + 5) // 6
@@ -327,33 +330,22 @@ def _decode_block(linenos: np.ndarray, lines: list, tally: _Tally) -> dict:
         # Six bits a byte, and the padding after the last pair clear.
         forbid = np.full(nbytes, 0xC0, np.uint8)
         forbid[-1:] |= (1 << (6 * nbytes - n * (n - 1) // 2)) - 1
-        refused = body & forbid
-        if refused.any():
-            refused = refused.any(axis=1)
-            slow.append(ks[refused])
-            ks, body = ks[~refused], body[~refused]
+        bad = body & forbid
+        if bad.any():
+            bad = bad.any(axis=1)
+            refused.append(ks[bad])
+            ks, body = ks[~bad], body[~bad]
         if len(ks):
             rows = np.unpackbits(body, axis=1) @ _bit_weights(n)
             out[n] = ks, rows.astype(np.int64)
-    read: dict[int, list] = {}
-    for k in np.sort(np.concatenate(slow)).tolist():
+    for k in np.sort(np.concatenate(refused)).tolist():
         text = _line_text(lines[k])
-        if not text:
-            continue
-        try:
-            g = decode_graph6(text)
-        except InvalidGraph6 as exc:
-            tally.counts["bad",] += 1
-            tally.first_bad = tally.first_bad or (int(linenos[k]), str(exc))
-        else:
-            read.setdefault(g.n, []).append((k, g.adj))
-    # Records read on their own join their order's others in line order.
-    for n, records in read.items():
-        ks, adj = out.get(n, (np.zeros(0, np.intp), np.zeros((0, n), np.int64)))
-        ks = np.concatenate((ks, [k for k, _ in records]))
-        adj = np.concatenate((adj, [rows for _, rows in records]))
-        at = np.argsort(ks, kind="stable")
-        out[n] = ks[at], adj[at]
+        if text:
+            try:
+                decode_graph6(text)
+            except InvalidGraph6 as exc:
+                tally.counts["bad",] += 1
+                tally.first_bad = tally.first_bad or (int(linenos[k]), str(exc))
     return out
 
 
@@ -464,7 +456,6 @@ class SearchReport:
     hits: dict
     elapsed_s: float
     hits_raw_per_order: dict = field(default_factory=dict)
-    backend = _kernels.BACKEND  # not a field: there is one backend
 
     @property
     def configs_enumerated(self) -> int:
@@ -484,7 +475,6 @@ class SearchReport:
         ratio = self.filter_pass_ratio
         return {
             "options": asdict(self.options),
-            "backend": self.backend,
             "graphs_seen": self.graphs_seen,
             "bad_lines": self.bad_lines,
             "configs_enumerated": self.configs_enumerated,
@@ -539,7 +529,6 @@ def rarity_stats(report: SearchReport) -> list[dict]:
                 row[f"{name}_per_hit_{kind}"] = _ratio(
                     slot[key], row[f"hits_{kind}"]
                 )
-        row["note"] = None
         rows.append(row)
     return rows
 
@@ -734,7 +723,8 @@ def search_stream(source, options: SearchOptions) -> SearchReport:
     gc.disable()
     stack = ExitStack()
     try:
-        # A path is read as bytes lines, straight from the file's handle.
+        # A path is read as bytes lines, straight from the file's handle, and
+        # an iterable's str lines are encoded as they are read.
         path = isinstance(source, (str, Path))
         ckpt = None
         if options.checkpoint:
@@ -744,7 +734,9 @@ def search_stream(source, options: SearchOptions) -> SearchReport:
             ckpt.load()
         tally = ckpt.tally if ckpt else _Tally()
         prefix = ckpt.prefix if ckpt else None
-        lines = stack.enter_context(open(source, "rb")) if path else iter(source)
+        lines = (
+            stack.enter_context(open(source, "rb")) if path else map(_encoded, source)
+        )
         if ckpt is not None:
             ckpt.resume(lines, source)
             # An unwritable checkpoint path fails here, not blocks into the scan.

@@ -117,10 +117,32 @@ class TestSearch:
         assert code == 2
 
     def test_stdin_stream(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("FCZeO\nFCZUO\n"))
+        stdin = io.TextIOWrapper(io.BytesIO(b"FCZeO\nFCZUO\n"))
+        monkeypatch.setattr(sys, "stdin", stdin)
         code, out, _ = run(capsys, "search", "--target", "NAND")
         assert code == 0
         assert "NAND: 3 raw, 2 distinct" in out
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_stdin_reads_the_bytes_a_path_does(
+        self, capsys, monkeypatch, tmp_path, jobs
+    ):
+        # stdin is read as bytes, not through its text decoder, which here
+        # is strict UTF-8: a 0xff line and an NBSP line are bad lines from
+        # either source, and CRLF lines are records.
+        data = b"CN\r\nFCZeO\r\n\xff\n\xc2\xa0CN\nFCZUO\n\r\n"
+        stream = tmp_path / "dirty.g6"
+        stream.write_bytes(data)
+        reports = []
+        for source in (str(stream), "-"):
+            stdin = io.TextIOWrapper(io.BytesIO(data), "utf-8", "strict")
+            monkeypatch.setattr(sys, "stdin", stdin)
+            code, out, _ = run(capsys, "search", source, "--json", "--jobs", jobs)
+            assert code == 0
+            reports.append(json.loads(out))
+            del reports[-1]["elapsed_s"]
+        assert reports[0] == reports[1]
+        assert reports[0]["bad_lines"] == 2 and reports[0]["graphs_seen"] == 3
 
     def test_strict_bad_stream_is_a_runtime_failure(self, capsys, tmp_path):
         bad = tmp_path / "bad.g6"

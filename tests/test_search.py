@@ -361,16 +361,26 @@ class TestBadLines:
         rep = search_stream([big, "CN"], SearchOptions(targets=("NOT",), arity=1))
         assert rep.bad_lines == 1 and rep.graphs_seen == 1
 
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\u0085"])
+    def test_non_ascii_whitespace_is_a_bad_line(self, space):
+        # A str line is read as its UTF-8 bytes, as a file's line is, and
+        # only ASCII whitespace is stripped.
+        rep = search_stream(["CN", space + "CN", "FCZeO"], SearchOptions())
+        assert rep.bad_lines == 1 and rep.graphs_seen == 2
+
+
+def _encoded(line):
+    # A line as the census reads it: a str line encoded as UTF-8.
+    return line.encode("utf-8", "surrogatepass") if isinstance(line, str) else line
+
 
 def _reference_decode(records):
-    # Per (lineno, line) record with decode_graph6, bytes lines read as
-    # ASCII: the good records by order as (lineno, text, rows), the bad
-    # count and the first bad (lineno, message).
+    # Per (lineno, line) record with decode_graph6, lines encoded as the
+    # census reads them and read as ASCII: the good records by order as
+    # (lineno, text, rows), the bad count and the first bad (lineno, message).
     groups, bad, first = {}, 0, None
     for lineno, line in records:
-        if isinstance(line, bytes):
-            line = line.decode("ascii", "replace")
-        text = line.strip()
+        text = _encoded(line).decode("ascii", "replace").strip()
         if not text:
             continue
         try:
@@ -384,8 +394,10 @@ def _reference_decode(records):
 
 
 def _block_decodes_like_reference(lines):
-    # One block of lines, bytes or str, through _decode_block and through
-    # the reference; returns the bad count and the first bad line.
+    # One block of lines, bytes or str, encoded as the census reads them,
+    # through _decode_block and through the reference; returns the bad
+    # count and the first bad line.
+    lines = [_encoded(line) for line in lines]
     linenos = np.arange(1, len(lines) + 1)
     tally = search._Tally()
     got = search._decode_block(linenos, lines, tally)
@@ -403,9 +415,9 @@ def _block_decodes_like_reference(lines):
 
 def _assert_block_decodes_like_reference(data):
     # A stream, as its bytes or as its lines, decodes like the reference
-    # read three ways, as the census reads a path, a list and stdin: bytes
-    # lines from a binary file, str lines from a list, and str lines from a
-    # text stream.  Returns each way's bad count and first bad line.
+    # read three ways: bytes lines from a binary file, as the census reads a
+    # path and stdin, str lines from a list, and str lines from a text
+    # stream.  Returns each way's bad count and first bad line.
     if isinstance(data, list):
         lines = data
         data = "\n".join(lines).encode("utf-8", "surrogateescape")
@@ -441,6 +453,7 @@ STREAMS = {
     + PATH32.encode() + b"\nCN\n",
     "bare and stripped records of one order":
     b"CN\n CN\nFCZeO\r\nCN\nFCZUO \nFCZeO\n",
+    "separator controls": b"\x1cCN\x1d\nFCZeO\x1e\n\x1f\x1c \x1d\n\x1fA_\x1c\n",
 }
 
 
@@ -1608,7 +1621,8 @@ class TestReport:
         d = json.loads(json.dumps(rep.to_json_dict()))
         assert d["graphs_seen"] == 2
         assert d["hits"]["NAND"][0]["graph6"] == "FCZUO"
-        assert d["backend"] == _kernels.BACKEND
+        assert "backend" not in d
+        assert d["rarity"] and all("note" not in row for row in d["rarity"])
 
     def test_empty_stream(self):
         rep = search_stream([], SearchOptions(targets=("NAND",)))
